@@ -65,9 +65,11 @@ func DefaultConfig() *Config {
 			"rcm/service": {"OrderKey", "ComponentsKey"},
 			// RCMB zero-copy decode: the service ingest fast path.
 			"internal/mmio": {"readBinaryBytes", "splitVarints", "decodeColBlock", "uvarintAt"},
-			// Permute/stats kernels: paid on every ordering's Before/After.
+			// Symmetry check, permute and stats kernels: paid on every
+			// ordering's input check and Before/After.
 			"internal/spmat": {
-				"CSR.Permute", "CSR.PermutePar",
+				"CSR.IsSymmetricPattern",
+				"CSR.Permute", "CSR.PermuteChecked", "CSR.PermutePar",
 				"CSR.DegreesPar", "CSR.BandwidthPar", "CSR.ProfilePar", "CSR.WavefrontPar",
 				"CSR.FillProxy", "CSR.FillProxyPar",
 				"PatternDigest", "PatternHasher.WriteInts", "PatternHasher.SumHex",

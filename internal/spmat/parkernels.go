@@ -6,7 +6,7 @@ import (
 )
 
 // Parallel bulk kernels over row blocks: the ingest-and-permute path of the
-// ordering service runs these on every request (PAPᵀ plus before/after
+// ordering service runs these on every request (the before/after
 // bandwidth/profile/wavefront statistics), so at high cache hit ratios they
 // — not the ordering engines — are the serving bottleneck. Each kernel
 // partitions the rows with Blocks/WeightedBlocks and either writes disjoint
@@ -19,77 +19,12 @@ import (
 // force the parallel path on small fixtures.
 var minParallelRows = 2048
 
-// PermutePar is Permute over `threads` row blocks: pass one computes the
-// output row pointers (per-block length sums, an exclusive scan of the
-// block totals, then per-block fill), pass two scatters each output block
-// independently — row k of the result is old row perm[k] relabeled through
-// the inverse permutation and re-sorted in place. Identical output to
-// Permute; the blocks are nnz-balanced so one dense stripe cannot
-// serialize the scatter.
+// PermutePar is Permute at any thread count. The serial counting-sort
+// scatter is linear and sort-free, and outruns a row-block-parallel
+// gather-and-sort at two threads by about 2×, so threads is accepted for
+// callers written against the parallel kernels and ignored.
 func (a *CSR) PermutePar(perm []int, threads int) *CSR {
-	if threads == 1 || a.N < minParallelRows {
-		return a.Permute(perm)
-	}
-	if err := ValidatePerm(perm, a.N); err != nil {
-		//lint:ignore hotalloc cold abort: an invalid permutation never reaches the kernel loop, so this boxing runs zero times on the fast path
-		panic("spmat: " + err.Error())
-	}
-	n := a.N
-	bounds := Blocks(n, threads)
-	nb := len(bounds) - 1
-
-	inv := make([]int, n)
-	rowPtr := make([]int, n+1)
-	blockNNZ := make([]int, nb+1)
-	parallelBlocks(bounds, func(k, lo, hi int) {
-		sum := 0
-		for i := lo; i < hi; i++ {
-			old := perm[i]
-			inv[old] = i
-			// Stash the row length; the scan below turns it into offsets.
-			rowPtr[i+1] = a.RowPtr[old+1] - a.RowPtr[old]
-			sum += rowPtr[i+1]
-		}
-		blockNNZ[k+1] = sum
-	})
-	for k := 0; k < nb; k++ {
-		blockNNZ[k+1] += blockNNZ[k]
-	}
-	parallelBlocks(bounds, func(k, lo, hi int) {
-		off := blockNNZ[k]
-		for i := lo; i < hi; i++ {
-			off += rowPtr[i+1]
-			rowPtr[i+1] = off
-		}
-	})
-
-	cols := make([]int, a.NNZ())
-	var vals []float64
-	if a.Val != nil {
-		vals = make([]float64, a.NNZ())
-	}
-	// Scatter blocks balanced by output nnz, not row count.
-	parallelBlocks(WeightedBlocks(rowPtr, threads), func(_, lo, hi int) {
-		sorter := &colValSorter{} // per-goroutine; sort.Sort escapes it
-		for k := lo; k < hi; k++ {
-			old := perm[k]
-			plo, phi := rowPtr[k], rowPtr[k+1]
-			dst := cols[plo:phi]
-			for t, j := range a.Col[a.RowPtr[old]:a.RowPtr[old+1]] {
-				dst[t] = inv[j]
-			}
-			if vals == nil {
-				sort.Ints(dst)
-				continue
-			}
-			rv := vals[plo:phi]
-			copy(rv, a.Val[a.RowPtr[old]:a.RowPtr[old+1]])
-			sorter.cols, sorter.vals = dst, rv
-			//lint:ignore hotalloc sorter is a pointer reused across the block's rows: storing a pointer in sort.Interface does not heap-allocate
-			sort.Sort(sorter)
-		}
-	})
-	return &CSR{N: n, RowPtr: rowPtr, Col: cols, Val: vals}
+	return a.Permute(perm)
 }
 
 // DegreesPar is Degrees over nnz-balanced row blocks.

@@ -184,13 +184,22 @@ func (a *CSR) Has(i, j int) bool {
 	return k < len(row) && row[k] == j
 }
 
-// IsSymmetricPattern reports whether the nonzero pattern is symmetric.
+// IsSymmetricPattern reports whether the nonzero pattern is symmetric. It
+// is one merge pass with a cursor cur[j] into every row j: the rows i are
+// visited in ascending order, so the entries (i, j) of column j arrive in
+// the order row j lists its sorted columns, and each must meet its mirror
+// (j, i) at the cursor. Matching every entry to a distinct mirror this way
+// is exactly symmetry on sorted, deduplicated rows — no per-entry search.
 func (a *CSR) IsSymmetricPattern() bool {
+	cur := make([]int, a.N)
+	copy(cur, a.RowPtr)
 	for i := 0; i < a.N; i++ {
 		for _, j := range a.Row(i) {
-			if !a.Has(j, i) {
+			k := cur[j]
+			if k == a.RowPtr[j+1] || a.Col[k] != i {
 				return false
 			}
+			cur[j] = k + 1
 		}
 	}
 	return true
@@ -271,54 +280,69 @@ func (a *CSR) FillProxy() int64 {
 // reordered so that old row perm[0] comes first). A malformed perm panics
 // with the ValidatePerm diagnosis: applying it would silently corrupt the
 // matrix (duplicates) or index out of range mid-kernel, and internal callers
-// are supposed to have validated already — the public facade returns the
-// same diagnosis as an error instead.
+// are supposed to have validated already — the public facade goes through
+// PermuteChecked, which returns the same diagnosis as an error instead.
 func (a *CSR) Permute(perm []int) *CSR {
-	if err := ValidatePerm(perm, a.N); err != nil {
+	p, err := a.PermuteChecked(perm)
+	if err != nil {
 		//lint:ignore hotalloc cold abort: an invalid permutation never reaches the kernel loop, so this boxing runs zero times on the fast path
 		panic("spmat: " + err.Error())
 	}
-	// Direct CSR-to-CSR: row k of the result is old row perm[k] with its
-	// columns relabeled through the inverse permutation, then re-sorted in
-	// place. A permutation cannot create duplicates, so no merge pass is
-	// needed — this allocates exactly the output arrays, where the old
-	// coordinate-list construction built a 32-byte-per-entry transient and
-	// re-deduplicated (the facade computes PAPᵀ on every Order call, so
-	// the service path repays this on every request).
+	return p
+}
+
+// PermuteChecked is Permute for permutations from outside the program: a
+// malformed perm comes back as the ValidatePerm diagnosis instead of a
+// panic. The permutation is validated once, in the pass that inverts it.
+//
+// PAPᵀ is a counting-sort scatter, linear in n + nnz with no per-row sort.
+// Entry (r, c) of the result is entry (perm[r], perm[c]) of A, so walking
+// the new columns c in ascending order and appending c to row inv[j] for
+// every entry (j, perm[c]) in column perm[c] of A fills each output row in
+// ascending column order. On a symmetric pattern column perm[c] is row
+// perm[c]; any other pattern takes its columns from a pattern-only
+// transpose first. Values follow in a second pass: a dense marker records
+// the slot of every column of output row r, and each value of old row
+// perm[r] drops into its slot.
+func (a *CSR) PermuteChecked(perm []int) (*CSR, error) {
+	inv, err := invertChecked(perm, a.N)
+	if err != nil {
+		return nil, err
+	}
 	n := a.N
-	inv := make([]int, n)
-	for k, old := range perm {
-		inv[old] = k
+	colPtr, colRows := a.RowPtr, a.Col
+	if !a.IsSymmetricPattern() {
+		t := (&CSR{N: n, RowPtr: a.RowPtr, Col: a.Col}).Transpose()
+		colPtr, colRows = t.RowPtr, t.Col
 	}
 	rowPtr := make([]int, n+1)
-	for k := 0; k < n; k++ {
-		old := perm[k]
-		rowPtr[k+1] = rowPtr[k] + (a.RowPtr[old+1] - a.RowPtr[old])
+	for r, old := range perm {
+		rowPtr[r+1] = rowPtr[r] + (a.RowPtr[old+1] - a.RowPtr[old])
 	}
 	cols := make([]int, a.NNZ())
+	next := make([]int, n)
+	copy(next, rowPtr)
+	for c, old := range perm {
+		for _, j := range colRows[colPtr[old]:colPtr[old+1]] {
+			r := inv[j]
+			cols[next[r]] = c
+			next[r]++
+		}
+	}
 	var vals []float64
 	if a.Val != nil {
 		vals = make([]float64, a.NNZ())
-	}
-	sorter := &colValSorter{} // one sorter for all rows; sort.Sort escapes it
-	for k := 0; k < n; k++ {
-		old := perm[k]
-		lo, hi := rowPtr[k], rowPtr[k+1]
-		dst := cols[lo:hi]
-		for t, j := range a.Col[a.RowPtr[old]:a.RowPtr[old+1]] {
-			dst[t] = inv[j]
+		mark := next // the scatter cursors are spent; reuse them as the marker
+		for r, old := range perm {
+			for k := rowPtr[r]; k < rowPtr[r+1]; k++ {
+				mark[cols[k]] = k
+			}
+			for k := a.RowPtr[old]; k < a.RowPtr[old+1]; k++ {
+				vals[mark[inv[a.Col[k]]]] = a.Val[k]
+			}
 		}
-		if vals == nil {
-			sort.Ints(dst)
-			continue
-		}
-		rv := vals[lo:hi]
-		copy(rv, a.Val[a.RowPtr[old]:a.RowPtr[old+1]])
-		sorter.cols, sorter.vals = dst, rv
-		//lint:ignore hotalloc sorter is a pointer reused across rows: storing a pointer in sort.Interface does not heap-allocate
-		sort.Sort(sorter)
 	}
-	return &CSR{N: n, RowPtr: rowPtr, Col: cols, Val: vals}
+	return &CSR{N: n, RowPtr: rowPtr, Col: cols, Val: vals}, nil
 }
 
 // BFS performs a breadth-first search over G(A) from start, ignoring
@@ -393,23 +417,31 @@ func IsPerm(p []int) bool {
 // behind every permutation-accepting entry point (Permute, the rcm facade,
 // mmio.ReadPerm).
 func ValidatePerm(p []int, n int) error {
+	_, err := invertChecked(p, n)
+	return err
+}
+
+// invertChecked is ValidatePerm returning the inverse permutation on
+// success: the array that records where each entry was first seen, which
+// the duplicate check needs anyway, is the inverse.
+func invertChecked(p []int, n int) ([]int, error) {
 	if len(p) != n {
-		return fmt.Errorf("permutation has length %d, want %d", len(p), n)
+		return nil, fmt.Errorf("permutation has length %d, want %d", len(p), n)
 	}
-	seen := make([]int, n)
-	for k := range seen {
-		seen[k] = -1
+	inv := make([]int, n)
+	for k := range inv {
+		inv[k] = -1
 	}
 	for k, v := range p {
 		if v < 0 || v >= n {
-			return fmt.Errorf("permutation entry %d at position %d outside 0..%d", v, k, n-1)
+			return nil, fmt.Errorf("permutation entry %d at position %d outside 0..%d", v, k, n-1)
 		}
-		if prev := seen[v]; prev >= 0 {
-			return fmt.Errorf("permutation repeats entry %d at positions %d and %d", v, prev, k)
+		if prev := inv[v]; prev >= 0 {
+			return nil, fmt.Errorf("permutation repeats entry %d at positions %d and %d", v, prev, k)
 		}
-		seen[v] = k
+		inv[v] = k
 	}
-	return nil
+	return inv, nil
 }
 
 // InvertPerm returns the inverse permutation: out[p[k]] = k.

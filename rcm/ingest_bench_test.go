@@ -11,8 +11,9 @@ import (
 
 // BenchmarkIngest measures the raw-speed ingest-and-permute path in
 // isolation: RCMB decode from an in-memory image (the mmap'd-file case),
-// decode with the cache-key digest fused in, and the bulk permute+stats
-// kernels that bracket every ordering — each serial versus parallel.
+// decode with the cache-key digest fused in, the input symmetry check, and
+// the bulk permute+stats kernels that bracket every ordering — decode and
+// permute+stats each serial versus parallel.
 // b.SetBytes makes `go test -bench` report MB/s alongside ns/op, and
 // cmd/benchjson folds both into the BENCH_order.json artifact, so CI's
 // regression gate covers the ingest path too.
@@ -60,6 +61,18 @@ func BenchmarkIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// The symmetry check every Order runs on its input: one merge pass over
+	// the pattern, so the bytes swept are the pattern's.
+	b.Run("symcheck", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(8 * (a.NNZ() + a.N)))
+		for i := 0; i < b.N; i++ {
+			if !a.IsSymmetricPattern() {
+				b.Fatal("suite matrix reported asymmetric")
+			}
+		}
+	})
+
 	perm := rand.New(rand.NewSource(1)).Perm(a.N)
 	// Bytes actually swept per iteration: the pattern once for the permute
 	// scatter and once for the stats kernels, as 8-byte words.

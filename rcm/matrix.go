@@ -107,16 +107,11 @@ func (m *Matrix) Degrees() []int { return m.csr.Degrees() }
 // entries — are rejected with a diagnosis naming the first offending
 // position, before any kernel touches them.
 func (m *Matrix) Permute(perm []int) (*Matrix, error) {
-	return m.permutePar(perm, 1)
-}
-
-// permutePar is Permute over row-block-parallel scatter; output is
-// identical at any thread count.
-func (m *Matrix) permutePar(perm []int, threads int) (*Matrix, error) {
-	if err := spmat.ValidatePerm(perm, m.csr.N); err != nil {
+	p, err := m.csr.PermuteChecked(perm)
+	if err != nil {
 		return nil, fmt.Errorf("rcm: %v", err)
 	}
-	return wrap(m.csr.PermutePar(perm, threads)), nil
+	return wrap(p), nil
 }
 
 // Equal reports whether two matrices have the identical pattern (and, when

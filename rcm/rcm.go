@@ -158,11 +158,11 @@ func order(a *Matrix, wantMatrix bool, opts []Option) (*Result, *Matrix, error) 
 		}
 	}
 
-	// The bookkeeping around the ordering — PAPᵀ and the Before/After
-	// statistics — runs on the row-block-parallel kernels under the same
-	// thread budget as the ordering itself (WithThreads; 1 means serial).
+	// The Before/After statistics run on the row-block-parallel kernels
+	// under the same thread budget as the ordering itself (WithThreads; 1
+	// means serial); PAPᵀ is a linear serial scatter.
 	res.Before = a.statsPar(c.threads)
-	p, err := a.permutePar(res.Perm, c.threads)
+	p, err := a.Permute(res.Perm)
 	if err != nil {
 		return nil, nil, fmt.Errorf("rcm: internal error: backend returned an invalid permutation: %w", err)
 	}
