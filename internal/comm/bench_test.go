@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -18,6 +19,41 @@ func BenchmarkBarrier(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					c.Barrier()
 				}
+			})
+		})
+	}
+}
+
+// skewSink keeps the compiler from eliding skewWork.
+var skewSink atomic.Uint64
+
+// skewWork burns CPU proportional to n (a linear congruential chain).
+func skewWork(n int) uint64 {
+	x := uint64(n)
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+	return x
+}
+
+// BenchmarkCollectiveSkew runs the shape of a thin BFS level: uneven
+// per-rank local work, then a short chain of collectives (a gather and a
+// reduction). Unlike BenchmarkBarrier, ranks arrive at different times, so
+// waiters really wait and the host's cores can go idle between levels —
+// the cost a barrier's waiting strategy decides.
+func BenchmarkCollectiveSkew(b *testing.B) {
+	for _, p := range benchSizes() {
+		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
+			Run(p, nil, func(c *Comm) {
+				payload := make([]int64, 8)
+				var buf []int64
+				var acc uint64
+				for i := 0; i < b.N; i++ {
+					acc += skewWork(1000 * (1 + (c.Rank()+i)%4))
+					buf = AllGathervConcatInto(c, payload, buf)
+					AllReduceSum(c, int64(len(buf)))
+				}
+				skewSink.Add(acc)
 			})
 		})
 	}

@@ -3,7 +3,7 @@
 // MPI plays in the paper.
 //
 // Ranks are goroutines. Collectives move data by copying it through a shared
-// exchange area guarded by sense-reversing barriers, so the data movement is
+// exchange area guarded by generation barriers, so the data movement is
 // real (every word crosses the exchange exactly once per collective, like a
 // shared-memory MPI transport) and can be counted exactly. Every collective
 // also advances the participants' BSP virtual clocks (see package tally):
@@ -18,9 +18,14 @@
 // payload is ever boxed into an interface and no sizing goes through
 // reflect. The slot array is allocated once per communicator and reused by
 // every collective — the pooled exchange area. The pointer lives in the slot
-// only between the two barriers of a collective, and the barriers' mutex
-// establishes the happens-before edges that make the cross-goroutine reads
-// safe (the race detector agrees; see the -race CI job).
+// only between the two barriers of a collective, and the barriers' atomic
+// arrival counter and generation establish the happens-before edges that
+// make the cross-goroutine reads safe (the race detector agrees; see the
+// -race CI jobs, one of which runs at GOMAXPROCS=1).
+//
+// Barrier waiters yield before they park (see barrier). Wall time is not
+// part of the model: how a rank waits changes how fast the simulation
+// runs, never a count, a clock or a result.
 //
 // Collectives that return data come in two flavours: the plain form returns
 // fresh slices, and the Into form appends into a caller-supplied scratch
@@ -35,8 +40,10 @@ package comm
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/tally"
@@ -53,17 +60,31 @@ type slotEntry struct {
 	clock float64
 }
 
-// barrier is a reusable sense-reversing barrier.
+// spinBudget is how many times a barrier waiter polls the generation,
+// yielding its P between polls, before it parks. Chosen by a sweep of
+// 16/256/2048 on the dist-mesh benchmark (DESIGN.md, "Waiting at a
+// barrier"); 256 was best.
+const spinBudget = 256
+
+// barrier is a reusable generation barrier. Arrivals count through an
+// atomic counter; the last arrival resets it and advances the generation,
+// which releases the round. A waiter first polls the generation, calling
+// runtime.Gosched between polls so its P runs another rank instead of
+// idling, and only after spinBudget polls parks on the condition variable.
+// The atomics are the happens-before edges of the exchange: every rank's
+// slot write precedes its counter increment, the last increment precedes
+// the generation advance, and every waiter observes that advance before it
+// reads a peer's slot.
 type barrier struct {
+	n     int32
+	count atomic.Int32
+	gen   atomic.Uint32
 	mu    sync.Mutex
 	cond  *sync.Cond
-	n     int
-	count int
-	sense bool
 }
 
 func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
+	b := &barrier{n: int32(n)}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -72,17 +93,23 @@ func (b *barrier) wait() {
 	if b.n <= 1 {
 		return
 	}
-	b.mu.Lock()
-	s := b.sense
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.sense = !s
+	g := b.gen.Load()
+	if b.count.Add(1) == b.n {
+		b.count.Store(0)
+		b.mu.Lock()
+		b.gen.Store(g + 1)
 		b.cond.Broadcast()
 		b.mu.Unlock()
 		return
 	}
-	for b.sense == s {
+	for i := 0; i < spinBudget; i++ {
+		if b.gen.Load() != g {
+			return
+		}
+		runtime.Gosched()
+	}
+	b.mu.Lock()
+	for b.gen.Load() == g {
 		b.cond.Wait()
 	}
 	b.mu.Unlock()

@@ -21,6 +21,7 @@ package distmat
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/comm"
 	"repro/internal/grid"
@@ -96,30 +97,54 @@ func (m *Mat) EnableDCSC() {
 // be distributed (the paper's motivating scenario); the simulator hands
 // every rank the same read-only global structure and each rank carves out
 // its block, which costs the same local scan.
+//
+// CSR rows are sorted and duplicate-free, so each row's entries inside the
+// block's column range form one window found by binary search. A count per
+// column, a prefix sum and a scatter of the windows in ascending row order
+// then leave every column sorted: no coordinate lists, no per-column sort.
 func NewMat(d *grid.Dist, a *spmat.CSR) *Mat {
 	if a.N != d.N {
+		//lint:ignore hotalloc cold caller-bug exit: runs at most once, right before the panic
 		panic(fmt.Sprintf("distmat: matrix dimension %d does not match distribution %d", a.N, d.N))
 	}
 	m := &Mat{D: d}
 	m.RowLo, m.RowHi = d.MyRowRange()
 	m.ColLo, m.ColHi = d.MyColRange()
-	var rr, cc []int
-	scanned := 0
+	rows, cols := m.RowHi-m.RowLo, m.ColHi-m.ColLo
+	ptr := make([]int, cols+1)
 	for i := m.RowLo; i < m.RowHi; i++ {
-		row := a.Row(i)
-		scanned += len(row)
-		for _, j := range row {
-			if j >= m.ColLo && j < m.ColHi {
-				rr = append(rr, i-m.RowLo)
-				cc = append(cc, j-m.ColLo)
-			}
+		for _, j := range colWindow(a.Row(i), m.ColLo, m.ColHi) {
+			ptr[j-m.ColLo+1]++
 		}
 	}
-	m.Block = spmat.CSCFromCoords(m.RowHi-m.RowLo, m.ColHi-m.ColLo, rr, cc)
-	m.spaVal = make([]int64, m.RowHi-m.RowLo)
-	m.spaMark = make([]bool, m.RowHi-m.RowLo)
-	d.G.World.Stats().AddWork(int64(scanned))
+	for j := 0; j < cols; j++ {
+		ptr[j+1] += ptr[j]
+	}
+	// Scatter with ptr[j] as column j's cursor; afterwards ptr[j] holds
+	// column j's end, and one shift restores the starts.
+	var rowIdx []int
+	if nnz := ptr[cols]; nnz > 0 {
+		rowIdx = make([]int, nnz)
+	}
+	for i := m.RowLo; i < m.RowHi; i++ {
+		for _, j := range colWindow(a.Row(i), m.ColLo, m.ColHi) {
+			rowIdx[ptr[j-m.ColLo]] = i - m.RowLo
+			ptr[j-m.ColLo]++
+		}
+	}
+	copy(ptr[1:], ptr[:cols])
+	ptr[0] = 0
+	m.Block = &spmat.CSC{Rows: rows, Cols: cols, ColPtr: ptr, Row: rowIdx}
+	m.spaVal = make([]int64, rows)
+	m.spaMark = make([]bool, rows)
+	d.G.World.Stats().AddWork(int64(a.RowPtr[m.RowHi] - a.RowPtr[m.RowLo]))
 	return m
+}
+
+// colWindow returns the entries of the sorted row that fall in [lo, hi).
+func colWindow(row []int, lo, hi int) []int {
+	s := sort.SearchInts(row, lo)
+	return row[s : s+sort.SearchInts(row[s:], hi)]
 }
 
 // Vec is one rank's chunk of a distributed dense vector.

@@ -81,6 +81,11 @@ func DefaultConfig() *Config {
 				"solver.selectPivots", "solver.eliminate",
 				"solver.mergeVariables", "solver.updateDegrees",
 			},
+			// The simulator's fixed costs: every collective waits at two
+			// barriers (thousands per distributed order on a mesh), and
+			// every rank extracts its block once per order.
+			"internal/comm":    {"barrier.wait"},
+			"internal/distmat": {"NewMat"},
 			// Proxy routing fast path: key resolution and ring placement
 			// run on every proxied request.
 			"rcm/service/cluster": {

@@ -17,7 +17,7 @@ func randCSC(rng *rand.Rand, rows, cols int, density float64) *CSC {
 			}
 		}
 	}
-	return CSCFromCoords(rows, cols, rr, cc)
+	return cscFromCoords(rows, cols, rr, cc)
 }
 
 func TestTransposeCSC(t *testing.T) {

@@ -1,7 +1,5 @@
 package spmat
 
-import "sort"
-
 // CSC is a rectangular pattern matrix in compressed-sparse-column form. The
 // paper stores the local submatrices of the 2D decomposition in CSC because
 // it is the fastest format for SpMSpV with very sparse input vectors
@@ -18,41 +16,6 @@ func (a *CSC) NNZ() int { return len(a.Row) }
 // Column returns the row indices of column j (shared storage; do not
 // mutate). Rows are sorted ascending.
 func (a *CSC) Column(j int) []int { return a.Row[a.ColPtr[j]:a.ColPtr[j+1]] }
-
-// CSCFromCoords builds a rectangular CSC pattern matrix from (row, col)
-// pairs, sorting rows within each column and dropping duplicates.
-func CSCFromCoords(rows, cols int, rr, cc []int) *CSC {
-	counts := make([]int, cols+1)
-	for _, c := range cc {
-		counts[c+1]++
-	}
-	ptr := make([]int, cols+1)
-	for j := 0; j < cols; j++ {
-		ptr[j+1] = ptr[j] + counts[j+1]
-	}
-	rowIdx := make([]int, len(rr))
-	next := append([]int(nil), ptr...)
-	for k, c := range cc {
-		rowIdx[next[c]] = rr[k]
-		next[c]++
-	}
-	outPtr := make([]int, cols+1)
-	w := 0
-	for j := 0; j < cols; j++ {
-		col := rowIdx[ptr[j]:ptr[j+1]]
-		sort.Ints(col)
-		start := w
-		for _, r := range col {
-			if w > start && rowIdx[w-1] == r {
-				continue
-			}
-			rowIdx[w] = r
-			w++
-		}
-		outPtr[j+1] = w
-	}
-	return &CSC{Rows: rows, Cols: cols, ColPtr: outPtr, Row: append([]int(nil), rowIdx[:w]...)}
-}
 
 // ToCSC converts a square CSR pattern to CSC form. For symmetric patterns
 // this is a relabelling of the same data.

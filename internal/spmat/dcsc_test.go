@@ -8,7 +8,7 @@ import (
 )
 
 func TestDCSCRoundtrip(t *testing.T) {
-	c := CSCFromCoords(5, 6, []int{0, 2, 4, 1}, []int{0, 0, 3, 5})
+	c := cscFromCoords(5, 6, []int{0, 2, 4, 1}, []int{0, 0, 3, 5})
 	d := DCSCFromCSC(c)
 	if d.NNZ() != c.NNZ() {
 		t.Fatalf("nnz %d vs %d", d.NNZ(), c.NNZ())
@@ -29,7 +29,7 @@ func TestDCSCRoundtrip(t *testing.T) {
 }
 
 func TestDCSCEmpty(t *testing.T) {
-	d := DCSCFromCSC(CSCFromCoords(3, 3, nil, nil))
+	d := DCSCFromCSC(cscFromCoords(3, 3, nil, nil))
 	if d.NNZ() != 0 || d.NNZCols() != 0 {
 		t.Errorf("empty dcsc: %+v", d)
 	}
@@ -47,7 +47,7 @@ func TestDCSCSavesMemoryWhenHypersparse(t *testing.T) {
 		rr[k] = k
 		cc[k] = k * 487 % 10000
 	}
-	c := CSCFromCoords(100, 10000, rr, cc)
+	c := cscFromCoords(100, 10000, rr, cc)
 	d := DCSCFromCSC(c)
 	if d.MemWords() >= c.MemWords()/50 {
 		t.Errorf("dcsc %d words vs csc %d: expected ~100x saving", d.MemWords(), c.MemWords())
@@ -64,7 +64,7 @@ func TestDCSCNoWorseWhenDense(t *testing.T) {
 			cc = append(cc, j)
 		}
 	}
-	c := CSCFromCoords(4, 50, rr, cc)
+	c := cscFromCoords(4, 50, rr, cc)
 	d := DCSCFromCSC(c)
 	if d.MemWords() > 2*c.MemWords() {
 		t.Errorf("dcsc %d words vs csc %d", d.MemWords(), c.MemWords())
@@ -83,7 +83,7 @@ func TestQuickDCSCColumnsMatchCSC(t *testing.T) {
 			rr[k] = rng.Intn(rows)
 			cc[k] = rng.Intn(cols)
 		}
-		c := CSCFromCoords(rows, cols, rr, cc)
+		c := cscFromCoords(rows, cols, rr, cc)
 		d := DCSCFromCSC(c)
 		if d.NNZ() != c.NNZ() {
 			return false

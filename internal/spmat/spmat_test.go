@@ -3,6 +3,7 @@ package spmat
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -321,8 +322,45 @@ func TestQuickInvertPermIsInvolution(t *testing.T) {
 	}
 }
 
+// cscFromCoords builds a rectangular CSC pattern matrix from (row, col)
+// pairs, sorting rows within each column and dropping duplicates. A test
+// helper: production blocks are built straight from CSR rows (see
+// distmat.NewMat).
+func cscFromCoords(rows, cols int, rr, cc []int) *CSC {
+	counts := make([]int, cols+1)
+	for _, c := range cc {
+		counts[c+1]++
+	}
+	ptr := make([]int, cols+1)
+	for j := 0; j < cols; j++ {
+		ptr[j+1] = ptr[j] + counts[j+1]
+	}
+	rowIdx := make([]int, len(rr))
+	next := append([]int(nil), ptr...)
+	for k, c := range cc {
+		rowIdx[next[c]] = rr[k]
+		next[c]++
+	}
+	outPtr := make([]int, cols+1)
+	w := 0
+	for j := 0; j < cols; j++ {
+		col := rowIdx[ptr[j]:ptr[j+1]]
+		sort.Ints(col)
+		start := w
+		for _, r := range col {
+			if w > start && rowIdx[w-1] == r {
+				continue
+			}
+			rowIdx[w] = r
+			w++
+		}
+		outPtr[j+1] = w
+	}
+	return &CSC{Rows: rows, Cols: cols, ColPtr: outPtr, Row: append([]int(nil), rowIdx[:w]...)}
+}
+
 func TestCSCFromCoords(t *testing.T) {
-	c := CSCFromCoords(3, 2, []int{2, 0, 2}, []int{0, 1, 0})
+	c := cscFromCoords(3, 2, []int{2, 0, 2}, []int{0, 1, 0})
 	if c.NNZ() != 2 { // duplicate (2,0) dropped
 		t.Fatalf("nnz = %d", c.NNZ())
 	}
