@@ -53,7 +53,7 @@ type spmspvWS struct {
 	recv    []Entry
 	counts  []int
 	intWS   psort.Scratch[int]
-	entWS   psort.Scratch[Entry]
+	runs    runHeap
 }
 
 // Mat is one rank's block of a distributed pattern matrix.
@@ -406,7 +406,7 @@ func routeRowPartials[S semiring.Semiring](m *Mat, touched []Entry, sr S) *SpV {
 	}
 	ws.recv, ws.counts = comm.AllToAllvConcat(g.Row, send, ws.recv, ws.counts)
 	out := NewSpV(m.D)
-	mergeEntries(ws.recv, &out.Loc, sr, &ws.entWS)
+	mergeRuns(ws.recv, ws.counts, &out.Loc, sr, &ws.runs)
 	g.World.Stats().AddWork(int64(len(touched)) + int64(len(ws.recv)))
 	return out
 }
@@ -550,22 +550,86 @@ func packEntriesInto(s *spvec.Sp, buf []Entry) []Entry {
 	return out
 }
 
-// mergeEntries merges the concatenated index-sorted runs received from the
-// row exchange into dst, combining duplicate indices with the semiring's
-// addition. One stable linear-time keyed sort by index replaces the old
-// comparator sort; stability preserves source-rank order among duplicates.
-func mergeEntries[S semiring.Semiring](all []Entry, dst *spvec.Sp, sr S, ws *psort.Scratch[Entry]) {
+// runHeap is the reusable scratch of mergeRuns: a read cursor and an end
+// per run, and a binary min-heap of the runs that still hold entries,
+// ordered by (index at the cursor, run).
+type runHeap struct {
+	pos, end []int
+	heap     []int
+}
+
+// mergeRuns merges the index-sorted runs received from the row exchange —
+// counts[s] entries from source s, concatenated in source order — into dst,
+// combining duplicate indices with the semiring's addition. The heap of run
+// heads makes it O(len(all) log runs); breaking index ties by source folds
+// duplicates in source order, exactly as a stable sort of the concatenation
+// would. The last run standing drains without the heap.
+func mergeRuns[S semiring.Semiring](all []Entry, counts []int, dst *spvec.Sp, sr S, h *runHeap) {
 	if len(all) == 0 {
 		return
 	}
-	psort.KeyedWS(ws, all, func(e Entry) uint64 { return uint64(e.Ind) }, 1)
 	dst.Ind = make([]int, 0, len(all))
 	dst.Val = make([]int64, 0, len(all))
-	for _, e := range all {
-		if n := dst.Len(); n > 0 && dst.Ind[n-1] == e.Ind {
-			dst.Val[n-1] = sr.Add(dst.Val[n-1], e.Val)
-		} else {
-			dst.Append(e.Ind, e.Val)
+	h.pos, h.end, h.heap = h.pos[:0], h.end[:0], h.heap[:0]
+	off := 0
+	for s, c := range counts {
+		h.pos = append(h.pos, off)
+		off += c
+		h.end = append(h.end, off)
+		if c > 0 {
+			h.heap = append(h.heap, s)
 		}
+	}
+	for k := len(h.heap)/2 - 1; k >= 0; k-- {
+		h.down(all, k)
+	}
+	for len(h.heap) > 1 {
+		s := h.heap[0]
+		foldEntry(dst, all[h.pos[s]], sr)
+		if h.pos[s]++; h.pos[s] == h.end[s] {
+			last := len(h.heap) - 1
+			h.heap[0] = h.heap[last]
+			h.heap = h.heap[:last]
+		}
+		h.down(all, 0)
+	}
+	s := h.heap[0]
+	for _, e := range all[h.pos[s]:h.end[s]] {
+		foldEntry(dst, e, sr)
+	}
+}
+
+// foldEntry appends e to the index-sorted dst, or adds its value into the
+// last entry when the index repeats.
+func foldEntry[S semiring.Semiring](dst *spvec.Sp, e Entry, sr S) {
+	if n := dst.Len(); n > 0 && dst.Ind[n-1] == e.Ind {
+		dst.Val[n-1] = sr.Add(dst.Val[n-1], e.Val)
+	} else {
+		dst.Append(e.Ind, e.Val)
+	}
+}
+
+// less orders runs a and b by the index at their cursors, then by run.
+func (h *runHeap) less(all []Entry, a, b int) bool {
+	ia, ib := all[h.pos[a]].Ind, all[h.pos[b]].Ind
+	return ia < ib || (ia == ib && a < b)
+}
+
+// down restores the heap order below slot k.
+func (h *runHeap) down(all []Entry, k int) {
+	n := len(h.heap)
+	for {
+		c := 2*k + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && h.less(all, h.heap[c+1], h.heap[c]) {
+			c++
+		}
+		if !h.less(all, h.heap[c], h.heap[k]) {
+			return
+		}
+		h.heap[k], h.heap[c] = h.heap[c], h.heap[k]
+		k = c
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // SortWS is the per-rank scratch of the SORTPERM primitive: tuple and entry
-// buffers, bucket counters and keyed-sort workspaces, reused across BFS
-// levels so the steady state allocates only the output vector. The zero
-// value is ready to use.
+// buffers, bucket counters, the tuple sort's workspace and the dense label
+// slots of the rank's vector chunk, reused across BFS levels so the steady
+// state allocates only the output vector. The zero value is ready to use.
 type SortWS struct {
 	tuples  []spvec.Tuple
 	sendBuf []spvec.Tuple
@@ -24,8 +24,8 @@ type SortWS struct {
 	owners  []int
 	ents    []Entry
 	entCnt  []int
+	labels  []int64
 	tupWS   psort.Scratch[spvec.Tuple]
-	entWS   psort.Scratch[Entry]
 }
 
 // zeroInts returns buf resized to n and zeroed.
@@ -184,14 +184,39 @@ func SortPermWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 	world.Stats().AddWork(int64(2 * len(mine)))
 	ws.ents, ws.entCnt = comm.AllToAllvConcat(world, back, ws.ents, ws.entCnt)
 
+	// Every tuple left from its vertex's owner and its label returns there,
+	// so the pairs received are exactly this rank's lnext entries: each
+	// label drops into its vertex's slot and reads back in lnext's index
+	// order, with no sort. The work charge is still the sort's, because
+	// the model prices the paper's SORTPERM, not this shortcut.
+	labels := ws.labelSlots(lnext)
+	for _, e := range ws.ents {
+		labels[e.Ind-lnext.Lo] = e.Val
+	}
+	world.Stats().AddWork(sortWork(len(ws.ents)))
+	return labeled(lnext, labels)
+}
+
+// labelSlots returns the workspace's dense label array over x's chunk,
+// indexed by global index − x.Lo. It is not cleared: readers only visit
+// the slots written for the current frontier.
+func (ws *SortWS) labelSlots(x *SpV) []int64 {
+	n := x.Hi - x.Lo
+	if cap(ws.labels) < n {
+		ws.labels = make([]int64, n)
+	}
+	return ws.labels[:n]
+}
+
+// labeled returns the vertices of lnext, in its index order, carrying
+// their slots of labels as values.
+func labeled(lnext *SpV, labels []int64) *SpV {
 	out := NewSpV(lnext.D)
-	all := ws.ents
-	psort.KeyedWS(&ws.entWS, all, func(e Entry) uint64 { return uint64(e.Ind) }, 1)
-	world.Stats().AddWork(sortWork(len(all)))
-	out.Loc.Ind = make([]int, 0, len(all))
-	out.Loc.Val = make([]int64, 0, len(all))
-	for _, e := range all {
-		out.Loc.Append(e.Ind, e.Val)
+	out.Loc.Ind = make([]int, len(lnext.Loc.Ind))
+	out.Loc.Val = make([]int64, len(lnext.Loc.Ind))
+	copy(out.Loc.Ind, lnext.Loc.Ind)
+	for k, i := range lnext.Loc.Ind {
+		out.Loc.Val[k] = labels[i-lnext.Lo]
 	}
 	return out
 }
@@ -220,22 +245,11 @@ func SortPermLocalWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 	spvec.SortTuplesWS(&ws.tupWS, tuples)
 	world.Stats().AddWork(int64(len(tuples)) + sortWork(len(tuples)))
 	offset, _ := comm.ExScan(world, int64(len(tuples)))
-	out := NewSpV(lnext.D)
-	if cap(ws.ents) < len(tuples) {
-		ws.ents = make([]Entry, 0, len(tuples))
-	}
-	ord := ws.ents[:0]
+	labels := ws.labelSlots(lnext)
 	for k, t := range tuples {
-		ord = append(ord, Entry{Ind: t.Vertex, Val: nv + offset + int64(k)})
+		labels[t.Vertex-lnext.Lo] = nv + offset + int64(k)
 	}
-	ws.ents = ord
-	psort.KeyedWS(&ws.entWS, ord, func(e Entry) uint64 { return uint64(e.Ind) }, 1)
-	out.Loc.Ind = make([]int, 0, len(ord))
-	out.Loc.Val = make([]int64, 0, len(ord))
-	for _, e := range ord {
-		out.Loc.Append(e.Ind, e.Val)
-	}
-	return out
+	return labeled(lnext, labels)
 }
 
 // SortPermNone is the "no sorting" ablation: vertices are labeled in index

@@ -66,10 +66,12 @@ func DefaultConfig() *Config {
 			// RCMB zero-copy decode: the service ingest fast path.
 			"internal/mmio": {"readBinaryBytes", "splitVarints", "decodeColBlock", "uvarintAt"},
 			// Symmetry check, permute and stats kernels: paid on every
-			// ordering's input check and Before/After.
+			// ordering's input check and Before/After (the fused
+			// OrderStats pass).
 			"internal/spmat": {
 				"CSR.IsSymmetricPattern",
 				"CSR.Permute", "CSR.PermuteChecked", "CSR.PermutePar",
+				"CSR.OrderStats", "CSR.orderStatsRows",
 				"CSR.DegreesPar", "CSR.BandwidthPar", "CSR.ProfilePar", "CSR.WavefrontPar",
 				"CSR.FillProxy", "CSR.FillProxyPar",
 				"PatternDigest", "PatternHasher.WriteInts", "PatternHasher.SumHex",
@@ -83,9 +85,12 @@ func DefaultConfig() *Config {
 			},
 			// The simulator's fixed costs: every collective waits at two
 			// barriers (thousands per distributed order on a mesh), and
-			// every rank extracts its block once per order.
+			// every rank extracts its block once per order. The SpMSpV run
+			// merge and SORTPERM run once per BFS level, and radixPass
+			// under every keyed sort of the frontier pipeline.
 			"internal/comm":    {"barrier.wait"},
-			"internal/distmat": {"NewMat"},
+			"internal/distmat": {"NewMat", "mergeRuns", "SortPermWS"},
+			"internal/psort":   {"radixPass"},
 			// Proxy routing fast path: key resolution and ring placement
 			// run on every proxied request.
 			"rcm/service/cluster": {

@@ -224,7 +224,8 @@ func radixSort[T any](ws *Scratch[T], data []T, lo, hi uint64, key func(T) uint6
 // radixPass performs one stable scatter by the digit at shift; it reports
 // whether a scatter happened (false when the digit is uniform, in which
 // case dst is untouched). The bounds and histogram buffers come from the
-// scratch so the radix path stays allocation-free in steady state.
+// scratch, and a single chunk runs on the calling goroutine, so the radix
+// path stays allocation-free in steady state.
 func radixPass[T any](ws *Scratch[T], src, dst []T, lo uint64, shift uint, key func(T) uint64, chunks int) bool {
 	n := len(src)
 	if cap(ws.bounds) < chunks+1 {
@@ -234,7 +235,7 @@ func radixPass[T any](ws *Scratch[T], src, dst []T, lo uint64, shift uint, key f
 	for c := 0; c <= chunks; c++ {
 		bounds[c] = c * n / chunks
 	}
-	// Per-chunk digit histograms, in parallel.
+	// Per-chunk digit histograms.
 	if cap(ws.hists) < chunks {
 		ws.hists = make([][256]int, chunks)
 	}
@@ -242,18 +243,11 @@ func radixPass[T any](ws *Scratch[T], src, dst []T, lo uint64, shift uint, key f
 	for c := range hists {
 		hists[c] = [256]int{}
 	}
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			h := &hists[c]
-			for i := bounds[c]; i < bounds[c+1]; i++ {
-				h[(key(src[i])-lo)>>shift&0xff]++
-			}
-		}(c)
+	if chunks == 1 {
+		digitHist(&hists[0], src, lo, shift, key)
+	} else {
+		eachChunk(bounds, func(c, a, b int) { digitHist(&hists[c], src[a:b], lo, shift, key) })
 	}
-	wg.Wait()
 	// Exclusive scan over (digit, chunk): chunk c's first slot for digit d.
 	var total [256]int
 	for d := 0; d < 256; d++ {
@@ -273,20 +267,43 @@ func radixPass[T any](ws *Scratch[T], src, dst []T, lo uint64, shift uint, key f
 		}
 	}
 	// Stable scatter, each chunk in input order.
-	for c := 0; c < chunks; c++ {
+	if chunks == 1 {
+		digitScatter(&hists[0], src, dst, lo, shift, key)
+	} else {
+		eachChunk(bounds, func(c, a, b int) { digitScatter(&hists[c], src[a:b], dst, lo, shift, key) })
+	}
+	return true
+}
+
+// digitHist counts the digits at shift of src's keys into h.
+func digitHist[T any](h *[256]int, src []T, lo uint64, shift uint, key func(T) uint64) {
+	for _, v := range src {
+		h[(key(v)-lo)>>shift&0xff]++
+	}
+}
+
+// digitScatter moves src into dst by the digit at shift, in input order,
+// advancing off[d], the next slot for digit d.
+func digitScatter[T any](off *[256]int, src, dst []T, lo uint64, shift uint, key func(T) uint64) {
+	for _, v := range src {
+		d := (key(v) - lo) >> shift & 0xff
+		dst[off[d]] = v
+		off[d]++
+	}
+}
+
+// eachChunk runs fn(c, bounds[c], bounds[c+1]) for every chunk on its own
+// goroutine and waits for all of them.
+func eachChunk(bounds []int, fn func(c, a, b int)) {
+	var wg sync.WaitGroup
+	for c := 0; c+1 < len(bounds); c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			off := &hists[c]
-			for i := bounds[c]; i < bounds[c+1]; i++ {
-				d := (key(src[i]) - lo) >> shift & 0xff
-				dst[off[d]] = src[i]
-				off[d]++
-			}
+			fn(c, bounds[c], bounds[c+1])
 		}(c)
 	}
 	wg.Wait()
-	return true
 }
 
 // Slice sorts data by less using up to threads goroutines: the deterministic

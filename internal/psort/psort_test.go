@@ -303,6 +303,33 @@ func TestScratchReuseProducesSameResult(t *testing.T) {
 	}
 }
 
+// TestKeyedRadixSingleChunkAllocFree pins that a one-thread radix sort on a
+// warm Scratch allocates nothing: the single-chunk passes run on the
+// calling goroutine, without spawning workers or a WaitGroup. n = 200 with
+// a 7000-wide key span takes the two-pass radix path, not the counting
+// sort.
+func TestKeyedRadixSingleChunkAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	base := make([]int, 200)
+	for i := range base {
+		base[i] = rng.Intn(7000)
+	}
+	base[0], base[1] = 0, 6999
+	d := make([]int, len(base))
+	var ws Scratch[int]
+	key := func(v int) uint64 { return uint64(v) }
+	allocs := testing.AllocsPerRun(20, func() {
+		copy(d, base)
+		KeyedWS(&ws, d, key, 1)
+	})
+	if allocs != 0 {
+		t.Errorf("KeyedWS on a warm Scratch: %v allocs/run, want 0", allocs)
+	}
+	if !sort.IntsAreSorted(d) {
+		t.Error("KeyedWS left the radix-path input unsorted")
+	}
+}
+
 func BenchmarkKeyed(b *testing.B) {
 	rng := rand.New(rand.NewSource(16))
 	n := 500_000

@@ -305,7 +305,7 @@ func (a *CSR) Permute(perm []int) *CSR {
 // the slot of every column of output row r, and each value of old row
 // perm[r] drops into its slot.
 func (a *CSR) PermuteChecked(perm []int) (*CSR, error) {
-	inv, err := invertChecked(perm, a.N)
+	inv, err := InvertChecked(perm, a.N)
 	if err != nil {
 		return nil, err
 	}
@@ -417,14 +417,14 @@ func IsPerm(p []int) bool {
 // behind every permutation-accepting entry point (Permute, the rcm facade,
 // mmio.ReadPerm).
 func ValidatePerm(p []int, n int) error {
-	_, err := invertChecked(p, n)
+	_, err := InvertChecked(p, n)
 	return err
 }
 
-// invertChecked is ValidatePerm returning the inverse permutation on
+// InvertChecked is ValidatePerm returning the inverse permutation on
 // success: the array that records where each entry was first seen, which
 // the duplicate check needs anyway, is the inverse.
-func invertChecked(p []int, n int) ([]int, error) {
+func InvertChecked(p []int, n int) ([]int, error) {
 	if len(p) != n {
 		return nil, fmt.Errorf("permutation has length %d, want %d", len(p), n)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mmio"
+	"repro/internal/spmat"
 	"repro/rcm"
 )
 
@@ -86,6 +87,19 @@ func BenchmarkIngest(b *testing.B) {
 				_ = p.BandwidthPar(mode.threads)
 				_ = p.ProfilePar(mode.threads)
 				_ = p.WavefrontPar(mode.threads)
+			}
+		})
+	}
+	// The fused pass Order runs for its After statistics instead of the
+	// permute and the kernels above: one sweep of the pattern through the
+	// inverse of the same permutation.
+	inv := spmat.InvertPerm(perm)
+	for _, mode := range modes {
+		b.Run("order-stats/"+mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * (a.NNZ() + a.N)))
+			for i := 0; i < b.N; i++ {
+				_ = a.OrderStats(inv, mode.threads)
 			}
 		})
 	}

@@ -146,22 +146,26 @@ func (m *Matrix) Equal(o *Matrix) bool {
 func (m *Matrix) SpyString(w, h int) string { return m.csr.SpyString(w, h) }
 
 // Stats returns the ordering-quality statistics of the matrix in its
-// current row/column order.
-func (m *Matrix) Stats() Stats { return m.statsPar(1) }
+// current row/column order. It runs the serial per-metric kernels, not the
+// fused pass behind Result.Before/After, so it is their independent oracle.
+func (m *Matrix) Stats() Stats {
+	return newStats(spmat.OrderStats{
+		Bandwidth: m.csr.Bandwidth(),
+		Profile:   m.csr.Profile(),
+		FillProxy: m.csr.FillProxy(),
+		Wavefront: m.csr.Wavefront(),
+	})
+}
 
-// statsPar is Stats over the row-block-parallel kernels: threads == 1 is
-// the serial sweep, threads < 1 selects GOMAXPROCS. Results are identical
-// at any thread count; Order threads its WithThreads value through here
-// for the Before/After statistics.
-func (m *Matrix) statsPar(threads int) Stats {
-	wf := m.csr.WavefrontPar(threads)
+// newStats converts the internal statistics to the public form.
+func newStats(s spmat.OrderStats) Stats {
 	return Stats{
-		Bandwidth:     m.csr.BandwidthPar(threads),
-		Profile:       m.csr.ProfilePar(threads),
-		FillProxy:     m.csr.FillProxyPar(threads),
-		MaxWavefront:  wf.Max,
-		MeanWavefront: wf.Mean,
-		RMSWavefront:  wf.RMS,
+		Bandwidth:     s.Bandwidth,
+		Profile:       s.Profile,
+		FillProxy:     s.FillProxy,
+		MaxWavefront:  s.Wavefront.Max,
+		MeanWavefront: s.Wavefront.Mean,
+		RMSWavefront:  s.Wavefront.RMS,
 	}
 }
 

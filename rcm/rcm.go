@@ -92,8 +92,7 @@ func Permute(a *Matrix, perm []int) (*Matrix, error) {
 }
 
 // order validates, runs the selected backend, and assembles the Result.
-// The permuted matrix is computed for the After statistics either way and
-// returned when wantMatrix is set.
+// The permuted matrix is built only when wantMatrix is set.
 func order(a *Matrix, wantMatrix bool, opts []Option) (*Result, *Matrix, error) {
 	if a == nil || a.csr == nil {
 		return nil, nil, fmt.Errorf("rcm: nil matrix")
@@ -158,19 +157,26 @@ func order(a *Matrix, wantMatrix bool, opts []Option) (*Result, *Matrix, error) 
 		}
 	}
 
-	// The Before/After statistics run on the row-block-parallel kernels
-	// under the same thread budget as the ordering itself (WithThreads; 1
-	// means serial); PAPᵀ is a linear serial scatter.
-	res.Before = a.statsPar(c.threads)
-	p, err := a.Permute(res.Perm)
+	// Before and After are one fused statistics pass each, under the same
+	// thread budget as the ordering itself (WithThreads; 1 means serial).
+	// PAPᵀ is built only to be returned, and then After is read off its
+	// sorted rows; otherwise After runs over a's rows through the inverse
+	// of Perm, which the pass that validates Perm yields.
+	res.Before = newStats(a.csr.OrderStats(nil, c.threads))
+	if wantMatrix {
+		p, err := a.csr.PermuteChecked(res.Perm)
+		if err != nil {
+			return nil, nil, fmt.Errorf("rcm: internal error: backend returned an invalid permutation: %w", err)
+		}
+		res.After = newStats(p.OrderStats(nil, c.threads))
+		return res, wrap(p), nil
+	}
+	inv, err := spmat.InvertChecked(res.Perm, a.csr.N)
 	if err != nil {
 		return nil, nil, fmt.Errorf("rcm: internal error: backend returned an invalid permutation: %w", err)
 	}
-	res.After = p.statsPar(c.threads)
-	if !wantMatrix {
-		p = nil
-	}
-	return res, p, nil
+	res.After = newStats(a.csr.OrderStats(inv, c.threads))
+	return res, nil, nil
 }
 
 // coreOptions is the facade's validation layer: it vets every resolved

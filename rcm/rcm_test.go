@@ -85,8 +85,17 @@ func TestOrderMatrixMatchesPermute(t *testing.T) {
 	if !p.Equal(q) {
 		t.Error("OrderMatrix result differs from Permute(a, res.Perm)")
 	}
-	if p.Bandwidth() != res.After.Bandwidth {
-		t.Errorf("permuted bandwidth %d != After.Bandwidth %d", p.Bandwidth(), res.After.Bandwidth)
+	if got := p.Stats(); got != res.After {
+		t.Errorf("Stats of the permuted matrix %+v != After %+v", got, res.After)
+	}
+	// Order reads After through the inverse permutation, OrderMatrix off
+	// the matrix it returns: both must report the same statistics.
+	ref, err := Order(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Before != res.Before || ref.After != res.After {
+		t.Errorf("Order stats %+v -> %+v differ from OrderMatrix %+v -> %+v", ref.Before, ref.After, res.Before, res.After)
 	}
 }
 

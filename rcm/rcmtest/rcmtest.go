@@ -16,7 +16,9 @@ import (
 //   - Result.Components matches an independent ConnectedComponents run.
 //   - PseudoDiameter is non-negative and zero for an empty permutation.
 //   - The Before/After statistics are well-formed: fill proxies are
-//     non-negative, and Before matches the matrix's own Stats.
+//     non-negative, Before matches the matrix's own Stats, and After
+//     matches the Stats of the materialized PAPᵀ — the serial kernels, an
+//     oracle that shares no code with the fused pass Order runs.
 //
 // The checks hold for every ordering family (RCM, AMD, Sloan) — the
 // quality properties are advisory: no family guarantees an improvement on
@@ -60,6 +62,13 @@ func CheckResult(t testing.TB, m *rcm.Matrix, res *rcm.Result) {
 	}
 	if got := m.Stats(); got != res.Before {
 		t.Errorf("rcmtest: Result.Before %+v != matrix Stats %+v", res.Before, got)
+	}
+	p, err := rcm.Permute(m, res.Perm)
+	if err != nil {
+		t.Fatalf("rcmtest: Permute(m, Perm) failed: %v", err)
+	}
+	if got := p.Stats(); got != res.After {
+		t.Errorf("rcmtest: Result.After %+v != Stats of PAPᵀ %+v", res.After, got)
 	}
 	switch res.Ordering {
 	case rcm.AMD:
