@@ -63,12 +63,17 @@ func DefaultConfig() *Config {
 			"rcm": {"OptionsFingerprint", "Matrix.Digest"},
 			// Cache-key derivation: the content-addressed routing key.
 			"rcm/service": {"OrderKey", "ComponentsKey"},
-			// RCMB zero-copy decode: the service ingest fast path.
-			"internal/mmio": {"readBinaryBytes", "splitVarints", "decodeColBlock", "uvarintAt"},
-			// Symmetry check, permute and stats kernels: paid on every
-			// ordering's input check and Before/After (the fused
-			// OrderStats pass).
+			// RCMB zero-copy decode and the Matrix Market reader with its
+			// field scanner: the service ingest paths, hit or miss.
+			"internal/mmio": {
+				"readBinaryBytes", "splitVarints", "decodeColBlock", "uvarintAt",
+				"Read", "asciiFields",
+			},
+			// CSR assembly behind every Matrix Market decode; symmetry
+			// check, permute and stats kernels: paid on every ordering's
+			// input check and Before/After (the fused OrderStats pass).
 			"internal/spmat": {
+				"FromCoords",
 				"CSR.IsSymmetricPattern",
 				"CSR.Permute", "CSR.PermuteChecked", "CSR.PermutePar",
 				"CSR.OrderStats", "CSR.orderStatsRows",

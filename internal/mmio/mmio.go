@@ -13,6 +13,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/spmat"
 )
@@ -28,12 +29,27 @@ type Header struct {
 	Symmetric bool
 }
 
+// The line scanner starts at scanBufInit and doubles, capped at scanBufMax,
+// the longest line (newline included) Read accepts. Whatever the start, the
+// last growth lands on exactly scanBufMax, so the too-long verdict does not
+// depend on it.
+const (
+	scanBufInit = 1 << 16
+	scanBufMax  = 1 << 24
+)
+
 // Read parses a Matrix Market coordinate stream into a square CSR matrix.
 // Rectangular inputs are rejected: the RCM pipeline is defined on square
 // symmetric matrices. Symmetric storage is expanded.
+//
+// Entry lines are split in place by asciiFields and parsed without
+// allocating; a line holding a non-ASCII byte goes through strings.Fields
+// instead, whose Unicode separators the ASCII scanner does not know. Both
+// yield the same fields, so the verdict and every error string are the
+// same either way.
 func Read(r io.Reader) (*spmat.CSR, *Header, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, scanBufInit), scanBufMax)
 	if !sc.Scan() {
 		return nil, nil, fmt.Errorf("mmio: empty input")
 	}
@@ -87,30 +103,41 @@ func Read(r io.Reader) (*spmat.CSR, *Header, error) {
 		return nil, nil, fmt.Errorf("mmio: rectangular matrix %d×%d not supported", h.Rows, h.Cols)
 	}
 	pattern := h.Field == "pattern"
+	want := 3
+	if pattern {
+		want = 2
+	}
 	// The capacity hint is bounded because the entry count is untrusted
 	// (the ordering service feeds uploads through this reader): the slice
 	// grows only as entry lines actually arrive, so a tiny stream
-	// declaring absurd counts cannot force a giant allocation.
-	entries := make([]spmat.Coord, 0, boundedCap(h.Entries))
+	// declaring absurd counts cannot force a giant allocation. Symmetric
+	// storage expands to at most twice its entries, within the same bound.
+	hint := boundedCap(h.Entries)
+	if h.Symmetric {
+		hint = boundedCap(2 * hint)
+	}
+	entries := make([]spmat.Coord, 0, hint)
+	var f [3][]byte
 	read := 0
 	for sc.Scan() && read < h.Entries {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		nf, ascii := asciiFields(sc.Bytes(), &f)
+		if !ascii {
+			nf = unicodeFields(sc.Text(), &f)
+		}
+		if nf == 0 || f[0][0] == '%' {
 			continue
 		}
-		f := strings.Fields(line)
-		want := 3
-		if pattern {
-			want = 2
+		if nf < want {
+			return nil, nil, fmt.Errorf("mmio: malformed entry line %q", strings.TrimSpace(sc.Text()))
 		}
-		if len(f) < want {
-			return nil, nil, fmt.Errorf("mmio: malformed entry line %q", line)
-		}
-		i, err := strconv.Atoi(f[0])
+		// string(field) does not escape (strconv clones the input into
+		// its errors), so a field of up to 32 bytes, which covers every
+		// index and every %.17g value, converts on the stack.
+		i, err := strconv.Atoi(string(f[0]))
 		if err != nil {
 			return nil, nil, fmt.Errorf("mmio: bad row index: %v", err)
 		}
-		j, err := strconv.Atoi(f[1])
+		j, err := strconv.Atoi(string(f[1]))
 		if err != nil {
 			return nil, nil, fmt.Errorf("mmio: bad column index: %v", err)
 		}
@@ -119,7 +146,7 @@ func Read(r io.Reader) (*spmat.CSR, *Header, error) {
 		}
 		v := 1.0
 		if !pattern {
-			if v, err = strconv.ParseFloat(f[2], 64); err != nil {
+			if v, err = strconv.ParseFloat(string(f[2]), 64); err != nil {
 				return nil, nil, fmt.Errorf("mmio: bad value: %v", err)
 			}
 		}
@@ -136,6 +163,50 @@ func Read(r io.Reader) (*spmat.CSR, *Header, error) {
 		return nil, nil, fmt.Errorf("mmio: expected %d entries, found %d", h.Entries, read)
 	}
 	return spmat.FromCoords(h.Rows, entries, pattern), h, nil
+}
+
+// asciiSpace marks strings.Fields' ASCII separators.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// asciiFields splits line at asciiSpace the way strings.Fields does,
+// storing up to len(f) leading fields in f (subslices of line) and
+// returning how many it stored. ascii is false, and f unusable, if the
+// line holds a byte >= 0x80: strings.Fields also splits at Unicode spaces
+// such as U+0085 and U+00A0, so such a line needs unicodeFields.
+func asciiFields(line []byte, f *[3][]byte) (n int, ascii bool) {
+	start := -1
+	for k, c := range line {
+		switch {
+		case c >= utf8.RuneSelf:
+			return 0, false
+		case !asciiSpace[c]:
+			if start < 0 {
+				start = k
+			}
+		case start >= 0:
+			if n < len(f) {
+				f[n] = line[start:k]
+				n++
+			}
+			start = -1
+		}
+	}
+	if start >= 0 && n < len(f) {
+		f[n] = line[start:]
+		n++
+	}
+	return n, true
+}
+
+// unicodeFields is asciiFields for any line: strings.Fields after
+// strings.TrimSpace, copied into f.
+func unicodeFields(line string, f *[3][]byte) int {
+	fs := strings.Fields(strings.TrimSpace(line))
+	n := min(len(fs), len(f))
+	for k := 0; k < n; k++ {
+		f[k] = []byte(fs[k])
+	}
+	return n
 }
 
 // ReadFile reads a Matrix Market file from disk.

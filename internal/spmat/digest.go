@@ -24,40 +24,45 @@ import (
 // header), then the full RowPtr, then the columns in row order.
 type PatternHasher struct {
 	h hash.Hash
+	// buf is the conversion chunk of every write. It lives here, not on
+	// WriteInts' stack, because slices handed to h.Write go through an
+	// interface and escape: a local chunk would be a heap allocation per
+	// call, and the streaming RCMB reader writes once per row.
+	buf [512 * 8]byte
 }
 
 // NewPatternHasher starts a digest for an n×n pattern with nnz stored
 // entries, hashing the canonical header.
 func NewPatternHasher(n, nnz int) *PatternHasher {
 	ph := &PatternHasher{h: sha256.New()}
-	var hdr [24]byte
+	hdr := ph.buf[:24]
 	copy(hdr[:8], "rcmcsr/1")
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(n))
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(nnz))
-	ph.h.Write(hdr[:])
+	ph.h.Write(hdr)
 	return ph
 }
 
 // WriteInts streams a []int through the hash as little-endian 64-bit words,
-// converting through a fixed chunk so the slice is never duplicated.
+// converting through the hasher's fixed chunk so the slice is never
+// duplicated and nothing is allocated.
 func (ph *PatternHasher) WriteInts(xs []int) {
-	var buf [512 * 8]byte
+	const words = len(ph.buf) / 8
 	for len(xs) > 0 {
-		n := len(xs)
-		if n > 512 {
-			n = 512
-		}
+		n := min(len(xs), words)
 		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], uint64(xs[i]))
+			binary.LittleEndian.PutUint64(ph.buf[i*8:], uint64(xs[i]))
 		}
-		ph.h.Write(buf[:n*8])
+		ph.h.Write(ph.buf[:n*8])
 		xs = xs[n:]
 	}
 }
 
 // SumHex finalizes the digest as lowercase hex.
 func (ph *PatternHasher) SumHex() string {
-	return hex.EncodeToString(ph.h.Sum(nil))
+	var dst [2 * sha256.Size]byte
+	hex.Encode(dst[:], ph.h.Sum(ph.buf[:0]))
+	return string(dst[:])
 }
 
 // PatternDigest hashes the canonical CSR pattern in one call.

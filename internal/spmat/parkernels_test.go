@@ -152,3 +152,38 @@ func TestPatternHasherMatchesOneShot(t *testing.T) {
 		t.Fatalf("incremental digest %s != one-shot %s", got, want)
 	}
 }
+
+// TestPatternDigestPinned pins the digest bytes: they are the matrix half
+// of every cache key, so a change here silently invalidates deployed
+// caches. The 600-vertex path spans two 512-word chunks of RowPtr.
+func TestPatternDigestPinned(t *testing.T) {
+	var e []Coord
+	for i := 0; i+1 < 600; i++ {
+		e = append(e, Coord{Row: i, Col: i + 1, Val: 1}, Coord{Row: i + 1, Col: i, Val: 1})
+	}
+	for _, c := range []struct {
+		a    *CSR
+		want string
+	}{
+		{FromCoords(600, e, true), "d0ca48504129f570c29ddd575cbeae34ff4af3059b99805f12d808d11c56d0c0"},
+		{FromCoords(0, nil, true), "bcd83f4035214074f8a726f1b8d55ce59de12e3837e6f22816d3d6752025d5ec"},
+	} {
+		if got := PatternDigest(c.a); got != c.want {
+			t.Errorf("n=%d: digest %s, want %s", c.a.N, got, c.want)
+		}
+	}
+}
+
+// TestPatternHasherWriteIntsAllocFree: the conversion chunk lives in the
+// hasher, so streaming ints through a warm hasher allocates nothing.
+func TestPatternHasherWriteIntsAllocFree(t *testing.T) {
+	xs := make([]int, 1500) // three chunks, the last one partial
+	for i := range xs {
+		xs[i] = i * 7
+	}
+	ph := NewPatternHasher(len(xs), len(xs))
+	ph.WriteInts(xs)
+	if allocs := testing.AllocsPerRun(100, func() { ph.WriteInts(xs) }); allocs != 0 {
+		t.Errorf("WriteInts: %v allocs/run, want 0", allocs)
+	}
+}

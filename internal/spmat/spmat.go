@@ -51,55 +51,98 @@ type Coord struct {
 // pairs are merged (values summed). If pattern is true the values are
 // dropped. Entries out of [0, n) panic: generator and reader bugs should be
 // loud.
+//
+// A stable scatter groups the entries by row in input order; each row is
+// then sorted and its duplicates merged, compacting in place. A row that
+// arrives strictly ascending skips both: sorting a sorted, duplicate-free
+// row is the identity, and canonical row- or column-major input (what
+// mmio.Write emits, and what a symmetric expansion of either produces)
+// arrives that way in every row. Any other row is sorted with sort.Sort,
+// whose placement of equal columns fixes the order duplicates sum in:
+// another sort could change the low bits of a merged value. When nothing
+// merged, the scatter arrays are the result; otherwise they are trimmed by
+// a copy.
 func FromCoords(n int, entries []Coord, pattern bool) *CSR {
-	counts := make([]int, n+1)
+	rowPtr := make([]int, n+1)
 	for _, e := range entries {
 		if e.Row < 0 || e.Row >= n || e.Col < 0 || e.Col >= n {
+			//lint:ignore hotalloc cold caller-bug exit: an out-of-range entry is a generator or reader bug, and the panic ends the call
 			panic(fmt.Sprintf("spmat: entry (%d,%d) outside %d×%d", e.Row, e.Col, n, n))
 		}
-		counts[e.Row+1]++
+		rowPtr[e.Row+1]++
 	}
-	rowPtr := make([]int, n+1)
 	for i := 0; i < n; i++ {
-		rowPtr[i+1] = rowPtr[i] + counts[i+1]
+		rowPtr[i+1] += rowPtr[i]
 	}
 	cols := make([]int, len(entries))
 	vals := make([]float64, len(entries))
-	next := append([]int(nil), rowPtr...)
+	next := make([]int, n)
+	copy(next, rowPtr)
 	for _, e := range entries {
 		p := next[e.Row]
 		cols[p] = e.Col
 		vals[p] = e.Val
 		next[e.Row]++
 	}
-	// Sort each row and merge duplicates.
-	outPtr := make([]int, n+1)
-	outCols := cols[:0]
-	outVals := vals
-	w := 0
+	// Row i is read from [lo, hi) and written from w <= lo, so the in-place
+	// compaction never overwrites an entry it has yet to read; rowPtr[i+1]
+	// is rewritten only after it has been read as hi.
+	var sorter *colValSorter
+	w, lo := 0, 0
 	for i := 0; i < n; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		row := cols[lo:hi]
-		rvals := vals[lo:hi]
-		sort.Sort(&colValSorter{row, rvals})
-		start := w
-		for k := 0; k < len(row); k++ {
-			if w > start && outCols[w-1] == row[k] {
-				outVals[w-1] += rvals[k]
-				continue
+		hi := rowPtr[i+1]
+		if strictlyAscending(cols[lo:hi]) {
+			if w != lo {
+				copy(cols[w:], cols[lo:hi])
+				copy(vals[w:], vals[lo:hi])
 			}
-			outCols = outCols[:w+1]
-			outCols[w] = row[k]
-			outVals[w] = rvals[k]
-			w++
+			w += hi - lo
+		} else {
+			if sorter == nil {
+				sorter = &colValSorter{}
+			}
+			sorter.cols, sorter.vals = cols[lo:hi], vals[lo:hi]
+			//lint:ignore hotalloc one sorter per call, reused by every out-of-order row; canonical input never reaches it
+			sort.Sort(sorter)
+			start := w
+			for k := lo; k < hi; k++ {
+				if w > start && cols[w-1] == cols[k] {
+					vals[w-1] += vals[k]
+					continue
+				}
+				cols[w], vals[w] = cols[k], vals[k]
+				w++
+			}
 		}
-		outPtr[i+1] = w
+		rowPtr[i+1] = w
+		lo = hi
 	}
-	a := &CSR{N: n, RowPtr: outPtr, Col: append([]int(nil), outCols[:w]...)}
-	if !pattern {
-		a.Val = append([]float64(nil), outVals[:w]...)
+	a := &CSR{N: n, RowPtr: rowPtr}
+	switch {
+	case w == 0:
+		// No entries: Col and Val stay nil.
+	case w == len(cols):
+		a.Col = cols
+		if !pattern {
+			a.Val = vals
+		}
+	default:
+		a.Col = append([]int(nil), cols[:w]...)
+		if !pattern {
+			a.Val = append([]float64(nil), vals[:w]...)
+		}
 	}
 	return a
+}
+
+// strictlyAscending reports whether row is sorted without duplicates.
+func strictlyAscending(row []int) bool {
+	for k := 1; k < len(row); k++ {
+		if row[k-1] >= row[k] {
+			return false
+		}
+	}
+	return true
 }
 
 type colValSorter struct {

@@ -12,7 +12,8 @@ import (
 
 // BenchmarkIngest measures the raw-speed ingest-and-permute path in
 // isolation: RCMB decode from an in-memory image (the mmap'd-file case),
-// decode with the cache-key digest fused in, the input symmetry check, and
+// decode with the cache-key digest fused in, Matrix Market text decode of
+// the same matrix, the input symmetry check, and
 // the bulk permute+stats kernels that bracket every ordering — decode and
 // permute+stats each serial versus parallel.
 // b.SetBytes makes `go test -bench` report MB/s alongside ns/op, and
@@ -57,6 +58,22 @@ func BenchmarkIngest(b *testing.B) {
 			}
 		})
 	}
+
+	// The same matrix as symmetric Matrix Market text, the other upload
+	// format: line scanning, field parsing and the CSR build.
+	var text bytes.Buffer
+	if err := rcm.WriteMatrixMarket(&text, m, true); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decode-mm", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(text.Len()))
+		for i := 0; i < b.N; i++ {
+			if _, _, err := mmio.Read(bytes.NewReader(text.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 
 	a, err := mmio.ReadBinaryBytes(raw, 0)
 	if err != nil {

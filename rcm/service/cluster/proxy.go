@@ -322,27 +322,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// readBody buffers the request body under the upload cap. The buffer is
-// reused for key computation, the upstream call, and any retry.
-func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	if r.ContentLength > p.cfg.MaxUploadBytes {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			httpError{fmt.Sprintf("request body %d bytes exceeds the %d-byte upload cap", r.ContentLength, p.cfg.MaxUploadBytes)})
-		return nil, false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, p.cfg.MaxUploadBytes))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, httpError{err.Error()})
-		return nil, false
-	}
-	return body, true
-}
-
 // orderKey resolves an ordering request's cache key: the X-RCM-Key header
 // when the client pre-routed (echoed from a previous response), otherwise
 // by decoding the matrix and fingerprinting the overlaid options exactly
@@ -407,8 +386,11 @@ func flightKeyFor(key string, r *http.Request, body []byte) string {
 // handleProxied is the shared order/components path: key resolution, hot
 // cache, single-flight coalescing, routed upstream call, replay.
 func (p *Proxy) handleProxied(w http.ResponseWriter, r *http.Request, path string, keyFn func(*http.Request, []byte) (string, int, error)) {
-	body, ok := p.readBody(w, r)
-	if !ok {
+	// The buffer is reused for key computation, the upstream call, and
+	// any retry.
+	body, status, err := service.ReadBody(w, r, p.cfg.MaxUploadBytes)
+	if err != nil {
+		writeJSON(w, status, httpError{err.Error()})
 		return
 	}
 	key, status, err := keyFn(r, body)

@@ -617,3 +617,35 @@ func TestProxyStatsAggregation(t *testing.T) {
 		t.Errorf("merged buckets %+v, want one bucket with count 2", seq.Buckets)
 	}
 }
+
+// TestProxyBodyCap: the proxy reads bodies through the replicas' shared
+// reader — 413 for a declared or actual length over the cap, and for a
+// 10-byte body that declares just under the default 1 GiB cap, the 400 of
+// an undecodable matrix rather than a gigabyte buffer.
+func TestProxyBodyCap(t *testing.T) {
+	stub := newStubReplica(t, "r1", nil)
+	for _, c := range []struct {
+		name     string
+		max      int64
+		body     string
+		declared int64
+		status   int
+	}{
+		{"declared over cap", 10, "0123456789a", 11, http.StatusRequestEntityTooLarge},
+		{"chunked over cap", 10, "0123456789a", -1, http.StatusRequestEntityTooLarge},
+		{"forged length", 0, "0123456789", 1<<30 - 1, http.StatusBadRequest},
+	} {
+		p := newTestProxy(t, Config{MaxUploadBytes: c.max}, stub)
+		r := httptest.NewRequest(http.MethodPost, "/v1/order", io.NopCloser(strings.NewReader(c.body)))
+		r.Header.Set("Content-Type", "application/x-rcm-binary")
+		r.ContentLength = c.declared
+		w := httptest.NewRecorder()
+		p.ServeHTTP(w, r)
+		if w.Code != c.status {
+			t.Errorf("%s: HTTP %d (%s), want %d", c.name, w.Code, strings.TrimSpace(w.Body.String()), c.status)
+		}
+	}
+	if n := stub.calls.Load(); n != 0 {
+		t.Errorf("%d requests reached the replica, want 0", n)
+	}
+}
