@@ -1,8 +1,8 @@
-// Command rcmserve runs the ordering service over HTTP: a bounded worker
-// pool executing rcm.Order jobs behind a content-addressed result cache
-// with single-flight deduplication (package repro/rcm/service).
+// Command rcmserve runs the ordering service over HTTP: a fixed number of
+// worker slots executing rcm.Order jobs behind a content-addressed result
+// cache with single-flight deduplication (package repro/rcm/service).
 //
-//	rcmserve [-addr :8077] [-workers 4] [-queue 16] [-cache-mb 256]
+//	rcmserve [-addr :8077] [-workers 4] [-cache-mb 256]
 //	         [-backend sequential] [-procs 0] [-threads 0]
 //	         [-heuristic pseudo-peripheral] [-direction auto] [-sort full]
 //	         [-drain-wait 2s]
@@ -38,7 +38,6 @@ func main() {
 		addr      = flag.String("addr", ":8077", "HTTP listen address")
 		drainWait = flag.Duration("drain-wait", 2*time.Second, "time to advertise draining on /healthz before closing the listener, so routing tiers stop sending new work")
 		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 0, "queued-job bound before backpressure (0 = 4 × workers)")
 		cacheMB   = flag.Int64("cache-mb", 256, "result cache byte budget in MiB (negative disables caching)")
 		maxUpMB   = flag.Int64("max-upload-mb", 1024, "per-request upload cap in MiB (decoded matrices are ~8-16x larger)")
 		ordering  = flag.String("ordering", "", "default ordering family: rcm|amd|sloan")
@@ -59,7 +58,6 @@ func main() {
 	}
 	svc := service.New(service.Config{
 		Workers:        *workers,
-		QueueDepth:     *queue,
 		CacheBytes:     cacheBytes,
 		MaxUploadBytes: *maxUpMB << 20,
 		DefaultSpec: service.Spec{

@@ -96,6 +96,9 @@ func DefaultConfig() *Config {
 			"internal/comm":    {"barrier.wait"},
 			"internal/distmat": {"NewMat", "mergeRuns", "SortPermWS"},
 			"internal/psort":   {"radixPass"},
+			// The coalescing cache's lookup: every request at both tiers,
+			// hit or miss, passes through it.
+			"internal/memo": {"Cache.Get"},
 			// Proxy routing fast path: key resolution and ring placement
 			// run on every proxied request.
 			"rcm/service/cluster": {
@@ -108,6 +111,7 @@ func DefaultConfig() *Config {
 			"rcm/service/cache.go",  // cache entry byte accounting
 		},
 		NoPanicPkgs: []string{
+			"internal/memo",
 			"rcm",
 			"rcm/service",
 			"rcm/service/cluster",

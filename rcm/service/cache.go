@@ -1,74 +1,33 @@
 package service
 
 import (
-	"container/list"
 	"time"
 	"unsafe"
 )
 
-// lruCache is the content-addressed result cache: key = matrix digest +
-// options fingerprint (ordering entries) or matrix digest + a result-kind
-// tag (component entries), value = the completed response value, evicted
-// least recently used once the byte budget is exceeded. It is not
-// goroutine-safe by itself; the Service serializes access under its mutex.
-type lruCache struct {
-	capacity  int64 // byte budget; < 0 disables caching entirely
-	bytes     int64
-	ll        *list.List // front = most recently used
-	items     map[string]*list.Element
-	evictions uint64
-}
-
-type cacheEntry struct {
+// lruEntryOverheadBytes approximates the bookkeeping memo.Cache wraps
+// around every kept value: its entry (key string header, value interface,
+// size: the struct below), the entry's list.Element (five words), and the
+// items map slot (string header + element pointer + bucket share). The
+// entry's key string shares its bytes with the response's Key field, so
+// only the headers are counted here; the bytes count once, below.
+const lruEntryOverheadBytes = int64(unsafe.Sizeof(struct {
 	key   string
 	val   any
 	bytes int64
-}
+}{})) + 48 + 64
 
-func newLRUCache(capacity int64) *lruCache {
-	return &lruCache{capacity: capacity, ll: list.New(), items: make(map[string]*list.Element)}
+// entryBytes is the shared cache's size function: the accounted size of a
+// cached ordering or components result.
+func entryBytes(_ string, v any) int64 {
+	switch r := v.(type) {
+	case *Response:
+		return responseBytes(r)
+	case *ComponentsResponse:
+		return componentsBytes(r)
+	}
+	return -1
 }
-
-// get returns the cached value for key, promoting it to most recently
-// used, or nil.
-func (c *lruCache) get(key string) any {
-	el, ok := c.items[key]
-	if !ok {
-		return nil
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).val
-}
-
-// put inserts a completed result, then evicts from the cold end until the
-// budget holds again. A single result larger than the whole budget is not
-// cached at all — evicting the entire cache for one uncacheable giant would
-// only thrash.
-func (c *lruCache) put(key string, val any, size int64) {
-	if c.capacity < 0 || size > c.capacity {
-		return
-	}
-	if _, ok := c.items[key]; ok {
-		return // single-flight means this only races a re-insert of the same value
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val, bytes: size})
-	c.bytes += size
-	for c.bytes > c.capacity {
-		oldest := c.ll.Back()
-		e := oldest.Value.(*cacheEntry)
-		c.ll.Remove(oldest)
-		delete(c.items, e.key)
-		c.bytes -= e.bytes
-		c.evictions++
-	}
-}
-
-// lruEntryOverheadBytes approximates the bookkeeping wrapped around every
-// cached value: the cacheEntry struct, its list.Element (five words), and
-// the items map slot (string header + element pointer + bucket share).
-// The entry's key string shares its bytes with the response's Key field,
-// so only the headers are counted here; the bytes count once, below.
-const lruEntryOverheadBytes = int64(unsafe.Sizeof(cacheEntry{})) + 48 + 64
 
 // responseBytes accounts a cached ordering's resident size exactly as
 // stored: the Response struct itself (embedded before/after stats

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"unsafe"
 
+	"repro/internal/memo"
 	"repro/rcm"
 )
 
@@ -70,15 +72,17 @@ func TestResponseBytesAccounting(t *testing.T) {
 // running byte total is exactly the sum of the per-entry estimates — the
 // invariant eviction decisions and the /v1/stats bytes gauge rely on.
 func TestCacheBytesMatchAccounting(t *testing.T) {
-	c := newLRUCache(1 << 30)
+	c := memo.New(1<<30, entryBytes)
 	var want int64
 	for i, n := range []int{10, 100, 1000} {
 		r := &Response{Key: strings.Repeat("a", 80+i), Perm: make([]int, n)}
 		sz := responseBytes(r)
-		c.put(r.Key, r, sz)
+		if _, _, err := c.Get(context.Background(), r.Key, func() (any, error) { return r, nil }); err != nil {
+			t.Fatal(err)
+		}
 		want += sz
 	}
-	if c.bytes != want {
-		t.Errorf("cache accounts %d bytes, want %d", c.bytes, want)
+	if got := c.Stats().Bytes; got != want {
+		t.Errorf("cache accounts %d bytes, want %d", got, want)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/memo"
 	"repro/rcm/service"
 )
 
@@ -49,6 +50,8 @@ type Config struct {
 	// HotCacheBytes enables a small proxy-side LRU of complete responses
 	// for hot keys, short-circuiting the network entirely (0 disables —
 	// the default, so replica-level cache behaviour stays observable).
+	// It is the byte budget of the cache that also coalesces identical
+	// requests, which it does at any budget.
 	HotCacheBytes int64
 	// MaxUploadBytes bounds one request body (0 defaults to 1 GiB, the
 	// service layer's own default).
@@ -85,15 +88,13 @@ type Proxy struct {
 	mux      *http.ServeMux
 	replicas map[string]*replicaState
 	ids      []string // ring order not needed; sorted member list
+	// cache coalesces concurrent identical requests into one upstream
+	// call and keeps replica-confirmed responses under HotCacheBytes,
+	// keyed by flight key (see flightKeyFor).
+	cache *memo.Cache[*upstreamResult]
 
-	mu      sync.Mutex
-	flights map[string]*proxyFlight
-	hot     *hotCache
-
-	spills    atomic.Uint64
-	coalesced atomic.Uint64
-	hotHits   atomic.Uint64
-	retries   atomic.Uint64
+	spills  atomic.Uint64
+	retries atomic.Uint64
 
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -171,12 +172,12 @@ func (rep *replicaState) retryAfterSeconds(maxInflight int) int {
 	return s
 }
 
-// proxyFlight is one in-progress upstream call; concurrent requests for
-// the same (key, query) wait on done and replay the result.
-type proxyFlight struct {
-	done chan struct{}
-	res  *upstreamResult
-	err  error
+// upstreamCall is one request to forward, as the coalescing fill captured
+// it: the routed key and the request bytes a replica sees, and nothing of
+// the client's *http.Request, whose context ends when that client goes.
+type upstreamCall struct {
+	path, key, contentType, query string
+	body                          []byte
 }
 
 // upstreamResult is a complete buffered upstream response, replayable to
@@ -188,10 +189,22 @@ type upstreamResult struct {
 	key         string
 	replica     string
 	body        []byte
+	// confirmed: the replica answered 200 and echoed the routed key, so
+	// the response may be kept for replay (see hotBytes).
+	confirmed bool
 }
 
 func (u *upstreamResult) bytes() int64 {
 	return int64(len(u.body)+len(u.key)+len(u.contentType)+len(u.replica)+len(u.xcache)) + 96
+}
+
+// hotBytes is the hot cache's size function: a confirmed response is
+// charged its buffered size plus its flight key; any other is not kept.
+func hotBytes(flightKey string, res *upstreamResult) int64 {
+	if !res.confirmed {
+		return -1
+	}
+	return res.bytes() + int64(len(flightKey))
 }
 
 func (u *upstreamResult) write(w http.ResponseWriter, hot, coalesced bool) {
@@ -254,7 +267,7 @@ func New(cfg Config) (*Proxy, error) {
 		cfg:      cfg,
 		client:   cfg.Client,
 		replicas: make(map[string]*replicaState, len(cfg.Replicas)),
-		flights:  make(map[string]*proxyFlight),
+		cache:    memo.New(cfg.HotCacheBytes, hotBytes),
 		stop:     make(chan struct{}),
 	}
 	if p.client == nil {
@@ -275,9 +288,6 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p.ring = NewRing(ids, cfg.VNodes)
 	p.ids = p.ring.Members()
-	if cfg.HotCacheBytes > 0 {
-		p.hot = newHotCache(cfg.HotCacheBytes)
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/order", func(w http.ResponseWriter, r *http.Request) {
@@ -383,8 +393,9 @@ func flightKeyFor(key string, r *http.Request, body []byte) string {
 	return key + "#" + hex.EncodeToString(h.Sum(sum[:0])) + "#" + r.URL.RawQuery
 }
 
-// handleProxied is the shared order/components path: key resolution, hot
-// cache, single-flight coalescing, routed upstream call, replay.
+// handleProxied is the shared order/components path: key resolution, then
+// one cache lookup that answers from the hot cache, joins an identical
+// in-flight request, or makes the routed upstream call; then replay.
 func (p *Proxy) handleProxied(w http.ResponseWriter, r *http.Request, path string, keyFn func(*http.Request, []byte) (string, int, error)) {
 	// The buffer is reused for key computation, the upstream call, and
 	// any retry.
@@ -398,55 +409,27 @@ func (p *Proxy) handleProxied(w http.ResponseWriter, r *http.Request, path strin
 		writeJSON(w, status, httpError{err.Error()})
 		return
 	}
-	flightKey := flightKeyFor(key, r, body)
-	if p.hot != nil {
-		if res := p.hot.get(flightKey); res != nil {
-			p.hotHits.Add(1)
-			res.write(w, true, false)
-			return
+	c := &upstreamCall{path: path, key: key, contentType: r.Header.Get("Content-Type"), query: r.URL.RawQuery, body: body}
+	res, out, err := p.cache.Get(r.Context(), flightKeyFor(key, r, body), func() (*upstreamResult, error) {
+		res, err := p.forward(c)
+		if err == nil {
+			// res.key is the key the replica derived from the body itself
+			// (empty if it did not echo one), so a client echoing a stale
+			// or wrong X-RCM-Key can misroute its own request (a
+			// documented miss) but cannot poison the hot cache for honest
+			// clients, and a non-echoing replica is never kept at all.
+			res.confirmed = res.status == http.StatusOK && res.key == key
 		}
-	}
-
-	p.mu.Lock()
-	if f, ok := p.flights[flightKey]; ok {
-		p.mu.Unlock()
-		p.coalesced.Add(1)
-		select {
-		case <-f.done:
-		case <-r.Context().Done():
-			return // caller went away; the leader carries on
-		}
-		if f.err != nil {
-			p.writeRouteErr(w, f.err)
-			return
-		}
-		f.res.write(w, false, true)
-		return
-	}
-	f := &proxyFlight{done: make(chan struct{})}
-	p.flights[flightKey] = f
-	p.mu.Unlock()
-
-	res, err := p.forward(r, path, key, body)
-	f.res, f.err = res, err
-	p.mu.Lock()
-	delete(p.flights, flightKey)
-	p.mu.Unlock()
-	close(f.done)
-
-	if err != nil {
+		return res, err
+	})
+	switch {
+	case err == nil:
+		res.write(w, out == memo.Hit, out == memo.Shared)
+	case r.Context().Err() != nil:
+		// The caller went away; the fill carries on for the others.
+	default:
 		p.writeRouteErr(w, err)
-		return
 	}
-	// Only cache what the replica confirmed: res.key is the key the replica
-	// derived from the body itself (empty if the replica did not echo one),
-	// so a client echoing a stale or wrong X-RCM-Key can misroute its own
-	// request (a documented miss) but cannot poison the hot cache for
-	// honest clients, and a non-echoing replica is never hot-cached at all.
-	if p.hot != nil && res.status == http.StatusOK && res.key == key {
-		p.hot.put(flightKey, res)
-	}
-	res.write(w, false, false)
 }
 
 func (p *Proxy) writeRouteErr(w http.ResponseWriter, err error) {
@@ -507,7 +490,7 @@ func (p *Proxy) aliveIDs(exclude string) []string {
 // exclude removes one replica from consideration (the transport-failure
 // retry path passes the replica that just failed). Returns the acquired
 // replica and whether the request spilled past its home.
-func (p *Proxy) admit(ctx context.Context, key, exclude string) (*replicaState, bool, error) {
+func (p *Proxy) admit(key, exclude string) (*replicaState, bool, error) {
 	alive := p.aliveIDs(exclude)
 	if len(alive) == 0 {
 		return nil, false, errNoHealthy
@@ -544,9 +527,6 @@ func (p *Proxy) admit(ctx context.Context, key, exclude string) (*replicaState, 
 	case rep.sem <- struct{}{}:
 		rep.requests.Add(1)
 		return rep, false, nil
-	case <-ctx.Done():
-		rep.shed.Add(1)
-		return nil, false, &shedError{replica: home, retryAfter: rep.retryAfterSeconds(p.cfg.MaxInflight), reason: "canceled while queued"}
 	case <-p.stop:
 		return nil, false, errNoHealthy
 	}
@@ -558,20 +538,20 @@ func (p *Proxy) admit(ctx context.Context, key, exclude string) (*replicaState, 
 // accounting as first attempts. HTTP error statuses from a replica are
 // not retried — they are deterministic answers, not infrastructure
 // faults.
-func (p *Proxy) forward(r *http.Request, path, key string, body []byte) (*upstreamResult, error) {
-	rep, _, err := p.admit(r.Context(), key, "")
+func (p *Proxy) forward(c *upstreamCall) (*upstreamResult, error) {
+	rep, _, err := p.admit(c.key, "")
 	if err != nil {
 		return nil, err
 	}
 	res, err := func() (*upstreamResult, error) {
 		defer rep.release()
-		return p.do(rep, r, path, key, body)
+		return p.do(rep, c)
 	}()
 	if err == nil {
 		return res, nil
 	}
 	p.markDown(rep)
-	alt, _, err2 := p.admit(r.Context(), key, rep.id)
+	alt, _, err2 := p.admit(c.key, rep.id)
 	if err2 != nil {
 		if errors.Is(err2, errNoHealthy) {
 			return nil, err // the transport error is the better diagnostic
@@ -581,7 +561,7 @@ func (p *Proxy) forward(r *http.Request, path, key string, body []byte) (*upstre
 	p.retries.Add(1)
 	res, err2 = func() (*upstreamResult, error) {
 		defer alt.release()
-		return p.do(alt, r, path, key, body)
+		return p.do(alt, c)
 	}()
 	if err2 != nil {
 		p.markDown(alt)
@@ -591,22 +571,22 @@ func (p *Proxy) forward(r *http.Request, path, key string, body []byte) (*upstre
 }
 
 // do issues one upstream request and buffers the full response. The
-// upstream context is detached from the caller's: a coalesced flight's
-// result is shared, so the leader hanging up must not kill it for the
-// followers (bound total upstream time via Config.Client if needed).
-func (p *Proxy) do(rep *replicaState, orig *http.Request, path, key string, body []byte) (*upstreamResult, error) {
-	u := rep.base + path
-	if q := orig.URL.RawQuery; q != "" {
-		u += "?" + q
+// upstream context is detached from every client's: a coalesced flight's
+// result is shared, so no one client hanging up may kill it for the
+// others (bound total upstream time via Config.Client if needed).
+func (p *Proxy) do(rep *replicaState, c *upstreamCall) (*upstreamResult, error) {
+	u := rep.base + c.path
+	if c.query != "" {
+		u += "?" + c.query
 	}
-	req, err := http.NewRequestWithContext(context.Background(), http.MethodPost, u, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(context.Background(), http.MethodPost, u, bytes.NewReader(c.body))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: replica %s: %w", rep.id, err)
 	}
-	if ct := orig.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
+	if c.contentType != "" {
+		req.Header.Set("Content-Type", c.contentType)
 	}
-	req.Header.Set("X-RCM-Key", key)
+	req.Header.Set("X-RCM-Key", c.key)
 	start := time.Now()
 	resp, err := p.client.Do(req)
 	if err != nil {

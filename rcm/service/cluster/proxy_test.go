@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -152,9 +153,7 @@ func TestProxyCoalesces(t *testing.T) {
 	// Let all requests reach the flight before releasing the stub.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		p.mu.Lock()
-		waiting := len(p.flights) == 1
-		p.mu.Unlock()
+		waiting := p.cache.Stats().Inflight == 1
 		if waiting && a.calls.Load() == 1 {
 			break
 		}
@@ -179,6 +178,88 @@ func TestProxyCoalesces(t *testing.T) {
 	}
 	if c := p.RoutingStats().Coalesced; c != n-1 {
 		t.Errorf("coalesced counter %d, want %d", c, n-1)
+	}
+}
+
+// TestProxyLeaderHangUp: a request that hangs up while its upstream call
+// waits for a replica slot must not fail the identical requests coalesced
+// onto it. With the only slot held by a blocked call, the leader queues, a
+// follower joins its flight and the leader cancels; the one upstream call
+// then answers the follower, and nothing is shed: a queued wait that ended
+// with the leader's context would fail the follower with 429.
+func TestProxyLeaderHangUp(t *testing.T) {
+	block := make(chan struct{})
+	a := newStubReplica(t, "a", block)
+	p := newTestProxy(t, Config{MaxInflight: 1}, a)
+	leaderGone := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		p.ServeHTTP(w, r)
+		if r.Header.Get("X-Test-Leader") != "" {
+			close(leaderGone)
+		}
+	}))
+	defer ts.Close()
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				close(block)
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		io.Copy(io.Discard, post(t, ts, "key-running").Body) // holds the slot
+	}()
+	waitFor("the slot to be taken", func() bool { return a.calls.Load() == 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		defer wg.Done()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/order", strings.NewReader("body"))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		req.Header.Set("X-RCM-Key", "key-queued")
+		req.Header.Set("X-Test-Leader", "1")
+		if resp, err := ts.Client().Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitFor("the leader to queue", func() bool { return p.replicas["a"].waiting.Load() == 1 })
+
+	followerDone := make(chan *http.Response, 1)
+	go func() { followerDone <- post(t, ts, "key-queued") }()
+	waitFor("the follower to coalesce", func() bool { return p.RoutingStats().Coalesced == 1 })
+
+	cancel()
+	select {
+	case <-leaderGone:
+	case <-time.After(5 * time.Second):
+		close(block)
+		t.Fatal("the proxy never saw the leader hang up")
+	}
+	close(block)
+	resp := <-followerDone
+	body, _ := io.ReadAll(resp.Body)
+	wg.Wait()
+
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-RCM-Coalesced") != "1" {
+		t.Errorf("follower got HTTP %d, X-RCM-Coalesced=%q (%s); want 200 and 1",
+			resp.StatusCode, resp.Header.Get("X-RCM-Coalesced"), strings.TrimSpace(string(body)))
+	}
+	if n := a.calls.Load(); n != 2 {
+		t.Errorf("replica saw %d calls, want 2 (the slot holder and one for the coalesced key)", n)
+	}
+	if s := p.RoutingStats().Shed["a"]; s != 0 {
+		t.Errorf("shed counter %d, want 0", s)
 	}
 }
 
@@ -331,6 +412,59 @@ func TestProxyPassiveRecovery(t *testing.T) {
 	}
 	if !p.RoutingStats().Healthy["a"] {
 		t.Error("recovered replica still marked unhealthy")
+	}
+}
+
+// TestProxyPassesThrough500 drives the proxy against a replica answering
+// 500, as rcmserve does when an ordering panics: the status and body reach
+// the client as they are, with no retry on another replica and no
+// mark-down, because the same input would fail there too — retrying a
+// panic would spread it across the fleet.
+func TestProxyPassesThrough500(t *testing.T) {
+	var calls atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/order", func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusInternalServerError)
+		fmt.Fprint(w, `{"error":"memo: computing k panicked: boom"}`)
+	})
+	bad := httptest.NewServer(mux)
+	defer bad.Close()
+	good := newStubReplica(t, "good", nil)
+	p, err := New(Config{
+		Replicas:       []Replica{{ID: "bad", URL: bad.URL}, {ID: "good", URL: good.srv.URL}},
+		HealthInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ts := httptest.NewServer(p)
+	defer ts.Close()
+
+	var k string
+	for _, c := range keys(100) {
+		if p.Ring().Pick(c) == "bad" {
+			k = c
+			break
+		}
+	}
+	resp := post(t, ts, k)
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "panicked") {
+		t.Errorf("HTTP %d %s, want the replica's 500 passed through", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-RCM-Replica"); got != "bad" {
+		t.Errorf("answered by %q, want the home replica", got)
+	}
+	rs := p.RoutingStats()
+	if calls.Load() != 1 || good.calls.Load() != 0 || rs.Retries != 0 {
+		t.Errorf("home calls=%d other calls=%d retries=%d, want 1/0/0 (no retry)", calls.Load(), good.calls.Load(), rs.Retries)
+	}
+	if !rs.Healthy["bad"] || rs.Errors["bad"] != 0 {
+		t.Errorf("healthy=%v errors=%d, want a 500 to leave the replica in rotation", rs.Healthy["bad"], rs.Errors["bad"])
 	}
 }
 
@@ -548,6 +682,13 @@ func TestProxyHotCache(t *testing.T) {
 	}
 	if h := p.RoutingStats().HotHits; h != 1 {
 		t.Errorf("hot hit counter %d, want 1", h)
+	}
+	// The kept entry is charged its buffered response plus its flight key.
+	req := httptest.NewRequest(http.MethodPost, "/v1/order", nil)
+	fk := flightKeyFor("hotkey", req, []byte("body"))
+	want := int64(len(b1)+len("hotkey")+len("application/json")+len("a")+len("miss")) + 96 + int64(len(fk))
+	if got := p.cache.Stats().Bytes; got != want {
+		t.Errorf("hot cache holds %d bytes, want %d", got, want)
 	}
 }
 

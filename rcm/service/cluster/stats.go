@@ -39,6 +39,7 @@ type RoutingStats struct {
 
 // RoutingStats snapshots the proxy's routing counters.
 func (p *Proxy) RoutingStats() RoutingStats {
+	cs := p.cache.Stats()
 	rs := RoutingStats{
 		Requests:  make(map[string]uint64, len(p.ids)),
 		Shed:      make(map[string]uint64, len(p.ids)),
@@ -46,8 +47,8 @@ func (p *Proxy) RoutingStats() RoutingStats {
 		Healthy:   make(map[string]bool, len(p.ids)),
 		Spills:    p.spills.Load(),
 		Retries:   p.retries.Load(),
-		Coalesced: p.coalesced.Load(),
-		HotHits:   p.hotHits.Load(),
+		Coalesced: cs.Shared,
+		HotHits:   cs.Hits,
 	}
 	for _, id := range p.ids {
 		rep := p.replicas[id]

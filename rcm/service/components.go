@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/memo"
 	"repro/rcm"
 )
 
@@ -45,77 +46,30 @@ type ComponentsResponse struct {
 	Labels []int `json:"labels,omitempty"`
 }
 
-// compFlight is one in-progress components analysis; followers wait on done
-// instead of recomputing.
-type compFlight struct {
-	done chan struct{}
-	resp *ComponentsResponse
-	err  error
-}
-
 // Components serves one connected-components analysis: from the cache when
 // the matrix digest is known, by joining an identical in-flight analysis,
-// and otherwise by computing it on the calling goroutine (the pass is a
+// and otherwise by computing it without a worker slot (the pass is a
 // near-linear union-find sweep, far cheaper than an ordering, so it does
-// not occupy the ordering worker pool). threads sizes the parallel pass;
-// 0 uses all cores. The result is independent of threads, so the cache key
-// is the matrix digest alone.
+// not wait behind orderings). threads sizes the parallel pass; 0 uses all
+// cores. The result is independent of threads, so the cache key is the
+// matrix digest alone.
 func (s *Service) Components(ctx context.Context, a *rcm.Matrix, threads int) (*ComponentsResponse, error) {
 	if a == nil {
 		return nil, fmt.Errorf("service: nil matrix")
 	}
 	key := ComponentsKey(a.Digest())
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
+	shared, out, err := admit[ComponentsResponse](s, ctx, key, func() (any, error) { return runComponents(key, a, threads) })
+	if err != nil {
+		return nil, err
 	}
-	if cached, ok := s.cache.get(key).(*ComponentsResponse); ok {
-		s.hits++
-		s.mu.Unlock()
-		r := *cached
-		r.Cached = true
-		return &r, nil
-	}
-	f, leader := s.comps[key], false
-	if f == nil {
-		f = &compFlight{done: make(chan struct{})}
-		s.comps[key] = f
-		s.misses++
-		leader = true
-	} else {
-		s.dedups++
-	}
-	s.mu.Unlock()
-
-	if leader {
-		f.resp, f.err = s.runComponents(key, a, threads)
-		s.mu.Lock()
-		if f.err == nil {
-			s.cache.put(key, f.resp, componentsBytes(f.resp))
-		}
-		if s.comps[key] == f {
-			delete(s.comps, key)
-		}
-		s.mu.Unlock()
-		close(f.done)
-	}
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if f.err != nil {
-		return nil, f.err
-	}
-	r := *f.resp
-	r.Deduped = !leader
+	r := *shared
+	r.Cached, r.Deduped = out == memo.Hit, out == memo.Shared
 	return &r, nil
 }
 
-// runComponents executes the analysis and shapes the response.
-func (s *Service) runComponents(key string, a *rcm.Matrix, threads int) (*ComponentsResponse, error) {
+// runComponents is the components fill: it runs the analysis and shapes
+// the response.
+func runComponents(key string, a *rcm.Matrix, threads int) (*ComponentsResponse, error) {
 	var opts []rcm.Option
 	if threads > 0 {
 		opts = append(opts, rcm.WithThreads(threads))

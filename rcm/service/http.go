@@ -12,6 +12,7 @@ import (
 	"strconv"
 
 	"repro/internal/detmap"
+	"repro/internal/memo"
 	"repro/rcm"
 )
 
@@ -109,19 +110,13 @@ func readMatrixBody(s *Service, w http.ResponseWriter, r *http.Request) *rcm.Mat
 		writeJSON(w, http.StatusRequestEntityTooLarge, httpError{err.Error()})
 		return nil
 	}
-	ct := r.Header.Get("Content-Type")
-	if mt, _, err := mime.ParseMediaType(ct); err == nil {
-		ct = mt // drop parameters like "; charset=utf-8"
+	binary, err := isBinary(r.Header.Get("Content-Type"))
+	if err != nil {
+		writeJSON(w, http.StatusUnsupportedMediaType, httpError{err.Error()})
+		return nil
 	}
 	var a *rcm.Matrix
-	var err error
-	switch ct {
-	// x-www-form-urlencoded is what curl --data-binary sends when no
-	// Content-Type is given; treat it as Matrix Market text so the
-	// obvious curl invocation works.
-	case ContentTypeMatrixMarket, "text/plain", "application/x-www-form-urlencoded", "":
-		a, _, err = rcm.ReadMatrixMarket(r.Body)
-	case ContentTypeBinary, "application/octet-stream":
+	if binary {
 		// Buffer the body (already capped by MaxBytesReader) and decode
 		// through the zero-copy parallel reader: the column decode fans
 		// out across GOMAXPROCS and the cache-key digest is computed in
@@ -130,10 +125,8 @@ func readMatrixBody(s *Service, w http.ResponseWriter, r *http.Request) *rcm.Mat
 		if body, err = readBody(r.Body, r.ContentLength); err == nil {
 			a, err = rcm.ReadBinaryBytes(body, 0)
 		}
-	default:
-		writeJSON(w, http.StatusUnsupportedMediaType,
-			httpError{fmt.Sprintf("unsupported Content-Type %q (want %s or %s)", ct, ContentTypeMatrixMarket, ContentTypeBinary)})
-		return nil
+	} else {
+		a, _, err = rcm.ReadMatrixMarket(r.Body)
 	}
 	if err != nil {
 		writeJSON(w, bodyStatus(err), httpError{err.Error()})
@@ -232,34 +225,12 @@ func handleOrder(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp, err := s.Order(r.Context(), a, sp)
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrClosed):
-		writeJSON(w, http.StatusServiceUnavailable, httpError{err.Error()})
-		return
-	case r.Context().Err() != nil:
-		return // client went away; nothing useful to write
-	default:
-		// Everything else is a rejected configuration or matrix: the
-		// facade's validation layer speaks before any engine runs.
-		writeJSON(w, http.StatusBadRequest, httpError{err.Error()})
-		return
-	}
-	switch {
-	case resp.Cached:
-		w.Header().Set("X-Cache", "hit")
-	case resp.Deduped:
-		w.Header().Set("X-Cache", "dedup")
-	default:
-		w.Header().Set("X-Cache", "miss")
-	}
-	w.Header().Set("X-RCM-Key", resp.Key)
-	if !includePerm {
+	if err == nil && !includePerm {
 		trimmed := *resp
 		trimmed.Perm = nil
 		resp = &trimmed
 	}
-	writeJSON(w, http.StatusOK, resp)
+	respond(w, r, resp, err)
 }
 
 func handleComponents(s *Service, w http.ResponseWriter, r *http.Request) {
@@ -289,6 +260,27 @@ func handleComponents(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp, err := s.Components(r.Context(), a, threads)
+	if err == nil && !includeLabels {
+		trimmed := *resp
+		trimmed.Labels = nil
+		resp = &trimmed
+	}
+	respond(w, r, resp, err)
+}
+
+// served is what respond reads off a result to label it.
+type served interface {
+	served() (key string, cached, deduped bool)
+}
+
+func (r *Response) served() (string, bool, bool)           { return r.Key, r.Cached, r.Deduped }
+func (r *ComponentsResponse) served() (string, bool, bool) { return r.Key, r.Cached, r.Deduped }
+
+// respond is the one tail of /v1/order and /v1/components: the error's
+// status, or the result as JSON with its X-Cache (hit | miss | dedup) and
+// X-RCM-Key headers.
+func respond(w http.ResponseWriter, r *http.Request, resp served, err error) {
+	var panicked *memo.PanicError
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrClosed):
@@ -296,24 +288,26 @@ func handleComponents(s *Service, w http.ResponseWriter, r *http.Request) {
 		return
 	case r.Context().Err() != nil:
 		return // client went away; nothing useful to write
+	case errors.As(err, &panicked):
+		// memo logged the stack once, however many requests waited.
+		writeJSON(w, http.StatusInternalServerError, httpError{err.Error()})
+		return
 	default:
+		// Everything else is a rejected configuration or matrix: the
+		// facade's validation layer speaks before any engine runs.
 		writeJSON(w, http.StatusBadRequest, httpError{err.Error()})
 		return
 	}
+	key, cached, deduped := resp.served()
 	switch {
-	case resp.Cached:
+	case cached:
 		w.Header().Set("X-Cache", "hit")
-	case resp.Deduped:
+	case deduped:
 		w.Header().Set("X-Cache", "dedup")
 	default:
 		w.Header().Set("X-Cache", "miss")
 	}
-	w.Header().Set("X-RCM-Key", resp.Key)
-	if !includeLabels {
-		trimmed := *resp
-		trimmed.Labels = nil
-		resp = &trimmed
-	}
+	w.Header().Set("X-RCM-Key", key)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -329,20 +323,36 @@ var ErrUnsupportedContentType = errors.New("service: unsupported Content-Type")
 // its cache key before a replica sees it; the server's own handler keeps
 // streaming text bodies and never calls this.
 func DecodeMatrix(contentType string, body []byte) (*rcm.Matrix, error) {
+	binary, err := isBinary(contentType)
+	switch {
+	case err != nil:
+		return nil, err
+	case binary:
+		return rcm.ReadBinaryBytes(body, 0)
+	}
+	a, _, err := rcm.ReadMatrixMarket(bytes.NewReader(body))
+	return a, err
+}
+
+// isBinary is the one Content-Type mapping of matrix uploads: true selects
+// the RCMB binary reader (ContentTypeBinary, octet-stream), false the
+// Matrix Market text reader (ContentTypeMatrixMarket, text/plain,
+// x-www-form-urlencoded — what curl --data-binary sends by default — or
+// unset). Parameters such as "; charset=utf-8" are ignored; any other type
+// is an error wrapping ErrUnsupportedContentType.
+func isBinary(contentType string) (bool, error) {
 	ct := contentType
 	if mt, _, err := mime.ParseMediaType(ct); err == nil {
-		ct = mt // drop parameters like "; charset=utf-8"
+		ct = mt
 	}
 	switch ct {
 	case ContentTypeMatrixMarket, "text/plain", "application/x-www-form-urlencoded", "":
-		a, _, err := rcm.ReadMatrixMarket(bytes.NewReader(body))
-		return a, err
+		return false, nil
 	case ContentTypeBinary, "application/octet-stream":
-		return rcm.ReadBinaryBytes(body, 0)
-	default:
-		return nil, fmt.Errorf("%w %q (want %s or %s)",
-			ErrUnsupportedContentType, contentType, ContentTypeMatrixMarket, ContentTypeBinary)
+		return true, nil
 	}
+	return false, fmt.Errorf("%w %q (want %s or %s)",
+		ErrUnsupportedContentType, contentType, ContentTypeMatrixMarket, ContentTypeBinary)
 }
 
 // SpecFromQuery decodes the /v1/order query parameters into a Spec plus
@@ -454,8 +464,8 @@ func writeMetrics(w http.ResponseWriter, st Stats) {
 	counter("singleflight_dedups_total", "requests coalesced onto an in-flight computation", st.Dedups)
 	counter("cache_evictions_total", "cache entries evicted by the byte budget", st.Evictions)
 	counter("jobs_total", "orderings executed by the worker pool", st.Jobs)
-	gauge("inflight", "distinct keys currently computing", st.Inflight)
-	gauge("queue_depth", "jobs accepted but not yet running", st.QueueDepth)
+	gauge("inflight", "distinct keys currently computing (orderings and components)", st.Inflight)
+	gauge("queue_depth", "orderings waiting for a worker slot", st.QueueDepth)
 	gauge("cache_entries", "resident cache entries", st.Entries)
 	gauge("cache_bytes", "resident cache bytes", st.Bytes)
 	gauge("cache_capacity_bytes", "cache byte budget", st.CapacityBytes)

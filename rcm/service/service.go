@@ -1,8 +1,8 @@
 // Package service turns the rcm facade into an ordering-as-a-service layer:
 // an embeddable, goroutine-safe Service that runs rcm.Order jobs on a
-// bounded worker pool behind a content-addressed result cache, with
-// single-flight deduplication so concurrent identical requests compute
-// once. Command rcmserve exposes a Service over HTTP (see NewHandler);
+// fixed number of worker slots behind a content-addressed result cache,
+// with single-flight deduplication so concurrent identical requests
+// compute once (both from internal/memo). Command rcmserve exposes a Service over HTTP (see NewHandler);
 // embedded users call Order directly.
 //
 // The cache key is rcm's own content address: Matrix.Digest (a SHA-256 of
@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/detmap"
+	"repro/internal/memo"
 	"repro/rcm"
 )
 
@@ -39,17 +40,11 @@ var ErrClosed = errors.New("service: closed")
 
 // Config sizes a Service.
 type Config struct {
-	// Workers is the worker-pool size: at most this many rcm.Order jobs
-	// run concurrently. 0 defaults to runtime.GOMAXPROCS(0). Note the
+	// Workers is the worker-slot count: at most this many rcm.Order jobs
+	// run concurrently; the rest wait for a slot. 0 defaults to runtime.GOMAXPROCS(0). Note the
 	// Shared and Distributed backends are internally parallel, so the
 	// effective CPU demand is Workers × per-job threads.
 	Workers int
-	// QueueDepth bounds the jobs accepted but not yet running; a full
-	// queue applies backpressure (a leading Order call blocks until a
-	// worker frees a slot or the service closes — deliberately not until
-	// its own context is done, because the admission it performs is
-	// shared with deduplicated followers). 0 defaults to 4 × Workers.
-	QueueDepth int
 	// CacheBytes is the result cache's byte budget (permutations
 	// dominate: ~8 bytes per vertex per entry). 0 defaults to 256 MiB;
 	// negative disables caching.
@@ -110,12 +105,14 @@ type Stats struct {
 	Dedups uint64 `json:"dedups"`
 	// Evictions counts cache entries dropped by the byte budget.
 	Evictions uint64 `json:"evictions"`
-	// Jobs counts orderings actually executed by the pool — the
+	// Jobs counts orderings actually executed by the workers — the
 	// recomputation work the cache and single-flight saved is
 	// Hits + Dedups.
 	Jobs uint64 `json:"jobs"`
-	// Inflight is the number of distinct keys currently computing;
-	// QueueDepth the jobs accepted but not yet picked up by a worker.
+	// Inflight is the number of distinct keys currently computing,
+	// orderings and components analyses alike; QueueDepth the orderings
+	// waiting for a worker slot (uncapped: a value that stays above 0
+	// means the pool is saturated).
 	Inflight   int `json:"inflight"`
 	QueueDepth int `json:"queueDepth"`
 	// Entries and Bytes describe the cache's current occupancy against
@@ -158,50 +155,19 @@ type PhaseSeconds struct {
 	CommSeconds float64 `json:"commSeconds"`
 }
 
-// flight is one in-progress computation; followers of the same key wait on
-// done instead of enqueuing a second job.
-type flight struct {
-	done chan struct{}
-	once sync.Once
-	resp *Response
-	err  error
-}
-
-// complete resolves the flight exactly once (the worker on success or
-// failure, Close on shutdown).
-func (f *flight) complete(resp *Response, err error) {
-	f.once.Do(func() {
-		f.resp, f.err = resp, err
-		close(f.done)
-	})
-}
-
-// job is one queued ordering.
-type job struct {
-	key  string
-	a    *rcm.Matrix
-	opts []rcm.Option
-	f    *flight
-}
-
 // Service is the concurrent ordering service. Create one with New, share it
 // freely across goroutines, and Close it when done. All exported methods
 // are goroutine-safe.
 type Service struct {
 	cfg      Config
-	jobs     chan *job
-	quit     chan struct{}
-	wg       sync.WaitGroup
+	cache    *memo.Cache[any] // *Response and *ComponentsResponse under one budget
+	slots    chan struct{}    // one per worker, held while an ordering runs
+	quit     chan struct{}    // closed by Close: orderings still waiting fail
+	waiting  atomic.Int64     // orderings waiting for a slot
+	closed   atomic.Bool
 	draining atomic.Bool
 
 	mu        sync.Mutex
-	closed    bool
-	cache     *lruCache
-	flights   map[string]*flight
-	comps     map[string]*compFlight
-	hits      uint64
-	misses    uint64
-	dedups    uint64
 	jobsRun   uint64
 	latency   map[string]*latencyHist
 	modeled   map[string]*phaseAgg // phase name -> cumulative modelled seconds
@@ -210,14 +176,11 @@ type Service struct {
 
 type phaseAgg struct{ comp, comm float64 }
 
-// New starts a Service with cfg's worker pool and cache. Always pair it
-// with Close, which waits for running jobs and fails queued ones.
+// New returns a Service with cfg's worker slots and cache. Close it to
+// fail waiting orderings and wait for running ones.
 func New(cfg Config) *Service {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers
 	}
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 256 << 20
@@ -225,22 +188,15 @@ func New(cfg Config) *Service {
 	if cfg.MaxUploadBytes <= 0 {
 		cfg.MaxUploadBytes = 1 << 30
 	}
-	s := &Service{
+	return &Service{
 		cfg:       cfg,
-		jobs:      make(chan *job, cfg.QueueDepth),
+		cache:     memo.New(cfg.CacheBytes, entryBytes),
+		slots:     make(chan struct{}, cfg.Workers),
 		quit:      make(chan struct{}),
-		cache:     newLRUCache(cfg.CacheBytes),
-		flights:   make(map[string]*flight),
-		comps:     make(map[string]*compFlight),
 		latency:   make(map[string]*latencyHist),
 		modeled:   make(map[string]*phaseAgg),
 		orderings: make(map[string]uint64),
 	}
-	s.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go s.worker()
-	}
-	return s
 }
 
 // OrderKey returns the content-addressed cache key an ordering request
@@ -271,11 +227,10 @@ func (s *Service) Draining() bool { return s.draining.Load() }
 
 // Order serves one ordering request: from the cache when the content
 // address is known, by joining an identical in-flight computation when one
-// is running, and otherwise by queueing a job on the worker pool. The
-// context bounds the wait for the result, but neither the enqueue under a
-// full queue (the admission is shared with deduplicated followers) nor the
-// computation itself is cancelled — an identical later request would only
-// pay for it again.
+// is running, and otherwise by computing it once a worker slot is free.
+// The context bounds this caller's wait only: the computation is shared
+// with deduplicated followers and is never cancelled — an identical later
+// request would only pay for it again.
 func (s *Service) Order(ctx context.Context, a *rcm.Matrix, sp Spec) (*Response, error) {
 	if a == nil {
 		return nil, fmt.Errorf("service: nil matrix")
@@ -285,148 +240,118 @@ func (s *Service) Order(ctx context.Context, a *rcm.Matrix, sp Spec) (*Response,
 		return nil, err
 	}
 	key := a.Digest() + "|" + rcm.OptionsFingerprint(opts...)
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
+	shared, out, err := admit[Response](s, ctx, key, func() (any, error) { return s.order(key, a, opts) })
+	if err != nil {
+		return nil, err
 	}
-	if cached, ok := s.cache.get(key).(*Response); ok {
-		s.hits++
-		s.mu.Unlock()
-		r := *cached
-		r.Cached = true
-		return &r, nil
-	}
-	f, leader := s.flights[key], false
-	if f == nil {
-		f = &flight{done: make(chan struct{})}
-		s.flights[key] = f
-		s.misses++
-		leader = true
-	} else {
-		s.dedups++
-	}
-	s.mu.Unlock()
-
-	if leader {
-		// The enqueue deliberately ignores the leader's context: the
-		// flight is shared, and failing it because one requester went
-		// away would fail followers with healthy connections. A full
-		// queue therefore blocks until a worker frees a slot (bounded —
-		// workers always drain) or the service shuts down; the leader's
-		// own wait below still honors its context.
-		select {
-		case s.jobs <- &job{key: key, a: a, opts: opts, f: f}:
-		case <-s.quit:
-			s.abandon(key, f, ErrClosed)
-		}
-	}
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if f.err != nil {
-		return nil, f.err
-	}
-	r := *f.resp
-	r.Deduped = !leader
+	r := *shared
+	r.Cached, r.Deduped = out == memo.Hit, out == memo.Shared
 	return &r, nil
 }
 
-// abandon resolves a flight whose job never reached the pool, so followers
-// do not wait forever.
-func (s *Service) abandon(key string, f *flight, err error) {
-	s.mu.Lock()
-	if s.flights[key] == f {
-		delete(s.flights, key)
+// admit is the one admission path of Order and Components: refuse once
+// closed, else serve key through the shared cache. The result is shared
+// with the cache and every other requester of key; callers label a copy.
+// Ordering and components keys never collide (see componentsKeySuffix),
+// so a key's value is always an *R.
+func admit[R any](s *Service, ctx context.Context, key string, fill func() (any, error)) (*R, memo.Outcome, error) {
+	if s.closed.Load() {
+		return nil, memo.Miss, ErrClosed
 	}
-	s.mu.Unlock()
-	f.complete(nil, err)
+	v, out, err := s.cache.Get(ctx, key, fill)
+	if err != nil {
+		return nil, out, err
+	}
+	return v.(*R), out, nil
 }
 
-// worker executes queued jobs until Close.
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case j := <-s.jobs:
-			s.run(j)
-		case <-s.quit:
-			return
-		}
+// order is the ordering fill: it takes a worker slot, runs rcm.Order and
+// records the job.
+func (s *Service) order(key string, a *rcm.Matrix, opts []rcm.Option) (*Response, error) {
+	if !s.acquire() {
+		return nil, ErrClosed
 	}
-}
-
-// run executes one ordering, records it, and resolves the flight.
-func (s *Service) run(j *job) {
+	defer func() { <-s.slots }()
 	start := time.Now()
-	res, err := rcm.Order(j.a, j.opts...)
+	res, err := rcm.Order(a, opts...)
 	elapsed := time.Since(start)
 
-	var resp *Response
-	if err == nil {
-		resp = &Response{
-			Key:            j.key,
-			N:              j.a.N(),
-			NNZ:            j.a.NNZ(),
-			Ordering:       res.Ordering.String(),
-			Backend:        res.Backend.String(),
-			Procs:          res.Procs,
-			Threads:        res.Threads,
-			Components:     res.Components,
-			PseudoDiameter: res.PseudoDiameter,
-			Before:         res.Before,
-			After:          res.After,
-			Perm:           res.Perm,
-			Modeled:        res.Modeled,
-			ComponentStats: res.ComponentStats,
-		}
-	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.jobsRun++
-	if err == nil {
-		s.cache.put(j.key, resp, responseBytes(resp))
-		s.orderings[resp.Ordering]++
-		h := s.latency[resp.Backend]
-		if h == nil {
-			h = &latencyHist{}
-			s.latency[resp.Backend] = h
-		}
-		h.observe(elapsed)
-		if resp.Modeled != nil {
-			for _, p := range resp.Modeled.Phases {
-				agg := s.modeled[p.Name]
-				if agg == nil {
-					agg = &phaseAgg{}
-					s.modeled[p.Name] = agg
-				}
-				agg.comp += p.CompSeconds
-				agg.comm += p.CommSeconds
+	if err != nil {
+		return nil, err
+	}
+	resp := &Response{
+		Key:            key,
+		N:              a.N(),
+		NNZ:            a.NNZ(),
+		Ordering:       res.Ordering.String(),
+		Backend:        res.Backend.String(),
+		Procs:          res.Procs,
+		Threads:        res.Threads,
+		Components:     res.Components,
+		PseudoDiameter: res.PseudoDiameter,
+		Before:         res.Before,
+		After:          res.After,
+		Perm:           res.Perm,
+		Modeled:        res.Modeled,
+		ComponentStats: res.ComponentStats,
+	}
+	s.orderings[resp.Ordering]++
+	h := s.latency[resp.Backend]
+	if h == nil {
+		h = &latencyHist{}
+		s.latency[resp.Backend] = h
+	}
+	h.observe(elapsed)
+	if resp.Modeled != nil {
+		for _, p := range resp.Modeled.Phases {
+			agg := s.modeled[p.Name]
+			if agg == nil {
+				agg = &phaseAgg{}
+				s.modeled[p.Name] = agg
 			}
+			agg.comp += p.CompSeconds
+			agg.comm += p.CommSeconds
 		}
 	}
-	delete(s.flights, j.key)
-	s.mu.Unlock()
-	j.f.complete(resp, err)
+	return resp, nil
+}
+
+// acquire takes a worker slot for an ordering, waiting while all are busy.
+// It reports false, holding nothing, once Close has begun: an ordering
+// that was still waiting then fails rather than runs.
+func (s *Service) acquire() bool {
+	s.waiting.Add(1)
+	defer s.waiting.Add(-1)
+	select {
+	case s.slots <- struct{}{}:
+		if !s.closed.Load() {
+			return true
+		}
+		<-s.slots
+	case <-s.quit:
+	}
+	return false
 }
 
 // Stats snapshots the operational counters.
 func (s *Service) Stats() Stats {
+	cs := s.cache.Stats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Hits:          s.hits,
-		Misses:        s.misses,
-		Dedups:        s.dedups,
-		Evictions:     s.cache.evictions,
+		Hits:          cs.Hits,
+		Misses:        cs.Misses,
+		Dedups:        cs.Shared,
+		Evictions:     cs.Evictions,
 		Jobs:          s.jobsRun,
-		Inflight:      len(s.flights),
-		QueueDepth:    len(s.jobs),
-		Entries:       len(s.cache.items),
-		Bytes:         s.cache.bytes,
-		CapacityBytes: s.cache.capacity,
+		Inflight:      cs.Inflight,
+		QueueDepth:    int(s.waiting.Load()),
+		Entries:       cs.Entries,
+		Bytes:         cs.Bytes,
+		CapacityBytes: cs.Capacity,
 		Workers:       s.cfg.Workers,
 	}
 	if len(s.orderings) > 0 {
@@ -452,44 +377,15 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Close stops the pool: running jobs finish, queued and future requests
-// fail with ErrClosed. Safe to call more than once.
+// Close stops the service: running orderings finish, waiting and future
+// requests fail with ErrClosed. It returns once every worker slot is
+// free, so no ordering runs after it. Safe to call more than once.
 func (s *Service) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Swap(true) {
 		return
 	}
-	s.closed = true
-	s.mu.Unlock()
 	close(s.quit)
-	s.wg.Wait()
-	// Fail whatever never reached a worker: drained queue entries and any
-	// flight whose leader lost the enqueue race with shutdown. The drain
-	// runs again after the flights are failed because a racing leader may
-	// land its send between the two steps; a send that lands after the
-	// final drain leaks only the job's memory until the Service itself is
-	// unreachable — its caller still gets ErrClosed via the failed flight.
-	for i := 0; i < 2; i++ {
-		for {
-			select {
-			case j := <-s.jobs:
-				s.abandon(j.key, j.f, ErrClosed)
-				continue
-			default:
-			}
-			break
-		}
-		s.mu.Lock()
-		pending := make([]*flight, 0, len(s.flights))
-		//lint:ignore mapiter shutdown drain: every flight fails with the same ErrClosed and the map is emptied, so order is unobservable
-		for key, f := range s.flights {
-			pending = append(pending, f)
-			delete(s.flights, key)
-		}
-		s.mu.Unlock()
-		for _, f := range pending {
-			f.complete(nil, ErrClosed)
-		}
+	for range s.cfg.Workers {
+		s.slots <- struct{}{}
 	}
 }

@@ -2,7 +2,9 @@ package service_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -356,6 +358,62 @@ func TestClose(t *testing.T) {
 	svc.Close()
 	if _, err := svc.Order(context.Background(), a, service.Spec{}); err != service.ErrClosed {
 		t.Errorf("err = %v, want ErrClosed", err)
+	}
+}
+
+// TestCloseFailsWaitingOrderings: with one worker busy and four distinct
+// orderings waiting for it, Close lets the running ordering finish and
+// fails the four with ErrClosed — none of them runs — and leaves no flight
+// or goroutine behind. All five order the same large matrix under
+// distinct start vertices, so whichever takes the worker first is the
+// running one. The rounds catch a shutdown that lets a freed worker pick
+// the next waiting job or the quit signal at random: such a Close passes
+// one round with probability ½, and all eight with 1/256.
+func TestCloseFailsWaitingOrderings(t *testing.T) {
+	a := rcm.RandomRegular(60000, 6, 9)
+	a.Digest() // computed once here, not inside the rounds
+	base := runtime.NumGoroutine()
+	for round := 0; round < 8; round++ {
+		svc := service.New(service.Config{Workers: 1})
+		errs := make(chan error, 5)
+		for start := 0; start < 5; start++ {
+			go func(start int) {
+				_, err := svc.Order(context.Background(), a, service.Spec{Start: &start})
+				errs <- err
+			}(start)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for st := svc.Stats(); st.Inflight != 5 || st.QueueDepth != 4; st = svc.Stats() {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: never saw 1 running + 4 waiting (%+v)", round, st)
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+		svc.Close()
+
+		var ok, closed int
+		for i := 0; i < 5; i++ {
+			switch err := <-errs; {
+			case err == nil:
+				ok++
+			case errors.Is(err, service.ErrClosed):
+				closed++
+			default:
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		if ok != 1 || closed != 4 {
+			t.Errorf("round %d: %d orderings served and %d failed with ErrClosed, want 1 and 4", round, ok, closed)
+		}
+		if st := svc.Stats(); st.Jobs != 1 || st.Inflight != 0 {
+			t.Errorf("round %d: jobs=%d inflight=%d after Close, want 1 and 0", round, st.Jobs, st.Inflight)
+		}
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d goroutines after Close, baseline %d", round, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 
