@@ -61,8 +61,9 @@ func DefaultConfig() *Config {
 			// Options fingerprinting: computed on every service request;
 			// the PR 7 fmt.Fprintf fingerprint cost ~3/4 of hit latency.
 			"rcm": {"OptionsFingerprint", "Matrix.Digest"},
-			// Cache-key derivation: the content-addressed routing key.
-			"rcm/service": {"OrderKey", "ComponentsKey"},
+			// Cache-key derivation: the content-addressed routing key, and
+			// the body index's hash-and-resolve that learns its digest.
+			"rcm/service": {"OrderKey", "ComponentsKey", "BodyKey", "BodyIndex.resolve", "Service.resolve"},
 			// RCMB zero-copy decode and the Matrix Market reader with its
 			// field scanner: the service ingest paths, hit or miss.
 			"internal/mmio": {
@@ -99,10 +100,11 @@ func DefaultConfig() *Config {
 			// The coalescing cache's lookup: every request at both tiers,
 			// hit or miss, passes through it.
 			"internal/memo": {"Cache.Get"},
-			// Proxy routing fast path: key resolution and ring placement
-			// run on every proxied request.
+			// Proxy routing fast path: key resolution (through the body
+			// index for keyless requests) and ring placement run on every
+			// proxied request.
 			"rcm/service/cluster": {
-				"Proxy.orderKey", "Proxy.componentsKey", "flightKeyFor",
+				"Proxy.orderKey", "Proxy.componentsKey", "Proxy.digest", "upload.sum", "flightKey",
 				"Ring.Pick", "Ring.Successors", "Rendezvous", "hash64", "itoa",
 			},
 		},

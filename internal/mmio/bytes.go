@@ -37,11 +37,12 @@ func ReadBinaryBytes(buf []byte, threads int) (*spmat.CSR, error) {
 	return a, err
 }
 
-// ReadBinaryBytesDigest is ReadBinaryBytes with the canonical pattern
-// digest (spmat.PatternDigest) computed during ingest, so the ordering
-// service's cache key never re-walks RowPtr/Col. The hash itself is
-// sequential — digest bytes must arrive in canonical order — but it runs
-// over arrays the parallel decode has already filled.
+// ReadBinaryBytesDigest is ReadBinaryBytes followed by the canonical
+// pattern digest (spmat.PatternDigest) of the decoded arrays, in one call.
+// The hash is sequential — digest bytes must arrive in canonical order —
+// and runs over arrays the parallel decode has already filled, so it costs
+// what hashing the decoded matrix later would; rcm.ReadBinaryBytes leaves
+// it to Matrix.Digest for that reason.
 func ReadBinaryBytesDigest(buf []byte, threads int) (*spmat.CSR, string, error) {
 	return readBinaryBytes(buf, threads, true)
 }

@@ -12,23 +12,12 @@ import (
 // released before the call returns. threads follows ReadBinaryBytes: 1 is
 // serial, < 1 selects GOMAXPROCS.
 func OpenBinary(path string, threads int) (*spmat.CSR, error) {
-	a, _, err := openBinary(path, threads, false)
-	return a, err
-}
-
-// OpenBinaryDigest is OpenBinary with the canonical pattern digest
-// computed during ingest.
-func OpenBinaryDigest(path string, threads int) (*spmat.CSR, string, error) {
-	return openBinary(path, threads, true)
-}
-
-func openBinary(path string, threads int, wantDigest bool) (*spmat.CSR, string, error) {
 	buf, release, err := mapFile(path)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	defer release()
-	return readBinaryBytes(buf, threads, wantDigest)
+	return ReadBinaryBytes(buf, threads)
 }
 
 // readFileFallback is the portable ingest: one read of the whole file.

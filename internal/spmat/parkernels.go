@@ -5,14 +5,14 @@ import (
 	"sort"
 )
 
-// Parallel bulk kernels over row blocks: the ingest-and-permute path of the
-// ordering service runs these on every request (the before/after
-// bandwidth/profile/wavefront statistics), so at high cache hit ratios they
-// — not the ordering engines — are the serving bottleneck. Each kernel
-// partitions the rows with Blocks/WeightedBlocks and either writes disjoint
-// output ranges or reduces per-block partials, so the results are
-// byte-identical to the serial methods at any thread count. threads == 1
-// runs the serial code path directly; threads < 1 selects GOMAXPROCS.
+// Parallel bulk kernels over row blocks. rcm.Order no longer calls them:
+// since its Before/After statistics became one OrderStats pass without
+// PAPᵀ, their callers are Summarize (DegreesPar, BandwidthPar, ProfilePar)
+// and the repo benchmark's trace replay. Each kernel partitions the rows
+// with Blocks/WeightedBlocks and either writes disjoint output ranges or
+// reduces per-block partials, so the results are byte-identical to the
+// serial methods at any thread count. threads == 1 runs the serial code
+// path directly; threads < 1 selects GOMAXPROCS.
 
 // minParallelRows gates the goroutine fan-out: below this size the spawn
 // overhead exceeds the sweep itself. A variable so the equivalence tests can

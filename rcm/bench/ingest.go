@@ -125,7 +125,10 @@ func RunIngest(cfg Config) []IngestRow {
 		if err != nil {
 			panic(err)
 		}
-		add(stage, eff, time.Since(start), m.Digest())
+		// Timed with the digest, which OpenBinary leaves to first use, so
+		// the row stays comparable with read-stream's fused one.
+		digest := m.Digest()
+		add(stage, eff, time.Since(start), digest)
 	}
 
 	// Chunked out-of-core decode: row-block sub-CSRs, O(n + block) memory.

@@ -13,9 +13,10 @@ import (
 // ordering Result reports depends on them. The digest is the matrix half of
 // an ordering cache key (see OptionsFingerprint and package
 // repro/rcm/service); it is memoized, so repeated requests on one Matrix
-// hash the pattern only once. Matrices decoded from the RCMB binary format
-// arrive with the digest pre-seeded — the fused-digest readers hash the
-// pattern during decode, so this call never re-walks RowPtr/Col for them.
+// hash the pattern only once. A matrix read by the streaming ReadBinary
+// arrives with the digest pre-seeded, hashed while the stream went by;
+// every other matrix, ReadBinaryBytes and OpenBinary included, hashes its
+// pattern here on first use, so a caller that never keys on it never pays.
 func (m *Matrix) Digest() string {
 	m.digestOnce.Do(func() { m.digestVal = spmat.PatternDigest(m.csr) })
 	return m.digestVal

@@ -92,26 +92,29 @@ func ReadBinary(r io.Reader) (*Matrix, error) {
 // zero-copy ingest for buffers already in memory (an mmap'd file, a
 // buffered upload body). The varint column section is split into row-block
 // extents and decoded in parallel: threads == 1 is serial, threads < 1
-// selects GOMAXPROCS. Like ReadBinary it pre-seeds the pattern digest, and
-// nothing in the returned Matrix references buf afterwards.
+// selects GOMAXPROCS. Unlike ReadBinary it does not hash the pattern:
+// Digest computes the same digest on first use, so a caller that never
+// keys on the matrix never pays for it. Nothing in the returned Matrix
+// references buf afterwards.
 func ReadBinaryBytes(buf []byte, threads int) (*Matrix, error) {
-	a, digest, err := mmio.ReadBinaryBytesDigest(buf, threads)
+	a, err := mmio.ReadBinaryBytes(buf, threads)
 	if err != nil {
 		return nil, err
 	}
-	return wrapWithDigest(a, digest), nil
+	return wrap(a), nil
 }
 
 // OpenBinary decodes the RCMB file at path through ReadBinaryBytes,
 // mmap-backed on platforms that support it — the payload is paged in on
 // demand and never copied through a read buffer. The mapping is released
-// before the call returns.
+// before the call returns. Like ReadBinaryBytes it leaves the digest to
+// Digest.
 func OpenBinary(path string, threads int) (*Matrix, error) {
-	a, digest, err := mmio.OpenBinaryDigest(path, threads)
+	a, err := mmio.OpenBinary(path, threads)
 	if err != nil {
 		return nil, err
 	}
-	return wrapWithDigest(a, digest), nil
+	return wrap(a), nil
 }
 
 // WriteBinary encodes the matrix in the RCMB compact binary format read by

@@ -29,8 +29,8 @@ type Matrix struct {
 func wrap(csr *spmat.CSR) *Matrix { return &Matrix{csr: csr} }
 
 // wrapWithDigest adopts a CSR whose pattern digest was already computed —
-// the fused-digest binary readers hash during decode — pre-seeding the
-// memo so Digest never re-walks the pattern.
+// the streaming ReadBinary hashes during decode — pre-seeding the memo so
+// Digest never re-walks the pattern.
 func wrapWithDigest(csr *spmat.CSR, digest string) *Matrix {
 	m := wrap(csr)
 	if digest != "" {

@@ -29,6 +29,14 @@ func entryBytes(_ string, v any) int64 {
 	return -1
 }
 
+// indexEntryBytes is the body index's size function: the entry's key and
+// digest bytes plus the LRU bookkeeping around them (memo's entry holds a
+// string where the result cache's holds an interface, the same two words):
+// 280 bytes on amd64 for a hex BodyKey and a hex digest.
+func indexEntryBytes(key, digest string) int64 {
+	return lruEntryOverheadBytes + int64(len(key)+len(digest))
+}
+
 // responseBytes accounts a cached ordering's resident size exactly as
 // stored: the Response struct itself (embedded before/after stats
 // included), its Key string, the permutation slice, the modelled

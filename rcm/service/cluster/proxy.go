@@ -3,8 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -90,8 +88,11 @@ type Proxy struct {
 	ids      []string // ring order not needed; sorted member list
 	// cache coalesces concurrent identical requests into one upstream
 	// call and keeps replica-confirmed responses under HotCacheBytes,
-	// keyed by flight key (see flightKeyFor).
+	// keyed by flight key (see flightKey).
 	cache *memo.Cache[*upstreamResult]
+	// index resolves keyless uploads to their pattern digest, decoding a
+	// body only the first time its exact bytes arrive.
+	index *service.BodyIndex
 
 	spills  atomic.Uint64
 	retries atomic.Uint64
@@ -268,6 +269,7 @@ func New(cfg Config) (*Proxy, error) {
 		client:   cfg.Client,
 		replicas: make(map[string]*replicaState, len(cfg.Replicas)),
 		cache:    memo.New(cfg.HotCacheBytes, hotBytes),
+		index:    service.NewBodyIndex(),
 		stop:     make(chan struct{}),
 	}
 	if p.client == nil {
@@ -334,9 +336,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // orderKey resolves an ordering request's cache key: the X-RCM-Key header
 // when the client pre-routed (echoed from a previous response), otherwise
-// by decoding the matrix and fingerprinting the overlaid options exactly
-// as the replica will.
-func (p *Proxy) orderKey(r *http.Request, body []byte) (string, int, error) {
+// the body's pattern digest with the overlaid options fingerprinted
+// exactly as the replica will.
+func (p *Proxy) orderKey(r *http.Request, u *upload) (string, int, error) {
 	if k := r.Header.Get("X-RCM-Key"); k != "" {
 		return k, 0, nil
 	}
@@ -344,14 +346,11 @@ func (p *Proxy) orderKey(r *http.Request, body []byte) (string, int, error) {
 	if err != nil {
 		return "", http.StatusBadRequest, err
 	}
-	a, err := service.DecodeMatrix(r.Header.Get("Content-Type"), body)
+	digest, status, err := p.digest(r.Context(), u)
 	if err != nil {
-		if errors.Is(err, service.ErrUnsupportedContentType) {
-			return "", http.StatusUnsupportedMediaType, err
-		}
-		return "", http.StatusBadRequest, err
+		return "", status, err
 	}
-	key, err := service.OrderKey(a.Digest(), p.cfg.DefaultSpec.Overlay(sp))
+	key, err := service.OrderKey(digest, p.cfg.DefaultSpec.Overlay(sp))
 	if err != nil {
 		return "", http.StatusBadRequest, err
 	}
@@ -360,43 +359,69 @@ func (p *Proxy) orderKey(r *http.Request, body []byte) (string, int, error) {
 
 // componentsKey resolves a components request's cache key (the options
 // query does not participate; threads only sizes the parallel pass).
-func (p *Proxy) componentsKey(r *http.Request, body []byte) (string, int, error) {
+func (p *Proxy) componentsKey(r *http.Request, u *upload) (string, int, error) {
 	if k := r.Header.Get("X-RCM-Key"); k != "" {
 		return k, 0, nil
 	}
-	a, err := service.DecodeMatrix(r.Header.Get("Content-Type"), body)
+	digest, status, err := p.digest(r.Context(), u)
 	if err != nil {
-		if errors.Is(err, service.ErrUnsupportedContentType) {
-			return "", http.StatusUnsupportedMediaType, err
-		}
-		return "", http.StatusBadRequest, err
+		return "", status, err
 	}
-	return service.ComponentsKey(a.Digest()), 0, nil
+	return service.ComponentsKey(digest), 0, nil
 }
 
-// flightKeyFor builds the coalescing/hot-cache key: the resolved cache
-// key plus a digest of the exact request bytes (content type and body)
-// plus the raw query. Binding the flight to the request bytes makes
-// replay exactly equivalent to re-issuing the request: two requests share
-// a flight or a hot-cache entry only when a replica could not tell them
-// apart. The body digest is the poisoning guard — the cache key alone can
-// be claimed via the X-RCM-Key header without owning a matching body, and
-// keying flights on it would let a forged (key, body) pair serve its
+// digest resolves a keyless upload's pattern digest through the body
+// index: a body the proxy has resolved before costs no decode. An
+// unsupported content type gets the replica's 415 before the body is
+// hashed, as the replica refuses it before reading it; a body that does
+// not decode gets its 400.
+func (p *Proxy) digest(ctx context.Context, u *upload) (string, int, error) {
+	if err := service.CheckContentType(u.contentType); err != nil {
+		return "", http.StatusUnsupportedMediaType, err
+	}
+	digest, err := p.index.Digest(ctx, u.contentType, u.sum(), u.body)
+	if err != nil {
+		return "", http.StatusBadRequest, err
+	}
+	return digest, 0, nil
+}
+
+// upload is a buffered request body and, once a step needs it, its
+// service.BodyKey, which keys both the body index and the flight: a
+// proxied body is hashed at most once, and a request refused before
+// either lookup not at all.
+type upload struct {
+	contentType string
+	body        []byte
+	hash        string
+}
+
+// sum returns u's service.BodyKey, hashing the body on first use.
+func (u *upload) sum() string {
+	if u.hash == "" {
+		u.hash = service.BodyKey(u.contentType, u.body)
+	}
+	return u.hash
+}
+
+// flightKey builds the coalescing/hot-cache key: the resolved cache key
+// plus sum, the service.BodyKey of the exact request bytes (content type
+// and body), plus the raw query. Binding the flight to the request bytes
+// makes replay exactly equivalent to re-issuing the request: two requests
+// share a flight or a hot-cache entry only when a replica could not tell
+// them apart. The body digest is the poisoning guard — the cache key alone
+// can be claimed via the X-RCM-Key header without owning a matching body,
+// and keying flights on it would let a forged (key, body) pair serve its
 // response to honest requests whose bodies genuinely resolve to that key.
 // The query matters because perm/labels trimming shapes the response.
-func flightKeyFor(key string, r *http.Request, body []byte) string {
-	h := sha256.New()
-	io.WriteString(h, r.Header.Get("Content-Type"))
-	h.Write([]byte{0})
-	h.Write(body)
-	var sum [sha256.Size]byte
-	return key + "#" + hex.EncodeToString(h.Sum(sum[:0])) + "#" + r.URL.RawQuery
+func flightKey(key, sum, query string) string {
+	return key + "#" + sum + "#" + query
 }
 
 // handleProxied is the shared order/components path: key resolution, then
 // one cache lookup that answers from the hot cache, joins an identical
 // in-flight request, or makes the routed upstream call; then replay.
-func (p *Proxy) handleProxied(w http.ResponseWriter, r *http.Request, path string, keyFn func(*http.Request, []byte) (string, int, error)) {
+func (p *Proxy) handleProxied(w http.ResponseWriter, r *http.Request, path string, keyFn func(*http.Request, *upload) (string, int, error)) {
 	// The buffer is reused for key computation, the upstream call, and
 	// any retry.
 	body, status, err := service.ReadBody(w, r, p.cfg.MaxUploadBytes)
@@ -404,13 +429,14 @@ func (p *Proxy) handleProxied(w http.ResponseWriter, r *http.Request, path strin
 		writeJSON(w, status, httpError{err.Error()})
 		return
 	}
-	key, status, err := keyFn(r, body)
+	u := &upload{contentType: r.Header.Get("Content-Type"), body: body}
+	key, status, err := keyFn(r, u)
 	if err != nil {
 		writeJSON(w, status, httpError{err.Error()})
 		return
 	}
-	c := &upstreamCall{path: path, key: key, contentType: r.Header.Get("Content-Type"), query: r.URL.RawQuery, body: body}
-	res, out, err := p.cache.Get(r.Context(), flightKeyFor(key, r, body), func() (*upstreamResult, error) {
+	c := &upstreamCall{path: path, key: key, contentType: u.contentType, query: r.URL.RawQuery, body: body}
+	res, out, err := p.cache.Get(r.Context(), flightKey(key, u.sum(), r.URL.RawQuery), func() (*upstreamResult, error) {
 		res, err := p.forward(c)
 		if err == nil {
 			// res.key is the key the replica derived from the body itself

@@ -35,20 +35,25 @@ type RoutingStats struct {
 	// request's response; HotHits counts proxy-cache answers.
 	Coalesced uint64 `json:"coalesced"`
 	HotHits   uint64 `json:"hotHits"`
+	// IndexStats describes the proxy's body index, which only keyless
+	// requests consult: how they learned their pattern digest, and the
+	// bodies it holds.
+	service.IndexStats
 }
 
 // RoutingStats snapshots the proxy's routing counters.
 func (p *Proxy) RoutingStats() RoutingStats {
 	cs := p.cache.Stats()
 	rs := RoutingStats{
-		Requests:  make(map[string]uint64, len(p.ids)),
-		Shed:      make(map[string]uint64, len(p.ids)),
-		Errors:    make(map[string]uint64, len(p.ids)),
-		Healthy:   make(map[string]bool, len(p.ids)),
-		Spills:    p.spills.Load(),
-		Retries:   p.retries.Load(),
-		Coalesced: cs.Shared,
-		HotHits:   cs.Hits,
+		Requests:   make(map[string]uint64, len(p.ids)),
+		Shed:       make(map[string]uint64, len(p.ids)),
+		Errors:     make(map[string]uint64, len(p.ids)),
+		Healthy:    make(map[string]bool, len(p.ids)),
+		Spills:     p.spills.Load(),
+		Retries:    p.retries.Load(),
+		Coalesced:  cs.Shared,
+		HotHits:    cs.Hits,
+		IndexStats: p.index.Stats(),
 	}
 	for _, id := range p.ids {
 		rep := p.replicas[id]
@@ -146,6 +151,9 @@ func mergeStats(agg *service.Stats, st *service.Stats) {
 	agg.Bytes += st.Bytes
 	agg.CapacityBytes += st.CapacityBytes
 	agg.Workers += st.Workers
+	agg.IndexHits += st.IndexHits
+	agg.IndexMisses += st.IndexMisses
+	agg.IndexEntries += st.IndexEntries
 	for _, o := range detmap.Keys(st.Orderings) {
 		if agg.Orderings == nil {
 			agg.Orderings = make(map[string]uint64)
@@ -242,4 +250,8 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("retry_total", "transport-failure failovers to another replica", rs.Retries)
 	counter("coalesced_total", "requests that replayed an identical in-flight request", rs.Coalesced)
 	counter("hotcache_hits_total", "requests answered from the proxy-side hot cache", rs.HotHits)
+	counter("body_index_hits_total", "keyless requests whose pattern digest the body index held", rs.IndexHits)
+	counter("body_index_misses_total", "keyless requests decoded to learn their pattern digest", rs.IndexMisses)
+	fmt.Fprintf(w, "# HELP rcm_proxy_body_index_entries bodies the body index holds\n# TYPE rcm_proxy_body_index_entries gauge\n")
+	fmt.Fprintf(w, "rcm_proxy_body_index_entries %d\n", rs.IndexEntries)
 }

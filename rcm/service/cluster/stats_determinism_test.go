@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/rcm/service"
@@ -12,7 +13,8 @@ import (
 func replicaSnapshot(order []string, scale uint64) *service.Stats {
 	st := &service.Stats{
 		Hits: scale, Misses: 2 * scale, Jobs: 3 * scale,
-		Latency: make(map[string]service.LatencyStats, len(order)),
+		IndexStats: service.IndexStats{IndexHits: 4 * scale, IndexMisses: scale, IndexEntries: int(scale)},
+		Latency:    make(map[string]service.LatencyStats, len(order)),
 	}
 	for _, b := range order {
 		weight := uint64(len(b)) // value depends on the backend, never on insertion position
@@ -60,6 +62,10 @@ func TestMergeStatsDeterministic(t *testing.T) {
 		if a != b {
 			t.Fatalf("merged fleet stats depend on map order:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 		}
+	}
+	// The body index counters sum like the others: scales 1 and 2.
+	if want := `"indexHits":12,"indexMisses":3,"indexEntries":3`; !strings.Contains(a, want) {
+		t.Errorf("merged fleet stats %s lack %s", a, want)
 	}
 }
 

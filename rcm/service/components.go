@@ -57,8 +57,20 @@ func (s *Service) Components(ctx context.Context, a *rcm.Matrix, threads int) (*
 	if a == nil {
 		return nil, fmt.Errorf("service: nil matrix")
 	}
-	key := ComponentsKey(a.Digest())
-	shared, out, err := admit[ComponentsResponse](s, ctx, key, func() (any, error) { return runComponents(key, a, threads) })
+	return s.components(ctx, a.Digest(), threads, a, nil)
+}
+
+// components is the one components path of Components and the upload
+// handler, as order is for orderings.
+func (s *Service) components(ctx context.Context, digest string, threads int, a *rcm.Matrix, u *upload) (*ComponentsResponse, error) {
+	key := ComponentsKey(digest)
+	shared, out, err := admit[ComponentsResponse](s, ctx, key, func() (any, error) {
+		m, err := matrix(a, u)
+		if err != nil {
+			return nil, err
+		}
+		return runComponents(key, m, threads)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -90,54 +90,42 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// readMatrixBody decodes the uploaded matrix of an ordering or components
-// request, enforcing the upload cap and the accepted content types. On
-// failure it writes the error response itself and returns nil.
+// readUpload buffers the uploaded matrix of an ordering or components
+// request and keys it for the body index, enforcing the upload cap and the
+// accepted content types; the matrix is decoded later, and only when the
+// index has not seen these bytes or a fill must compute (see
+// Service.resolve and Service.matrix). On failure it writes the error
+// response itself and returns nil.
 //
 // The upload cap (Config.MaxUploadBytes) bounds the request stream, not the
 // decoded matrix — a compact binary body expands ~8-16× into CSR arrays,
-// which OPERATIONS.md tells operators to budget for. The readers start
-// from bounded hints (Content-Length buys at most bodyPresizeMax) and grow
-// only as body bytes actually arrive, so a malicious header alone cannot
-// balloon memory; the exception is a Matrix Market size line's dimension,
-// for which the text reader builds that many row pointers. A declared
-// Content-Length over the cap is refused before any decoding;
-// MaxBytesReader enforces the same bound on chunked bodies that decline to
-// declare one (there the text decoder may report the cut as a parse error —
-// still a 4xx, just a less precise one).
-func readMatrixBody(s *Service, w http.ResponseWriter, r *http.Request) *rcm.Matrix {
+// which OPERATIONS.md tells operators to budget for. A declared
+// Content-Length over the cap is refused before anything is read, and
+// MaxBytesReader cuts a chunked body that declines to declare one at the
+// same bound; both answer 413. The buffer starts from a bounded hint
+// (Content-Length buys at most bodyPresizeMax) and grows only as body bytes
+// actually arrive, so a malicious header alone cannot balloon memory.
+func readUpload(s *Service, w http.ResponseWriter, r *http.Request) *upload {
 	if err := limitBody(w, r, s.cfg.MaxUploadBytes); err != nil {
 		writeJSON(w, http.StatusRequestEntityTooLarge, httpError{err.Error()})
 		return nil
 	}
-	binary, err := isBinary(r.Header.Get("Content-Type"))
-	if err != nil {
+	ct := r.Header.Get("Content-Type")
+	if err := CheckContentType(ct); err != nil {
 		writeJSON(w, http.StatusUnsupportedMediaType, httpError{err.Error()})
 		return nil
 	}
-	var a *rcm.Matrix
-	if binary {
-		// Buffer the body (already capped by MaxBytesReader) and decode
-		// through the zero-copy parallel reader: the column decode fans
-		// out across GOMAXPROCS and the cache-key digest is computed in
-		// the same pass.
-		var body []byte
-		if body, err = readBody(r.Body, r.ContentLength); err == nil {
-			a, err = rcm.ReadBinaryBytes(body, 0)
-		}
-	} else {
-		a, _, err = rcm.ReadMatrixMarket(r.Body)
-	}
+	body, err := readBody(r.Body, r.ContentLength)
 	if err != nil {
 		writeJSON(w, bodyStatus(err), httpError{err.Error()})
 		return nil
 	}
-	return a
+	return &upload{contentType: ct, body: body, sum: BodyKey(ct, body)}
 }
 
 // ReadBody buffers a request body under the upload cap max, for a routing
 // tier that forwards the bytes: the same cap checks, reader and error
-// statuses the server applies to its own binary uploads. On failure it
+// statuses the server applies to its own uploads. On failure it
 // returns the status to answer with — 413 for a body over the cap,
 // declared or actual, and 400 for any other read error.
 func ReadBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, int, error) {
@@ -219,12 +207,15 @@ func handleOrder(s *Service, w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, httpError{err.Error()})
 		return
 	}
-	a := readMatrixBody(s, w, r)
-	if a == nil {
+	u := readUpload(s, w, r)
+	if u == nil {
 		return
 	}
-
-	resp, err := s.Order(r.Context(), a, sp)
+	digest, err := s.resolve(r.Context(), u)
+	var resp *Response
+	if err == nil {
+		resp, err = s.order(r.Context(), digest, sp, nil, u)
+	}
 	if err == nil && !includePerm {
 		trimmed := *resp
 		trimmed.Perm = nil
@@ -254,12 +245,15 @@ func handleComponents(s *Service, w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	a := readMatrixBody(s, w, r)
-	if a == nil {
+	u := readUpload(s, w, r)
+	if u == nil {
 		return
 	}
-
-	resp, err := s.Components(r.Context(), a, threads)
+	digest, err := s.resolve(r.Context(), u)
+	var resp *ComponentsResponse
+	if err == nil {
+		resp, err = s.components(r.Context(), digest, threads, nil, u)
+	}
 	if err == nil && !includeLabels {
 		trimmed := *resp
 		trimmed.Labels = nil
@@ -318,10 +312,11 @@ var ErrUnsupportedContentType = errors.New("service: unsupported Content-Type")
 // DecodeMatrix decodes a buffered matrix upload under the same
 // Content-Type mapping POST /v1/order applies: Matrix Market text
 // (ContentTypeMatrixMarket, text/plain, x-www-form-urlencoded or unset)
-// or the RCMB compact binary (ContentTypeBinary, octet-stream). Exported
-// for routing tiers (package cluster), which must decode a body to learn
-// its cache key before a replica sees it; the server's own handler keeps
-// streaming text bodies and never calls this.
+// or the RCMB compact binary (ContentTypeBinary, octet-stream). Both
+// serving tiers call it behind their BodyIndex, so only for bytes the
+// index has not seen, and the server also inside a result fill that must
+// compute; its error is the text of the 400 either tier answers for an
+// undecodable body.
 func DecodeMatrix(contentType string, body []byte) (*rcm.Matrix, error) {
 	binary, err := isBinary(contentType)
 	switch {
@@ -332,6 +327,15 @@ func DecodeMatrix(contentType string, body []byte) (*rcm.Matrix, error) {
 	}
 	a, _, err := rcm.ReadMatrixMarket(bytes.NewReader(body))
 	return a, err
+}
+
+// CheckContentType reports whether the serving tiers accept matrix uploads
+// under contentType: nil, or the error wrapping ErrUnsupportedContentType
+// that they answer 415 with. Exported so a routing tier can refuse such a
+// request before it hashes the body, as the server does before reading it.
+func CheckContentType(contentType string) error {
+	_, err := isBinary(contentType)
+	return err
 }
 
 // isBinary is the one Content-Type mapping of matrix uploads: true selects
@@ -470,6 +474,9 @@ func writeMetrics(w http.ResponseWriter, st Stats) {
 	gauge("cache_bytes", "resident cache bytes", st.Bytes)
 	gauge("cache_capacity_bytes", "cache byte budget", st.CapacityBytes)
 	gauge("workers", "worker pool size", st.Workers)
+	counter("body_index_hits_total", "uploads whose pattern digest the body index held", st.IndexHits)
+	counter("body_index_misses_total", "uploads decoded to learn their pattern digest", st.IndexMisses)
+	gauge("body_index_entries", "bodies the body index holds", st.IndexEntries)
 
 	if len(st.Orderings) > 0 {
 		fmt.Fprintf(w, "# HELP rcm_service_orderings_total orderings executed per family\n")

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"context"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -13,7 +15,8 @@ func metricsStats(order []string) Stats {
 		Hits: 7, Misses: 3, Dedups: 2, Evictions: 1, Jobs: 5,
 		Inflight: 1, QueueDepth: 2, Entries: 4, Bytes: 4096,
 		CapacityBytes: 1 << 20, Workers: 8,
-		Latency: make(map[string]LatencyStats, len(order)),
+		IndexStats: IndexStats{IndexHits: 11, IndexMisses: 6, IndexEntries: 5},
+		Latency:    make(map[string]LatencyStats, len(order)),
 	}
 	for _, b := range order {
 		weight := uint64(len(b)) // value depends on the backend, never on insertion position
@@ -66,13 +69,19 @@ func TestWriteMetricsByteIdentical(t *testing.T) {
 
 // TestStatsSnapshotDeterministic pins Service.Stats' detmap conversion:
 // the latency and modeled maps must snapshot into identically ordered
-// output regardless of map layout.
+// output regardless of map layout. The body index's series come along.
 func TestStatsSnapshotDeterministic(t *testing.T) {
+	body := []byte("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n2 1\n")
 	build := func(order []string) *Service {
 		s := New(Config{Workers: 1, CacheBytes: 1 << 16})
 		for _, b := range order {
 			s.latency[b] = &latencyHist{}
 			s.latency[b].observe(2 * time.Millisecond)
+		}
+		for range 2 {
+			if _, err := s.index.Digest(context.Background(), "", BodyKey("", body), body); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return s
 	}
@@ -89,5 +98,14 @@ func TestStatsSnapshotDeterministic(t *testing.T) {
 	writeMetrics(recb, sb)
 	if reca.Body.String() != recb.Body.String() {
 		t.Fatalf("stats render depends on map insertion order:\n--- a ---\n%s\n--- b ---\n%s", reca.Body.String(), recb.Body.String())
+	}
+	for _, want := range []string{
+		"rcm_service_body_index_hits_total 1\n",
+		"rcm_service_body_index_misses_total 1\n",
+		"rcm_service_body_index_entries 1\n",
+	} {
+		if !strings.Contains(reca.Body.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }

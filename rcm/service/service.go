@@ -13,6 +13,10 @@
 // how the options were spelled. Entries are evicted least recently used
 // under a byte budget (Config.CacheBytes).
 //
+// Over HTTP an upload is keyed by its exact bytes before it is decoded: a
+// BodyIndex maps the bytes' SHA-256 to the pattern digest they decoded to,
+// so a repeat upload reaches the result cache without a decode.
+//
 // Every response reports how it was served (computed, cache hit, or
 // coalesced onto an in-flight computation), and Stats exposes the
 // operational counters — hit/miss/dedup/eviction counts, queue depth,
@@ -122,6 +126,9 @@ type Stats struct {
 	CapacityBytes int64 `json:"capacityBytes"`
 	// Workers echoes the pool size.
 	Workers int `json:"workers"`
+	// IndexStats describes the HTTP handler's body index: how uploads
+	// learned their pattern digest, and the bodies it holds.
+	IndexStats
 	// Orderings counts executed jobs per ordering family (rcm|amd|sloan)
 	// — computed ones; cache hits and dedups add nothing, matching Jobs.
 	Orderings map[string]uint64 `json:"orderings,omitempty"`
@@ -161,6 +168,7 @@ type PhaseSeconds struct {
 type Service struct {
 	cfg      Config
 	cache    *memo.Cache[any] // *Response and *ComponentsResponse under one budget
+	index    *BodyIndex       // upload bytes -> pattern digest, for the handler
 	slots    chan struct{}    // one per worker, held while an ordering runs
 	quit     chan struct{}    // closed by Close: orderings still waiting fail
 	waiting  atomic.Int64     // orderings waiting for a slot
@@ -191,6 +199,7 @@ func New(cfg Config) *Service {
 	return &Service{
 		cfg:       cfg,
 		cache:     memo.New(cfg.CacheBytes, entryBytes),
+		index:     NewBodyIndex(),
 		slots:     make(chan struct{}, cfg.Workers),
 		quit:      make(chan struct{}),
 		latency:   make(map[string]*latencyHist),
@@ -235,12 +244,25 @@ func (s *Service) Order(ctx context.Context, a *rcm.Matrix, sp Spec) (*Response,
 	if a == nil {
 		return nil, fmt.Errorf("service: nil matrix")
 	}
+	return s.order(ctx, a.Digest(), sp, a, nil)
+}
+
+// order is the one ordering path of Order and the upload handler: the
+// request's cache key from digest and sp, served through admit. A fill
+// that must compute orders a, or u's matrix when a is nil (see matrix).
+func (s *Service) order(ctx context.Context, digest string, sp Spec, a *rcm.Matrix, u *upload) (*Response, error) {
 	opts, err := s.cfg.DefaultSpec.overlay(sp).Options()
 	if err != nil {
 		return nil, err
 	}
-	key := a.Digest() + "|" + rcm.OptionsFingerprint(opts...)
-	shared, out, err := admit[Response](s, ctx, key, func() (any, error) { return s.order(key, a, opts) })
+	key := digest + "|" + rcm.OptionsFingerprint(opts...)
+	shared, out, err := admit[Response](s, ctx, key, func() (any, error) {
+		m, err := matrix(a, u)
+		if err != nil {
+			return nil, err
+		}
+		return s.runOrder(key, m, opts)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -265,9 +287,9 @@ func admit[R any](s *Service, ctx context.Context, key string, fill func() (any,
 	return v.(*R), out, nil
 }
 
-// order is the ordering fill: it takes a worker slot, runs rcm.Order and
-// records the job.
-func (s *Service) order(key string, a *rcm.Matrix, opts []rcm.Option) (*Response, error) {
+// runOrder computes an ordering fill: it takes a worker slot, runs
+// rcm.Order and records the job.
+func (s *Service) runOrder(key string, a *rcm.Matrix, opts []rcm.Option) (*Response, error) {
 	if !s.acquire() {
 		return nil, ErrClosed
 	}
@@ -353,6 +375,7 @@ func (s *Service) Stats() Stats {
 		Bytes:         cs.Bytes,
 		CapacityBytes: cs.Capacity,
 		Workers:       s.cfg.Workers,
+		IndexStats:    s.index.Stats(),
 	}
 	if len(s.orderings) > 0 {
 		st.Orderings = make(map[string]uint64, len(s.orderings))

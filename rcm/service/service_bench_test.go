@@ -2,6 +2,8 @@ package service_test
 
 import (
 	"context"
+	"net/http"
+	"strconv"
 	"testing"
 	"time"
 
@@ -92,5 +94,60 @@ func BenchmarkServiceParallel(b *testing.B) {
 	})
 	if st := svc.Stats(); st.Jobs != 1 {
 		b.Fatalf("parallel hit benchmark ran %d jobs", st.Jobs)
+	}
+}
+
+// BenchmarkServiceHTTP measures one upload through the handler on a
+// recorder, request bytes to JSON response, in the three ways an upload
+// meets the body index: a known body whose ordering is cached (one SHA-256
+// pass and two map lookups), a known body whose ordering is not (the fill
+// decodes the body, then orders it) and a first-seen body (hash, decode
+// and digest, then the cached ordering). A first-seen body is the same
+// bytes under a Content-Type parameter the index has not seen, which
+// changes its key but not its decode. The matrix is serve-hot's ldoor
+// analog, in both upload formats.
+func BenchmarkServiceHTTP(b *testing.B) {
+	entry, err := rcm.SuiteByName("ldoor")
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, _ := rcm.Scramble(entry.Build(4), 1)
+	for _, format := range []struct{ name, contentType string }{
+		{"rcmb", service.ContentTypeBinary},
+		{"mm", service.ContentTypeMatrixMarket},
+	} {
+		body := encodings(b, a)[format.contentType]
+		for _, c := range []struct {
+			name   string
+			xcache string
+			// request returns iteration i's query and Content-Type.
+			request func(i int) (string, string)
+		}{
+			{"known-cached", "hit", func(int) (string, string) { return "", format.contentType }},
+			{"known-uncached", "miss", func(i int) (string, string) {
+				return "?start=" + strconv.Itoa(i%a.N()), format.contentType
+			}},
+			{"first-seen", "hit", func(i int) (string, string) {
+				return "", format.contentType + "; n=" + strconv.Itoa(i)
+			}},
+		} {
+			b.Run(format.name+"/"+c.name, func(b *testing.B) {
+				svc := service.New(service.Config{Workers: 1})
+				defer svc.Close()
+				h := service.NewHandler(svc)
+				if got := upload(h, "/v1/order", format.contentType, body); got.status != http.StatusOK {
+					b.Fatalf("warm-up: %+v", got)
+				}
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					query, ct := c.request(i + 1)
+					if got := upload(h, "/v1/order"+query, ct, body); got.status != http.StatusOK || got.xcache != c.xcache {
+						b.Fatalf("iteration %d: HTTP %d, X-Cache %q, want %q", i, got.status, got.xcache, c.xcache)
+					}
+				}
+			})
+		}
 	}
 }
