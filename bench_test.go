@@ -243,7 +243,7 @@ func BenchmarkSpMSpV(b *testing.B) {
 			for g := x.Lo; g < x.Hi; g += 16 {
 				x.Loc.Append(g, int64(g))
 			}
-			m.SpMSpV(x, semiring.Select2ndMin{})
+			distmat.SpMSpV(m, x, semiring.Select2ndMin)
 		})
 	}
 }

@@ -39,7 +39,7 @@ func RunAblationLocalFormat(cfg Config) []FormatAblationRow {
 			var es []spmat.Coord
 			for lc := 0; lc < m.Block.Cols; lc++ {
 				for _, lr := range m.Block.Column(lc) {
-					es = append(es, spmat.Coord{Row: lr, Col: lc, Val: 1})
+					es = append(es, spmat.Coord{Row: int(lr), Col: lc, Val: 1})
 				}
 			}
 			csr := spmat.FromCoords(a.N, es, true)
@@ -53,7 +53,7 @@ func RunAblationLocalFormat(cfg Config) []FormatAblationRow {
 			for g := 0; g < a.N; g += step {
 				xj = append(xj, distmat.Entry{Ind: g, Val: int64(g)})
 			}
-			sr := semiring.Select2ndMin{}
+			sr := semiring.Select2ndMin
 			before := c.Stats().Work
 			m.LocalSpMSpVCSC(xj, sr)
 			row.CSCWork = c.Stats().Work - before

@@ -28,7 +28,7 @@ func AlgebraicOpt(a *spmat.CSR, opt Options) *Ordering {
 		deg[i] = int64(d)
 		totalDeg += int64(d)
 	}
-	sr := semiring.Select2ndMin{}
+	sr := semiring.Select2ndMin
 	spa := newSpa(n)
 
 	// R: dense ordering vector, -1 = unlabeled (Algorithm 3, line 1).
@@ -72,15 +72,12 @@ func AlgebraicOpt(a *spmat.CSR, opt Options) *Ordering {
 	return res
 }
 
-// spa is the sparse accumulator scratch of the sequential SpMSpV, together
-// with the keyed-sort workspaces of the per-level sorts and the bitmap and
-// output buffers of the bottom-up kernel.
+// spa is the sparse accumulator of the sequential SpMSpV, together with the
+// keyed-sort workspace of the per-level SORTPERM and the bitmap and output
+// buffers of the bottom-up kernel.
 type spa struct {
-	val     []int64
-	mark    []bool
-	touched []int
-	intWS   psort.Scratch[int]
-	tupWS   psort.Scratch[spvec.Tuple]
+	acc   spmat.SPA
+	tupWS psort.Scratch[spvec.Tuple]
 
 	frontBits spmat.Bitmap // frontier bitmap, bits live only within one level
 	periVis   spmat.Bitmap // per-BFS visited bitmap of the peripheral search
@@ -88,33 +85,22 @@ type spa struct {
 }
 
 func newSpa(n int) *spa {
-	return &spa{val: make([]int64, n), mark: make([]bool, n), frontBits: spmat.NewBitmap(n)}
+	return &spa{frontBits: spmat.NewBitmap(n)}
 }
 
 // seqSpMSpV computes A·x over the semiring: the sequential CSC kernel
-// (SPMSPV of Table I). The output is index-sorted. The semiring is a type
-// parameter so concrete semirings dispatch statically (no interface calls
-// in the inner loop).
-func seqSpMSpV[S semiring.Semiring](a *spmat.CSC, x *spvec.Sp, sr S, s *spa) *spvec.Sp {
-	touched := s.touched[:0]
+// (SPMSPV of Table I), folding every column of the frontier into the same
+// sparse accumulator the distributed kernels use, with sr's Add inlined
+// into the per-edge loop. The output is index-sorted.
+func seqSpMSpV(a *spmat.CSC, x *spvec.Sp, sr semiring.Semiring, s *spa) *spvec.Sp {
+	s.acc.Reset(a.Rows)
 	for k, j := range x.Ind {
-		prod := sr.Multiply(x.Val[k])
-		for _, i := range a.Column(j) {
-			if !s.mark[i] {
-				s.mark[i] = true
-				s.val[i] = sr.Add(sr.Identity(), prod)
-				touched = append(touched, i)
-			} else {
-				s.val[i] = sr.Add(s.val[i], prod)
-			}
-		}
+		s.acc.FoldColumn(a.Column(j), sr.Multiply(x.Val[k]), sr)
 	}
-	psort.KeyedWS(&s.intWS, touched, func(v int) uint64 { return uint64(v) }, 1)
-	s.touched = touched
+	touched := s.acc.Drain()
 	out := &spvec.Sp{Ind: make([]int, 0, len(touched)), Val: make([]int64, 0, len(touched))}
 	for _, i := range touched {
-		out.Append(i, s.val[i])
-		s.mark[i] = false
+		out.Append(i, s.acc.Value(i))
 	}
 	return out
 }
@@ -125,7 +111,7 @@ func seqSpMSpV[S semiring.Semiring](a *spmat.CSC, x *spvec.Sp, sr S, s *spa) *sp
 // folding labels with the semiring. The output equals
 // Select(seqSpMSpV(a, cur), unvisited) entry for entry — the sequential form
 // of the byte-identity the distributed BottomUpStep maintains.
-func seqBottomUp[S semiring.Semiring](a *spmat.CSC, vis spmat.Bitmap, cur *spvec.Sp, labels []int64, sr S, earlyExit bool, fill int64, s *spa) *spvec.Sp {
+func seqBottomUp(a *spmat.CSC, vis spmat.Bitmap, cur *spvec.Sp, labels []int64, sr semiring.Semiring, earlyExit bool, fill int64, s *spa) *spvec.Sp {
 	for _, v := range cur.Ind {
 		s.frontBits.Set(v)
 	}
@@ -161,7 +147,7 @@ func frontierEdges(x *spvec.Sp, deg []int64) int64 {
 type algSweeper struct {
 	a        *spmat.CSC
 	deg      []int64
-	sr       semiring.Select2ndMin
+	sr       semiring.Semiring
 	s        *spa
 	opt      Options
 	orderVis spmat.Bitmap
@@ -228,7 +214,7 @@ func (sw *algSweeper) Sweep(root, maxCand int) LevelStructure {
 // neighbours and is therefore byte-identical — hands every discovered vertex
 // its minimum-label parent; SORTPERM labels the next frontier
 // lexicographically by (parent label, degree, vertex id).
-func algebraicOrder(a *spmat.CSC, deg []int64, r []int64, root int, nv int64, sr semiring.Select2ndMin, s *spa, opt Options, orderVis spmat.Bitmap, mu *int64) int64 {
+func algebraicOrder(a *spmat.CSC, deg []int64, r []int64, root int, nv int64, sr semiring.Semiring, s *spa, opt Options, orderVis spmat.Bitmap, mu *int64) int64 {
 	pol := newDirPolicy(opt, a.Cols)
 	r[root] = nv
 	orderVis.Set(root)

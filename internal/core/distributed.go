@@ -265,7 +265,7 @@ type distSweeper struct {
 func (sw *distSweeper) Sweep(root, maxCand int) LevelStructure {
 	A, D, R, opt := sw.A, sw.D, sw.R, sw.opt
 	g := A.D.G
-	sr := semiring.Select2ndMin{}
+	sr := semiring.Select2ndMin
 	g.World.Stats().SetPhase(tally.PeripheralOther)
 	g.World.Stats().AddSweep(maxCand > 1)
 	L := distmat.NewVec(A.D, -1)
@@ -353,7 +353,7 @@ func (sw *distSweeper) Sweep(root, maxCand int) LevelStructure {
 // identical arithmetic on every rank.
 func distOrder(A *distmat.Mat, D *distmat.Vec, R *distmat.Vec, root int, nv int64, opt DistOptions, sortWS *distmat.SortWS, mu *int64) int64 {
 	g := A.D.G
-	sr := semiring.Select2ndMin{}
+	sr := semiring.Select2ndMin
 	g.World.Stats().SetPhase(tally.OrderingOther)
 	if R.Owns(root) {
 		R.Set(root, nv)

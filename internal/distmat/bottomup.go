@@ -72,7 +72,7 @@ func (m *Mat) ensureBottomUp() {
 // the dense visited state (R or L; entries >= 0 are visited); fill is the
 // value emitted for discovered vertices when labelFree. Collective; requires
 // a square grid.
-func BottomUpStep[S semiring.Semiring](m *Mat, x *SpV, vis *Vec, sr S, labelFree bool, fill int64) *SpV {
+func BottomUpStep(m *Mat, x *SpV, vis *Vec, sr semiring.Semiring, labelFree bool, fill int64) *SpV {
 	g := m.D.G
 	if g.Pr != g.Pc {
 		panic("distmat: BottomUpStep requires a square process grid")

@@ -24,7 +24,7 @@ func gatherSpV(x *SpV) ([]int, []int64) {
 // SELECT — same support, same values — across grid sizes and both block
 // storages, for the ordering fold and the label-free early-exit flavour.
 func TestBottomUpStepMatchesSpMSpV(t *testing.T) {
-	sr := semiring.Select2ndMin{}
+	sr := semiring.Select2ndMin
 	for _, p := range []int{1, 4, 9} {
 		for _, hyper := range []bool{false, true} {
 			for trial := 0; trial < 4; trial++ {

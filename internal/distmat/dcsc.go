@@ -9,7 +9,7 @@ import (
 // dominates the footprint; DCSC removes it (§IV-A discusses the local
 // format choice; DCSC is what CombBLAS itself uses in this regime).
 // The DCSC kernel itself lives next to the CSC one in distmat.go
-// (localSpMSpVDCSC / the LocalSpMSpVDCSC wrapper).
+// (Mat.LocalSpMSpVDCSC).
 func (m *Mat) DCSCBlock() *spmat.DCSC {
 	return spmat.DCSCFromCSC(m.Block)
 }

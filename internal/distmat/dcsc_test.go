@@ -22,8 +22,10 @@ func TestLocalSpMSpVDCSCMatchesCSC(t *testing.T) {
 			for g := m.ColLo; g < m.ColHi; g += 3 {
 				xj = append(xj, Entry{Ind: g, Val: int64(g * 2)})
 			}
-			sr := semiring.Select2ndMin{}
-			want := m.LocalSpMSpVCSC(xj, sr)
+			sr := semiring.Select2ndMin
+			// Both kernels return the workspace's output buffer: copy the
+			// CSC result out before the DCSC call overwrites it.
+			want := append([]Entry(nil), m.LocalSpMSpVCSC(xj, sr)...)
 			got := m.LocalSpMSpVDCSC(dc, xj, sr)
 			if len(got) != len(want) {
 				t.Fatalf("p=%d: %d vs %d entries", p, len(got), len(want))

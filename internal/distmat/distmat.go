@@ -12,10 +12,11 @@
 // of each rank tracks the modelled execution time of the paper's cost model.
 //
 // The hot-path primitives (SPMSPV, SORTPERM) run over per-rank scratch
-// workspaces: the Mat carries the SpMSpV exchange buffers, and SortWS
-// carries the SORTPERM ones, so the per-BFS-level steady state performs no
-// allocations beyond the output vector. The semiring is a type parameter of
-// the kernels, so concrete semirings dispatch statically.
+// workspaces: the Mat carries the SpMSpV exchange buffers and its sparse
+// accumulator, and SortWS carries the SORTPERM ones, so the per-BFS-level
+// steady state performs no allocations beyond the output vector. The
+// semiring is a plain value (semiring.Semiring) whose Add inlines into the
+// kernels' per-edge loops.
 package distmat
 
 import (
@@ -47,20 +48,17 @@ type spmspvWS struct {
 	mine    []Entry
 	swapped []Entry
 	xj      []Entry
-	touched []int
 	out     []Entry
 	send    [][]Entry
 	recv    []Entry
 	counts  []int
-	intWS   psort.Scratch[int]
-	runs    runHeap
 }
 
 // Mat is one rank's block of a distributed pattern matrix.
 type Mat struct {
 	D *grid.Dist
 	// RowLo/RowHi and ColLo/ColHi delimit the global index ranges of the
-	// local block; Block stores it in CSC with block-local indices.
+	// local block; Block stores it in CSC with block-local (int32) indices.
 	RowLo, RowHi int
 	ColLo, ColHi int
 	Block        *spmat.CSC
@@ -74,9 +72,9 @@ type Mat struct {
 	rt      *spmat.CSC
 	rtDCSC  *spmat.DCSC
 
-	// spa is the sparse-accumulator scratch reused across SpMSpV calls.
-	spaVal  []int64
-	spaMark []bool
+	// spa is the sparse accumulator of the local kernels and of the
+	// row-partial merge, reused across SpMSpV and bottom-up calls.
+	spa spmat.SPA
 	// ws holds the exchange and sort scratch of the SpMSpV pipeline; bu
 	// holds the bitmap and partial buffers of the bottom-up step.
 	ws spmspvWS
@@ -111,6 +109,8 @@ func NewMat(d *grid.Dist, a *spmat.CSR) *Mat {
 	m.RowLo, m.RowHi = d.MyRowRange()
 	m.ColLo, m.ColHi = d.MyColRange()
 	rows, cols := m.RowHi-m.RowLo, m.ColHi-m.ColLo
+	spmat.CheckIndexDim(rows)
+	spmat.CheckIndexDim(cols)
 	ptr := make([]int, cols+1)
 	for i := m.RowLo; i < m.RowHi; i++ {
 		for _, j := range colWindow(a.Row(i), m.ColLo, m.ColHi) {
@@ -122,21 +122,19 @@ func NewMat(d *grid.Dist, a *spmat.CSR) *Mat {
 	}
 	// Scatter with ptr[j] as column j's cursor; afterwards ptr[j] holds
 	// column j's end, and one shift restores the starts.
-	var rowIdx []int
+	var rowIdx []int32
 	if nnz := ptr[cols]; nnz > 0 {
-		rowIdx = make([]int, nnz)
+		rowIdx = make([]int32, nnz)
 	}
 	for i := m.RowLo; i < m.RowHi; i++ {
 		for _, j := range colWindow(a.Row(i), m.ColLo, m.ColHi) {
-			rowIdx[ptr[j-m.ColLo]] = i - m.RowLo
+			rowIdx[ptr[j-m.ColLo]] = int32(i - m.RowLo)
 			ptr[j-m.ColLo]++
 		}
 	}
 	copy(ptr[1:], ptr[:cols])
 	ptr[0] = 0
 	m.Block = &spmat.CSC{Rows: rows, Cols: cols, ColPtr: ptr, Row: rowIdx}
-	m.spaVal = make([]int64, rows)
-	m.spaMark = make([]bool, rows)
 	d.G.World.Stats().AddWork(int64(a.RowPtr[m.RowHi] - a.RowPtr[m.RowLo]))
 	return m
 }
@@ -345,16 +343,17 @@ func (x *SpV) ArgMinKBy(y *Vec, k int) []KeyedInd {
 //     partner, aligning vector pieces with processor columns;
 //  2. AllGatherv along the processor column, assembling the full frontier
 //     segment x_j needed by the column's matrix blocks;
-//  3. local CSC SpMSpV with a sparse accumulator;
+//  3. local CSC (or DCSC) SpMSpV into the Mat's sparse accumulator;
 //  4. AllToAllv along the processor row, routing output entries to their
-//     owners, merged with the semiring's addition.
+//     owners, merged with the semiring's addition in the same accumulator.
 //
-// All intermediate buffers come from the Mat's per-rank workspace, and the
-// semiring dispatches statically; steady-state calls allocate only the
+// All intermediate buffers come from the Mat's per-rank workspace, and sr's
+// Add inlines into the per-edge loop; steady-state calls allocate only the
 // output vector. Collective; requires a square grid.
-func SpMSpV[S semiring.Semiring](m *Mat, x *SpV, sr S) *SpV {
+func SpMSpV(m *Mat, x *SpV, sr semiring.Semiring) *SpV {
 	g := m.D.G
 	if g.Pr != g.Pc {
+		//lint:ignore hotalloc cold caller-bug exit, and a constant string boxes without allocating
 		panic("distmat: SpMSpV requires a square process grid")
 	}
 	ws := &m.ws
@@ -370,9 +369,9 @@ func SpMSpV[S semiring.Semiring](m *Mat, x *SpV, sr S) *SpV {
 	// Step 3: local multiply with a sparse accumulator.
 	var touched []Entry
 	if m.dcsc != nil {
-		touched = localSpMSpVDCSC(m, m.dcsc, ws.xj, sr)
+		touched = m.LocalSpMSpVDCSC(m.dcsc, ws.xj, sr)
 	} else {
-		touched = localSpMSpV(m, ws.xj, sr)
+		touched = m.LocalSpMSpVCSC(ws.xj, sr)
 	}
 
 	// Step 4: route outputs to their owners along the processor row.
@@ -385,7 +384,7 @@ func SpMSpV[S semiring.Semiring](m *Mat, x *SpV, sr S) *SpV {
 // of partials for (select2nd, min). The input is index-sorted and the
 // destination sub-chunks are contiguous index ranges in rank order, so the
 // send lists are subslices of it — no per-destination copies.
-func routeRowPartials[S semiring.Semiring](m *Mat, touched []Entry, sr S) *SpV {
+func routeRowPartials(m *Mat, touched []Entry, sr semiring.Semiring) *SpV {
 	g := m.D.G
 	ws := &m.ws
 	if cap(ws.send) < g.Pc {
@@ -406,95 +405,76 @@ func routeRowPartials[S semiring.Semiring](m *Mat, touched []Entry, sr S) *SpV {
 	}
 	ws.recv, ws.counts = comm.AllToAllvConcat(g.Row, send, ws.recv, ws.counts)
 	out := NewSpV(m.D)
-	mergeRuns(ws.recv, ws.counts, &out.Loc, sr, &ws.runs)
+	out.Loc = foldPartials(&m.spa, ws.recv, out.Lo, out.Hi-out.Lo, sr)
 	g.World.Stats().AddWork(int64(len(touched)) + int64(len(ws.recv)))
 	return out
 }
 
-// SpMSpV is the interface-dispatch form of the generic free function, kept
-// for callers that hold a Semiring value rather than a concrete type.
-func (m *Mat) SpMSpV(x *SpV, sr semiring.Semiring) *SpV {
-	return SpMSpV(m, x, sr)
+// foldPartials merges the runs the row exchange received — each
+// index-sorted, concatenated in source order, every index in [lo, lo+n) —
+// into one index-sorted vector, combining duplicate indices with sr's
+// addition. The accumulator folds in arrival order, so duplicates fold in
+// source order, as a stable sort of the concatenation would.
+func foldPartials(spa *spmat.SPA, all []Entry, lo, n int, sr semiring.Semiring) spvec.Sp {
+	spa.Reset(n)
+	for _, e := range all {
+		spa.Fold(e.Ind-lo, e.Val, sr)
+	}
+	var out spvec.Sp
+	if idx := spa.Drain(); len(idx) > 0 {
+		out.Ind = make([]int, len(idx))
+		out.Val = make([]int64, len(idx))
+		for k, i := range idx {
+			out.Ind[k] = lo + i
+			out.Val[k] = spa.Value(i)
+		}
+	}
+	return out
 }
 
-// LocalSpMSpVCSC runs the default local CSC kernel directly on a frontier
-// segment (global column indices). Exposed for the format ablation, which
-// compares it against LocalSpMSpVCSRScan.
+// LocalSpMSpVCSC is the local CSC kernel of SpMSpV (step 3): every frontier
+// entry (global column index) folds its value into the accumulator at each
+// row of its matrix column. Returns index-sorted entries with global row
+// indices, in the workspace's output buffer (valid until the next kernel
+// call on this Mat). The format ablation compares it against
+// LocalSpMSpVCSRScan.
 func (m *Mat) LocalSpMSpVCSC(xj []Entry, sr semiring.Semiring) []Entry {
-	return localSpMSpV(m, xj, sr)
+	m.spa.Reset(m.RowHi - m.RowLo)
+	work := int64(len(xj))
+	for _, e := range xj {
+		col := m.Block.Column(e.Ind - m.ColLo)
+		work += int64(len(col))
+		m.spa.FoldColumn(col, sr.Multiply(e.Val), sr)
+	}
+	return m.spaEmit(work)
 }
 
 // LocalSpMSpVDCSC is the local kernel over a DCSC block: identical output
 // to LocalSpMSpVCSC, with per-column binary searches over the compressed
 // column list instead of direct column-pointer indexing.
 func (m *Mat) LocalSpMSpVDCSC(d *spmat.DCSC, xj []Entry, sr semiring.Semiring) []Entry {
-	return localSpMSpVDCSC(m, d, xj, sr)
-}
-
-// localSpMSpV runs the CSC kernel: for every frontier entry, scan its matrix
-// column and accumulate with the semiring. Returns index-sorted entries with
-// global row indices, in the workspace's output buffer (valid until the next
-// kernel call on this Mat).
-func localSpMSpV[S semiring.Semiring](m *Mat, xj []Entry, sr S) []Entry {
-	ws := &m.ws
-	touchedRows := ws.touched[:0]
+	m.spa.Reset(m.RowHi - m.RowLo)
 	work := int64(len(xj))
 	for _, e := range xj {
-		lcol := e.Ind - m.ColLo
-		col := m.Block.Column(lcol)
-		work += int64(len(col))
-		prod := sr.Multiply(e.Val)
-		for _, lrow := range col {
-			if !m.spaMark[lrow] {
-				m.spaMark[lrow] = true
-				m.spaVal[lrow] = sr.Add(sr.Identity(), prod)
-				touchedRows = append(touchedRows, lrow)
-			} else {
-				m.spaVal[lrow] = sr.Add(m.spaVal[lrow], prod)
-			}
-		}
-	}
-	return spaEmit(m, touchedRows, work)
-}
-
-// localSpMSpVDCSC is the generic DCSC kernel behind LocalSpMSpVDCSC.
-func localSpMSpVDCSC[S semiring.Semiring](m *Mat, d *spmat.DCSC, xj []Entry, sr S) []Entry {
-	ws := &m.ws
-	touchedRows := ws.touched[:0]
-	work := int64(len(xj))
-	for _, e := range xj {
-		lcol := e.Ind - m.ColLo
-		col := d.Column(lcol)
+		col := d.Column(e.Ind - m.ColLo)
 		work += int64(len(col)) + 1 // +1 for the binary search probe
-		prod := sr.Multiply(e.Val)
-		for _, lrow := range col {
-			if !m.spaMark[lrow] {
-				m.spaMark[lrow] = true
-				m.spaVal[lrow] = sr.Add(sr.Identity(), prod)
-				touchedRows = append(touchedRows, lrow)
-			} else {
-				m.spaVal[lrow] = sr.Add(m.spaVal[lrow], prod)
-			}
-		}
+		m.spa.FoldColumn(col, sr.Multiply(e.Val), sr)
 	}
-	return spaEmit(m, touchedRows, work)
+	return m.spaEmit(work)
 }
 
-// spaEmit is the shared tail of the CSC and DCSC kernels: sort the touched
-// rows, drain the accumulator into index-sorted global entries, reset the
-// marks and charge the work.
-func spaEmit(m *Mat, touchedRows []int, work int64) []Entry {
-	ws := &m.ws
-	psort.KeyedWS(&ws.intWS, touchedRows, func(v int) uint64 { return uint64(v) }, 1)
-	ws.touched = touchedRows
-	out := ws.out[:0]
-	for _, lrow := range touchedRows {
-		out = append(out, Entry{Ind: m.RowLo + lrow, Val: m.spaVal[lrow]})
-		m.spaMark[lrow] = false
+// spaEmit is the shared tail of the CSC and DCSC kernels: drain the
+// accumulator into index-sorted global entries and charge the work. The
+// charge includes sortWork for the touched rows whichever way the drain
+// ran: the model prices the paper's kernel, which sorts them.
+func (m *Mat) spaEmit(work int64) []Entry {
+	rows := m.spa.Drain()
+	out := m.ws.out[:0]
+	for _, lrow := range rows {
+		out = append(out, Entry{Ind: m.RowLo + lrow, Val: m.spa.Value(lrow)})
 	}
-	ws.out = out
-	work += sortWork(len(touchedRows)) + int64(len(touchedRows))
-	m.D.G.World.Stats().AddWork(work)
+	m.ws.out = out
+	m.D.G.World.Stats().AddWork(work + sortWork(len(rows)) + int64(len(rows)))
 	return out
 }
 
@@ -548,88 +528,4 @@ func packEntriesInto(s *spvec.Sp, buf []Entry) []Entry {
 		out = append(out, Entry{Ind: s.Ind[k], Val: s.Val[k]})
 	}
 	return out
-}
-
-// runHeap is the reusable scratch of mergeRuns: a read cursor and an end
-// per run, and a binary min-heap of the runs that still hold entries,
-// ordered by (index at the cursor, run).
-type runHeap struct {
-	pos, end []int
-	heap     []int
-}
-
-// mergeRuns merges the index-sorted runs received from the row exchange —
-// counts[s] entries from source s, concatenated in source order — into dst,
-// combining duplicate indices with the semiring's addition. The heap of run
-// heads makes it O(len(all) log runs); breaking index ties by source folds
-// duplicates in source order, exactly as a stable sort of the concatenation
-// would. The last run standing drains without the heap.
-func mergeRuns[S semiring.Semiring](all []Entry, counts []int, dst *spvec.Sp, sr S, h *runHeap) {
-	if len(all) == 0 {
-		return
-	}
-	dst.Ind = make([]int, 0, len(all))
-	dst.Val = make([]int64, 0, len(all))
-	h.pos, h.end, h.heap = h.pos[:0], h.end[:0], h.heap[:0]
-	off := 0
-	for s, c := range counts {
-		h.pos = append(h.pos, off)
-		off += c
-		h.end = append(h.end, off)
-		if c > 0 {
-			h.heap = append(h.heap, s)
-		}
-	}
-	for k := len(h.heap)/2 - 1; k >= 0; k-- {
-		h.down(all, k)
-	}
-	for len(h.heap) > 1 {
-		s := h.heap[0]
-		foldEntry(dst, all[h.pos[s]], sr)
-		if h.pos[s]++; h.pos[s] == h.end[s] {
-			last := len(h.heap) - 1
-			h.heap[0] = h.heap[last]
-			h.heap = h.heap[:last]
-		}
-		h.down(all, 0)
-	}
-	s := h.heap[0]
-	for _, e := range all[h.pos[s]:h.end[s]] {
-		foldEntry(dst, e, sr)
-	}
-}
-
-// foldEntry appends e to the index-sorted dst, or adds its value into the
-// last entry when the index repeats.
-func foldEntry[S semiring.Semiring](dst *spvec.Sp, e Entry, sr S) {
-	if n := dst.Len(); n > 0 && dst.Ind[n-1] == e.Ind {
-		dst.Val[n-1] = sr.Add(dst.Val[n-1], e.Val)
-	} else {
-		dst.Append(e.Ind, e.Val)
-	}
-}
-
-// less orders runs a and b by the index at their cursors, then by run.
-func (h *runHeap) less(all []Entry, a, b int) bool {
-	ia, ib := all[h.pos[a]].Ind, all[h.pos[b]].Ind
-	return ia < ib || (ia == ib && a < b)
-}
-
-// down restores the heap order below slot k.
-func (h *runHeap) down(all []Entry, k int) {
-	n := len(h.heap)
-	for {
-		c := 2*k + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && h.less(all, h.heap[c+1], h.heap[c]) {
-			c++
-		}
-		if !h.less(all, h.heap[c], h.heap[k]) {
-			return
-		}
-		h.heap[k], h.heap[c] = h.heap[c], h.heap[k]
-		k = c
-	}
 }

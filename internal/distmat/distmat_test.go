@@ -246,7 +246,7 @@ func seqSpMSpVRef(a *spmat.CSR, x map[int]int64, sr semiring.Semiring) map[int]i
 
 func TestSpMSpVMatchesReference(t *testing.T) {
 	a := randSym(3, 30, 70)
-	srs := []semiring.Semiring{semiring.Select2ndMin{}, semiring.PlusTimes{}, semiring.Select2ndMax{}}
+	srs := []semiring.Semiring{semiring.Select2ndMin, semiring.PlusTimes, semiring.Select2ndMax}
 	for _, sr := range srs {
 		// Sparse input: a few entries with distinct values.
 		in := map[int]int64{2: 10, 11: 4, 17: 25, 29: 7}
@@ -262,7 +262,7 @@ func TestSpMSpVMatchesReference(t *testing.T) {
 						x.Loc.Append(g, v)
 					}
 				}
-				y := m.SpMSpV(x, sr)
+				y := SpMSpV(m, x, sr)
 				if !y.Loc.IsSorted() {
 					t.Errorf("p=%d %s: output unsorted", p, sr.Name())
 				}
@@ -297,7 +297,7 @@ func TestQuickSpMSpVAnyGridMatchesSequential(t *testing.T) {
 		for k := 0; k < 1+rng.Intn(5); k++ {
 			in[rng.Intn(n)] = int64(rng.Intn(100))
 		}
-		sr := semiring.Select2ndMin{}
+		sr := semiring.Select2ndMin
 		want := seqSpMSpVRef(a, in, sr)
 		p := []int{1, 4, 9}[rng.Intn(3)]
 		got := map[int]int64{}
@@ -311,7 +311,7 @@ func TestQuickSpMSpVAnyGridMatchesSequential(t *testing.T) {
 					x.Loc.Append(g, v)
 				}
 			}
-			y := m.SpMSpV(x, sr)
+			y := SpMSpV(m, x, sr)
 			for k, i := range y.Loc.Ind {
 				ch <- Entry{Ind: i, Val: y.Loc.Val[k]}
 			}
@@ -331,7 +331,7 @@ func TestSpMSpVEmptyInput(t *testing.T) {
 	a := randSym(5, 20, 40)
 	onGrid(t, 4, a.N, func(d *grid.Dist) {
 		m := NewMat(d, a)
-		y := m.SpMSpV(NewSpV(d), semiring.Select2ndMin{})
+		y := SpMSpV(m, NewSpV(d), semiring.Select2ndMin)
 		if y.Nnz() != 0 {
 			t.Errorf("empty input produced %d outputs", y.Nnz())
 		}
@@ -508,7 +508,7 @@ func TestLocalSpMSpVCSRScanMatchesCSC(t *testing.T) {
 		var rr, cc []int
 		for lc := 0; lc < m.Block.Cols; lc++ {
 			for _, lr := range m.Block.Column(lc) {
-				rr = append(rr, lr)
+				rr = append(rr, int(lr))
 				cc = append(cc, lc)
 			}
 		}
@@ -523,7 +523,7 @@ func TestLocalSpMSpVCSRScanMatchesCSC(t *testing.T) {
 			dim = c
 		}
 		csr := spmat.FromCoords(dim, es, true)
-		sr := semiring.Select2ndMin{}
+		sr := semiring.Select2ndMin
 		xj := []Entry{}
 		for g := m.ColLo; g < m.ColHi; g += 2 {
 			xj = append(xj, Entry{Ind: g, Val: int64(g + 1)})

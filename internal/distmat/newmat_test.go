@@ -63,7 +63,11 @@ func coordsBlock(d *grid.Dist, a *spmat.CSR) (*spmat.CSC, int) {
 		}
 		outPtr[j+1] = w
 	}
-	return &spmat.CSC{Rows: rows, Cols: cols, ColPtr: outPtr, Row: append([]int(nil), rowIdx[:w]...)}, scanned
+	var row32 []int32 // nil for an empty block, as NewMat leaves it
+	for _, r := range rowIdx[:w] {
+		row32 = append(row32, int32(r))
+	}
+	return &spmat.CSC{Rows: rows, Cols: cols, ColPtr: outPtr, Row: row32}, scanned
 }
 
 // randPattern builds a random pattern, symmetric or not.

@@ -276,7 +276,7 @@ func DegreeVec(m *Mat) *Vec {
 	for lcol := 0; lcol < m.Block.Cols; lcol++ {
 		gcol := m.ColLo + lcol
 		for _, lrow := range m.Block.Column(lcol) {
-			if m.RowLo+lrow != gcol {
+			if m.RowLo+int(lrow) != gcol {
 				local[lrow]++
 			}
 		}

@@ -11,18 +11,19 @@ import (
 	"repro/internal/grid"
 	"repro/internal/psort"
 	"repro/internal/semiring"
+	"repro/internal/spmat"
 	"repro/internal/spvec"
 	"repro/internal/tally"
 )
 
-// The sort-free BFS tails — the run merge of routeRowPartials and the
-// return leg of SORTPERM — are pinned to the sort-based code they replaced,
-// kept below verbatim as test oracles.
+// The sort-free BFS tails — the accumulator behind SpMSpV's local kernels
+// and row-partial merge, and the return leg of SORTPERM — are pinned to the
+// sort-based code they replaced, kept below verbatim as test oracles.
 
-// refMergeEntries is the old routeRowPartials merge: one stable keyed sort
-// of the concatenated runs by index, then a fold of duplicate indices in
-// that order.
-func refMergeEntries[S semiring.Semiring](all []Entry, dst *spvec.Sp, sr S, ws *psort.Scratch[Entry]) {
+// refMergeEntries is the merge routeRowPartials ran before the heap merge: one
+// stable keyed sort of the concatenated runs by index, then a fold of
+// duplicate indices in that order.
+func refMergeEntries(all []Entry, dst *spvec.Sp, sr semiring.Semiring, ws *psort.Scratch[Entry]) {
 	if len(all) == 0 {
 		return
 	}
@@ -38,61 +39,307 @@ func refMergeEntries[S semiring.Semiring](all []Entry, dst *spvec.Sp, sr S, ws *
 	}
 }
 
-// firstWins is an order-sensitive fold: it keeps the first value, so a
-// merge that folds duplicates out of source order shows in the result.
-type firstWins struct{}
+// runHeap is the reusable scratch of refMergeRuns: a read cursor and an end
+// per run, and a binary min-heap of the runs that still hold entries,
+// ordered by (index at the cursor, run).
+type runHeap struct {
+	pos, end []int
+	heap     []int
+}
 
-func (firstWins) Multiply(x int64) int64 { return x }
-func (firstWins) Add(a, b int64) int64   { return a }
-func (firstWins) Identity() int64        { return math.MinInt64 }
-func (firstWins) Name() string           { return "first" }
+// refMergeRuns is the merge routeRowPartials ran before the accumulator: the
+// index-sorted runs received from the row exchange — counts[s] entries from
+// source s, concatenated in source order — are merged into dst with a heap
+// of run heads, combining duplicate indices with the semiring's addition.
+// Breaking index ties by source folds duplicates in source order. The last
+// run standing drains without the heap.
+func refMergeRuns(all []Entry, counts []int, dst *spvec.Sp, sr semiring.Semiring, h *runHeap) {
+	if len(all) == 0 {
+		return
+	}
+	dst.Ind = make([]int, 0, len(all))
+	dst.Val = make([]int64, 0, len(all))
+	h.pos, h.end, h.heap = h.pos[:0], h.end[:0], h.heap[:0]
+	off := 0
+	for s, c := range counts {
+		h.pos = append(h.pos, off)
+		off += c
+		h.end = append(h.end, off)
+		if c > 0 {
+			h.heap = append(h.heap, s)
+		}
+	}
+	for k := len(h.heap)/2 - 1; k >= 0; k-- {
+		h.down(all, k)
+	}
+	for len(h.heap) > 1 {
+		s := h.heap[0]
+		foldEntry(dst, all[h.pos[s]], sr)
+		if h.pos[s]++; h.pos[s] == h.end[s] {
+			last := len(h.heap) - 1
+			h.heap[0] = h.heap[last]
+			h.heap = h.heap[:last]
+		}
+		h.down(all, 0)
+	}
+	s := h.heap[0]
+	for _, e := range all[h.pos[s]:h.end[s]] {
+		foldEntry(dst, e, sr)
+	}
+}
 
-// sortedRun draws an index-sorted run of up to maxLen entries over
-// [0, span), repeats allowed.
-func sortedRun(rng *rand.Rand, maxLen, span int) []Entry {
+// foldEntry appends e to the index-sorted dst, or adds its value into the
+// last entry when the index repeats.
+func foldEntry(dst *spvec.Sp, e Entry, sr semiring.Semiring) {
+	if n := dst.Len(); n > 0 && dst.Ind[n-1] == e.Ind {
+		dst.Val[n-1] = sr.Add(dst.Val[n-1], e.Val)
+	} else {
+		dst.Append(e.Ind, e.Val)
+	}
+}
+
+// less orders runs a and b by the index at their cursors, then by run.
+func (h *runHeap) less(all []Entry, a, b int) bool {
+	ia, ib := all[h.pos[a]].Ind, all[h.pos[b]].Ind
+	return ia < ib || (ia == ib && a < b)
+}
+
+// down restores the heap order below slot k.
+func (h *runHeap) down(all []Entry, k int) {
+	n := len(h.heap)
+	for {
+		c := 2*k + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && h.less(all, h.heap[c+1], h.heap[c]) {
+			c++
+		}
+		if !h.less(all, h.heap[c], h.heap[k]) {
+			return
+		}
+		h.heap[k], h.heap[c] = h.heap[c], h.heap[k]
+		k = c
+	}
+}
+
+// refSPA is the accumulator the local kernels used before the bitmap: a
+// dense value array, a mark per row, and the touched list radix-sorted on
+// every drain.
+type refSPA struct {
+	val     []int64
+	mark    []bool
+	touched []int
+	intWS   psort.Scratch[int]
+	runs    runHeap
+}
+
+// refLocalSpMSpV is the CSC/DCSC local kernel before the bitmap (column
+// looks up a block column; probe is the per-column charge of its lookup),
+// with its radix-sorted drain (the old spaEmit).
+func refLocalSpMSpV(m *Mat, s *refSPA, column func(int) []int32, probe int64, xj []Entry, sr semiring.Semiring) []Entry {
+	if s.val == nil {
+		s.val = make([]int64, m.RowHi-m.RowLo)
+		s.mark = make([]bool, m.RowHi-m.RowLo)
+	}
+	touchedRows := s.touched[:0]
+	work := int64(len(xj))
+	for _, e := range xj {
+		col := column(e.Ind - m.ColLo)
+		work += int64(len(col)) + probe
+		prod := sr.Multiply(e.Val)
+		for _, r := range col {
+			lrow := int(r)
+			if !s.mark[lrow] {
+				s.mark[lrow] = true
+				s.val[lrow] = sr.Add(sr.Identity(), prod)
+				touchedRows = append(touchedRows, lrow)
+			} else {
+				s.val[lrow] = sr.Add(s.val[lrow], prod)
+			}
+		}
+	}
+	psort.KeyedWS(&s.intWS, touchedRows, func(v int) uint64 { return uint64(v) }, 1)
+	s.touched = touchedRows
+	out := m.ws.out[:0]
+	for _, lrow := range touchedRows {
+		out = append(out, Entry{Ind: m.RowLo + lrow, Val: s.val[lrow]})
+		s.mark[lrow] = false
+	}
+	m.ws.out = out
+	work += sortWork(len(touchedRows)) + int64(len(touchedRows))
+	m.D.G.World.Stats().AddWork(work)
+	return out
+}
+
+// refSpMSpV is SpMSpV before the accumulator: the same collectives around
+// refLocalSpMSpV and the heap merge of routeRowPartials.
+func refSpMSpV(m *Mat, x *SpV, sr semiring.Semiring, s *refSPA) *SpV {
+	g := m.D.G
+	ws := &m.ws
+	ws.mine = packEntriesInto(&x.Loc, ws.mine)
+	ws.swapped = comm.ExchangeInto(g.World, g.TransposeRank(), ws.mine, ws.swapped)
+	ws.xj = comm.AllGathervConcatInto(g.Col, ws.swapped, ws.xj)
+	var touched []Entry
+	if m.dcsc != nil {
+		touched = refLocalSpMSpV(m, s, m.dcsc.Column, 1, ws.xj, sr)
+	} else {
+		touched = refLocalSpMSpV(m, s, m.Block.Column, 0, ws.xj, sr)
+	}
+	if cap(ws.send) < g.Pc {
+		ws.send = make([][]Entry, g.Pc)
+	}
+	send := ws.send[:g.Pc]
+	pos := 0
+	for j := 0; j < g.Pc; j++ {
+		hi := m.RowHi
+		if j < g.Pc-1 {
+			hi = m.D.SubStart(g.MyRow, j+1)
+		}
+		start := pos
+		for pos < len(touched) && touched[pos].Ind < hi {
+			pos++
+		}
+		send[j] = touched[start:pos]
+	}
+	ws.recv, ws.counts = comm.AllToAllvConcat(g.Row, send, ws.recv, ws.counts)
+	out := NewSpV(m.D)
+	refMergeRuns(ws.recv, ws.counts, &out.Loc, sr, &s.runs)
+	g.World.Stats().AddWork(int64(len(touched)) + int64(len(ws.recv)))
+	return out
+}
+
+// sortedRun draws an index-sorted run of up to maxLen entries from the
+// index pool, repeats allowed.
+func sortedRun(rng *rand.Rand, maxLen int, pool []int) []Entry {
 	run := make([]Entry, rng.Intn(maxLen+1))
 	for k := range run {
-		run[k] = Entry{Ind: rng.Intn(span), Val: int64(rng.Intn(1000))}
+		run[k] = Entry{Ind: pool[rng.Intn(len(pool))], Val: int64(rng.Intn(1000))}
 	}
 	sort.SliceStable(run, func(a, b int) bool { return run[a].Ind < run[b].Ind })
 	return run
 }
 
-// TestMergeRunsMatchesSortOracle pins mergeRuns to the stable-sort merge on
-// 1–8 sources whose runs share indices (duplicates within and across runs,
-// empty runs), under order-insensitive and order-sensitive folds, with one
-// heap reused throughout.
+// mergeSemirings are the folds the merge oracles run under: Select2ndAny
+// keeps the first value, so a merge that folds duplicates out of source
+// order shows in the result.
+var mergeSemirings = []semiring.Semiring{semiring.Select2ndAny, semiring.PlusTimes, semiring.Select2ndMin, semiring.Select2ndMax}
+
+// TestMergeRunsMatchesSortOracle pins the accumulator merge of
+// routeRowPartials to the heap merge and the stable-sort merge it replaced,
+// on 1–8 sources whose runs share indices (duplicates within and across
+// runs, empty runs), under order-insensitive and order-sensitive folds, with
+// one accumulator and one heap reused throughout. Even trials draw from
+// every index of a space of at most 80, so the drain scans the bitmap; odd
+// trials draw from at most 16 indices of a space of 100,000 or more, so it
+// sorts the touched list.
 func TestMergeRunsMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	var spa spmat.SPA
 	var h runHeap
 	var ws psort.Scratch[Entry]
 	for sources := 1; sources <= 8; sources++ {
 		for trial := 0; trial < 60; trial++ {
-			span := 1 + rng.Intn(80)
+			lo := rng.Intn(1000)
+			n := 1 + rng.Intn(80)
+			pool := make([]int, n)
+			for k := range pool {
+				pool[k] = lo + k
+			}
+			if trial%2 == 1 {
+				n = 100000 + rng.Intn(100000)
+				pool = pool[:0]
+				for k := 1 + rng.Intn(16); k > 0; k-- {
+					pool = append(pool, lo+rng.Intn(n))
+				}
+			}
 			var all []Entry
 			counts := make([]int, sources)
 			for s := range counts {
-				run := sortedRun(rng, 40, span)
+				run := sortedRun(rng, 40, pool)
 				counts[s] = len(run)
 				all = append(all, run...)
 			}
-			check := func(name string, got, want spvec.Sp) {
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("sources=%d trial=%d %s: mergeRuns = %v, want %v (counts %v)", sources, trial, name, got, want, counts)
+			for _, sr := range mergeSemirings {
+				got := foldPartials(&spa, all, lo, n, sr)
+				var heap, sorted spvec.Sp
+				refMergeRuns(all, counts, &heap, sr, &h)
+				refMergeEntries(append([]Entry(nil), all...), &sorted, sr, &ws)
+				if !reflect.DeepEqual(got, heap) || !reflect.DeepEqual(got, sorted) {
+					t.Fatalf("sources=%d trial=%d %s: foldPartials = %v, heap merge %v, sort merge %v (counts %v)",
+						sources, trial, sr.Name(), got, heap, sorted, counts)
 				}
 			}
-			var got, want spvec.Sp
-			mergeRuns(all, counts, &got, firstWins{}, &h)
-			refMergeEntries(append([]Entry(nil), all...), &want, firstWins{}, &ws)
-			check("first", got, want)
-			got, want = spvec.Sp{}, spvec.Sp{}
-			mergeRuns(all, counts, &got, semiring.PlusTimes{}, &h)
-			refMergeEntries(append([]Entry(nil), all...), &want, semiring.PlusTimes{}, &ws)
-			check("plus", got, want)
-			got, want = spvec.Sp{}, spvec.Sp{}
-			mergeRuns(all, counts, &got, semiring.Select2ndMin{}, &h)
-			refMergeEntries(append([]Entry(nil), all...), &want, semiring.Select2ndMin{}, &ws)
-			check("min", got, want)
+		}
+	}
+}
+
+// spmspvLevels runs spmspv on every rank of a p-rank grid over a sequence
+// of random frontiers of a, one per density (a density of 0 is a single
+// vertex), with one Mat per rank reused across them as the BFS does. It
+// returns each rank's output vectors per level together with the ranks'
+// modelled stats.
+func spmspvLevels(p int, a *spmat.CSR, densities []float64, dcsc bool, spmspv func(m *Mat, x *SpV) *SpV) ([][]spvec.Sp, []tally.Stats) {
+	out := make([][]spvec.Sp, p)
+	stats := comm.Run(p, nil, func(c *comm.Comm) {
+		d := grid.NewDist(grid.Square(c), a.N)
+		m := NewMat(d, a)
+		if dcsc {
+			m.EnableDCSC()
+		}
+		for l, density := range densities {
+			rng := rand.New(rand.NewSource(int64(7*a.N + l)))
+			x := NewSpV(d)
+			single := rng.Intn(a.N)
+			for v := 0; v < a.N; v++ {
+				in := v == single || rng.Float64() < density
+				val := int64(rng.Intn(50))
+				if in && x.Owns(v) {
+					x.Loc.Append(v, val)
+				}
+			}
+			out[c.Rank()] = append(out[c.Rank()], spmspv(m, x).Loc)
+		}
+	})
+	st := make([]tally.Stats, len(stats))
+	for k, s := range stats {
+		st[k] = *s
+	}
+	return out, st
+}
+
+// TestSpMSpVMatchesSortOracle pins SpMSpV — outputs level by level and
+// every modelled charge — to the kernels it replaced (marks plus a
+// radix-sorted drain, then the heap merge), at p = 1, 4, 9 and 16, over CSC
+// and DCSC blocks, under the RCM fold and an order-sensitive one. The small
+// matrix takes frontiers up to every vertex; the large one takes frontiers
+// sparse enough that the accumulator drains by sort as well as by scan.
+func TestSpMSpVMatchesSortOracle(t *testing.T) {
+	for _, p := range []int{1, 4, 9, 16} {
+		for _, tc := range []struct {
+			n         int
+			densities []float64
+		}{
+			{37, []float64{0, 0.02, 0.3, 1, 0.6}},
+			{20000, []float64{0, 0.0005, 0.002, 0.01}},
+		} {
+			n := tc.n
+			a := randSym(int64(n+p), n, 3*n)
+			for _, dcsc := range []bool{false, true} {
+				for _, sr := range []semiring.Semiring{semiring.Select2ndMin, semiring.Select2ndAny} {
+					got, gotStats := spmspvLevels(p, a, tc.densities, dcsc, func(m *Mat, x *SpV) *SpV { return SpMSpV(m, x, sr) })
+					refs := make([]refSPA, p)
+					want, wantStats := spmspvLevels(p, a, tc.densities, dcsc, func(m *Mat, x *SpV) *SpV {
+						return refSpMSpV(m, x, sr, &refs[m.D.G.World.Rank()])
+					})
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("p=%d n=%d dcsc=%v %s: outputs differ from the sort-based oracle\n got %v\nwant %v", p, n, dcsc, sr.Name(), got, want)
+					}
+					if !reflect.DeepEqual(gotStats, wantStats) {
+						t.Errorf("p=%d n=%d dcsc=%v %s: modelled charges differ from the sort-based oracle", p, n, dcsc, sr.Name())
+					}
+				}
+			}
 		}
 	}
 }

@@ -81,6 +81,9 @@ func DefaultConfig() *Config {
 				"CSR.DegreesPar", "CSR.BandwidthPar", "CSR.ProfilePar", "CSR.WavefrontPar",
 				"CSR.FillProxy", "CSR.FillProxyPar",
 				"PatternDigest", "PatternHasher.WriteInts", "PatternHasher.SumHex",
+				// The sparse accumulator every SpMSpV folds into, per
+				// edge and per BFS level.
+				"SPA.Fold", "SPA.FoldColumn", "SPA.Drain",
 			},
 			// AMD pivot kernels: the per-round parallel phases — every
 			// allocation inside them multiplies by pivots × rounds, and fmt
@@ -91,12 +94,16 @@ func DefaultConfig() *Config {
 			},
 			// The simulator's fixed costs: every collective waits at two
 			// barriers (thousands per distributed order on a mesh), and
-			// every rank extracts its block once per order. The SpMSpV run
-			// merge and SORTPERM run once per BFS level, and radixPass
-			// under every keyed sort of the frontier pipeline.
-			"internal/comm":    {"barrier.wait"},
-			"internal/distmat": {"NewMat", "mergeRuns", "SortPermWS"},
-			"internal/psort":   {"radixPass"},
+			// every rank extracts its block once per order. SpMSpV — its
+			// local CSC/DCSC kernels, their drain, the row routing and the
+			// partial merge — and SORTPERM run once per BFS level, and
+			// radixPass under every keyed sort of the frontier pipeline.
+			"internal/comm": {"barrier.wait"},
+			"internal/distmat": {
+				"NewMat", "SpMSpV", "Mat.LocalSpMSpVCSC", "Mat.LocalSpMSpVDCSC", "Mat.spaEmit",
+				"routeRowPartials", "foldPartials", "SortPermWS",
+			},
+			"internal/psort": {"radixPass"},
 			// The coalescing cache's lookup: every request at both tiers,
 			// hit or miss, passes through it.
 			"internal/memo": {"Cache.Get"},

@@ -23,6 +23,10 @@ import (
 // The sanctioned forms are strconv.Append*, append to a reused []byte, and
 // errors.New for fixed messages. A deliberate boxing site is annotated
 // //lint:ignore hotalloc <why the allocation is acceptable>.
+//
+// A HotPaths entry that names no function of its (loaded) package is itself
+// a diagnostic, reported at the package clause: it guards nothing, so a
+// rename or deletion must update the list rather than silently drop a guard.
 var hotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "no fmt calls or interface boxing in designated hot paths",
@@ -31,6 +35,7 @@ var hotAllocAnalyzer = &Analyzer{
 		if hot == nil {
 			return
 		}
+		found := make(map[string]bool, len(hot))
 		for _, f := range pass.Pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -41,7 +46,13 @@ var hotAllocAnalyzer = &Analyzer{
 				if !hot[name] {
 					continue
 				}
+				found[name] = true
 				checkHotFunc(pass, fd, name)
+			}
+		}
+		for _, name := range pass.Cfg.HotPaths[pass.Cfg.relPath(pass.Pkg)] {
+			if !found[name] && len(pass.Pkg.Files) > 0 {
+				pass.Reportf(pass.Pkg.Files[0].Package, "HotPaths entry %s names no function in package %s: update the list", name, pass.Pkg.Path)
 			}
 		}
 	},

@@ -15,7 +15,7 @@ import (
 var fixtureConfigs = map[string]*Config{
 	"mapiter":     {MapIterPkgs: []string{"."}},
 	"lockstep":    {LockstepPkgs: []string{"."}, CommPkgs: []string{"comm"}},
-	"hotalloc":    {HotPaths: map[string][]string{".": {"Hot", "Key.Append"}}},
+	"hotalloc":    {HotPaths: map[string][]string{".": {"Hot", "Key.Append", "Renamed"}}},
 	"unsafeguard": {UnsafeFiles: []string{"allowed.go"}},
 	"nopanic":     {NoPanicPkgs: []string{"."}},
 }

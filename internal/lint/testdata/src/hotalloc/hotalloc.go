@@ -1,7 +1,8 @@
 // Package hotalloc is the hotalloc-check fixture: fmt calls and interface
 // boxing are flagged inside the configured hot functions (Hot and
-// Key.Append here) and ignored everywhere else.
-package hotalloc
+// Key.Append here) and ignored everywhere else. The configured Renamed
+// exists nowhere, so the stale entry is flagged at the package clause.
+package hotalloc // want hotalloc
 
 import (
 	"errors"

@@ -9,107 +9,77 @@
 // the distributed ordering identical to the sequential one — and it is what
 // the reproduction's equivalence tests rely on.
 //
-// The SpMSpV kernels take the semiring as a type parameter constrained by
-// Semiring (distmat.SpMSpV[S], core's sequential kernel), so passing one of
-// the concrete types below dispatches Multiply/Add statically — no
-// interface calls in the inner loops. The Semiring interface remains the
-// constraint and the dynamic fallback for callers that select a semiring at
-// runtime.
+// Semiring is a closed value type over the four built-in pairs, not an
+// interface: Multiply, Add and Identity are a switch small enough to inline
+// into the kernels' per-edge loops (distmat.SpMSpV, the bottom-up kernels,
+// the sparse accumulator), so a fold costs a compare, not a call.
 package semiring
 
 import "math"
 
 // Semiring is an overloaded (multiply, add) pair over int64 vector values
-// and binary matrix values.
-type Semiring interface {
-	// Multiply combines a (structural) matrix entry with the vector value
-	// x of its column: for select2nd semirings it simply returns x.
-	Multiply(x int64) int64
-	// Add combines two products accumulated on the same output index.
-	Add(a, b int64) int64
-	// Identity is the additive identity (the "empty accumulator" value).
-	Identity() int64
-	// Name identifies the semiring in reports.
-	Name() string
-}
+// and binary matrix values. The four constants below are its only values.
+type Semiring uint8
 
-// Select2ndMin is the deterministic BFS/RCM semiring (select2nd, min).
-type Select2ndMin struct{}
+const (
+	// Select2ndMin is the deterministic BFS/RCM semiring (select2nd, min).
+	Select2ndMin Semiring = iota
+	// Select2ndMax is (select2nd, max); used by tests to show the ordering
+	// is sensitive to the additive operation.
+	Select2ndMax
+	// Select2ndAny is the nondeterministic variant: any visited neighbour
+	// may become the parent (first writer wins). The paper notes the min
+	// overload in Algorithm 4 "can be replaced by any equivalent
+	// operation"; this is that replacement. Because it keeps the first
+	// value, it is also the order-sensitive fold the tests use to show
+	// duplicates fold in source order.
+	Select2ndAny
+	// PlusTimes is the arithmetic semiring over int64, used by SpMSpV
+	// correctness tests against a dense reference multiply.
+	PlusTimes
+)
 
-// Multiply returns the vector value (select2nd).
-func (Select2ndMin) Multiply(x int64) int64 { return x }
+// Multiply combines a (structural) matrix entry with the vector value x of
+// its column: every built-in semiring selects x (select2nd, or × by the
+// structural 1).
+func (Semiring) Multiply(x int64) int64 { return x }
 
-// Add keeps the minimum.
-func (Select2ndMin) Add(a, b int64) int64 {
-	if a < b {
+// Add combines two products accumulated on the same output index.
+func (s Semiring) Add(a, b int64) int64 {
+	switch s {
+	case Select2ndMin:
+		return min(a, b)
+	case Select2ndMax:
+		return max(a, b)
+	case Select2ndAny:
+		if a == math.MaxInt64 {
+			return b
+		}
 		return a
 	}
-	return b
+	return a + b
 }
 
-// Identity returns +∞ for min.
-func (Select2ndMin) Identity() int64 { return math.MaxInt64 }
-
-// Name returns the semiring's report name.
-func (Select2ndMin) Name() string { return "(select2nd,min)" }
-
-// Select2ndMax is (select2nd, max); used by tests to show the ordering is
-// sensitive to the additive operation, and by the semiring ablation.
-type Select2ndMax struct{}
-
-// Multiply returns the vector value (select2nd).
-func (Select2ndMax) Multiply(x int64) int64 { return x }
-
-// Add keeps the maximum.
-func (Select2ndMax) Add(a, b int64) int64 {
-	if a > b {
-		return a
+// Identity is the additive identity (the "empty accumulator" value).
+func (s Semiring) Identity() int64 {
+	switch s {
+	case Select2ndMax:
+		return math.MinInt64
+	case PlusTimes:
+		return 0
 	}
-	return b
+	return math.MaxInt64
 }
 
-// Identity returns -∞ for max.
-func (Select2ndMax) Identity() int64 { return math.MinInt64 }
-
-// Name returns the semiring's report name.
-func (Select2ndMax) Name() string { return "(select2nd,max)" }
-
-// Select2ndAny is the nondeterministic variant: any visited neighbour may
-// become the parent (first writer wins). The paper notes the min overload in
-// Algorithm 4 "can be replaced by any equivalent operation"; this is that
-// replacement, and the semiring ablation measures its effect on quality when
-// (incorrectly) used for the ordering traversal too.
-type Select2ndAny struct{}
-
-// Multiply returns the vector value (select2nd).
-func (Select2ndAny) Multiply(x int64) int64 { return x }
-
-// Add keeps the first accumulated value.
-func (Select2ndAny) Add(a, b int64) int64 {
-	if a == math.MaxInt64 {
-		return b
+// Name identifies the semiring in reports.
+func (s Semiring) Name() string {
+	switch s {
+	case Select2ndMin:
+		return "(select2nd,min)"
+	case Select2ndMax:
+		return "(select2nd,max)"
+	case Select2ndAny:
+		return "(select2nd,any)"
 	}
-	return a
+	return "(+,×)"
 }
-
-// Identity returns the "unset" marker.
-func (Select2ndAny) Identity() int64 { return math.MaxInt64 }
-
-// Name returns the semiring's report name.
-func (Select2ndAny) Name() string { return "(select2nd,any)" }
-
-// PlusTimes is the arithmetic semiring over int64, used by SpMSpV
-// correctness tests against a dense reference multiply.
-type PlusTimes struct{}
-
-// Multiply returns the vector value (the matrix entry is structural 1).
-func (PlusTimes) Multiply(x int64) int64 { return x }
-
-// Add sums.
-func (PlusTimes) Add(a, b int64) int64 { return a + b }
-
-// Identity returns 0.
-func (PlusTimes) Identity() int64 { return 0 }
-
-// Name returns the semiring's report name.
-func (PlusTimes) Name() string { return "(+,×)" }

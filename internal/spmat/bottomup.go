@@ -37,7 +37,7 @@ type RowVal struct {
 //
 // The second return is the performed work in tally units: visited-mask words
 // scanned, edges traversed, and entries emitted.
-func BottomUpCSC[S semiring.Semiring](rt *CSC, visited, frontier Bitmap, labels []int64, sr S, earlyExit bool, fill int64, out []RowVal) ([]RowVal, int64) {
+func BottomUpCSC(rt *CSC, visited, frontier Bitmap, labels []int64, sr semiring.Semiring, earlyExit bool, fill int64, out []RowVal) ([]RowVal, int64) {
 	n := rt.Cols
 	work := int64(len(visited))
 	for wi := range visited {
@@ -54,7 +54,7 @@ func BottomUpCSC[S semiring.Semiring](rt *CSC, visited, frontier Bitmap, labels 
 			hit := false
 			for _, c := range col {
 				work++
-				if !frontier.Get(c) {
+				if !frontier.Get(int(c)) {
 					continue
 				}
 				if earlyExit {
@@ -79,7 +79,7 @@ func BottomUpCSC[S semiring.Semiring](rt *CSC, visited, frontier Bitmap, labels 
 // (the transpose of a hypersparse block in DCSC form): only the nonempty rows
 // are iterated, ascending, so the output stays index-sorted and the kernel
 // never touches the empty majority of a hypersparse block.
-func BottomUpDCSC[S semiring.Semiring](rt *DCSC, visited, frontier Bitmap, labels []int64, sr S, earlyExit bool, fill int64, out []RowVal) ([]RowVal, int64) {
+func BottomUpDCSC(rt *DCSC, visited, frontier Bitmap, labels []int64, sr semiring.Semiring, earlyExit bool, fill int64, out []RowVal) ([]RowVal, int64) {
 	work := int64(len(rt.JC))
 	for k, r := range rt.JC {
 		if visited.Get(r) {
@@ -89,7 +89,7 @@ func BottomUpDCSC[S semiring.Semiring](rt *DCSC, visited, frontier Bitmap, label
 		hit := false
 		for _, c := range rt.IR[rt.CP[k]:rt.CP[k+1]] {
 			work++
-			if !frontier.Get(c) {
+			if !frontier.Get(int(c)) {
 				continue
 			}
 			if earlyExit {

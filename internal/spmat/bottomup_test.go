@@ -39,8 +39,8 @@ func TestTransposeCSC(t *testing.T) {
 					t.Fatalf("transpose column %d not strictly sorted: %v", r, col)
 				}
 				found := false
-				for _, ri := range a.Column(j) {
-					if ri == r {
+				for _, ri := range a.Column(int(j)) {
+					if int(ri) == r {
 						found = true
 					}
 				}
@@ -87,7 +87,7 @@ func referenceBottomUp(rt *CSC, visited, frontier Bitmap, labels []int64, sr sem
 		acc := sr.Identity()
 		hit := false
 		for _, c := range rt.Column(r) {
-			if frontier.Get(c) {
+			if frontier.Get(int(c)) {
 				acc = sr.Add(acc, sr.Multiply(labels[c]))
 				hit = true
 			}
@@ -101,7 +101,7 @@ func referenceBottomUp(rt *CSC, visited, frontier Bitmap, labels []int64, sr sem
 
 func TestBottomUpKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	sr := semiring.Select2ndMin{}
+	sr := semiring.Select2ndMin
 	for trial := 0; trial < 50; trial++ {
 		rows := 1 + rng.Intn(150)
 		cols := 1 + rng.Intn(150)

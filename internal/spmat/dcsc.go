@@ -14,8 +14,8 @@ type DCSC struct {
 	JC []int
 	// CP are column pointers into IR, len(JC)+1.
 	CP []int
-	// IR are row indices, sorted within each column.
-	IR []int
+	// IR are row indices, sorted within each column; int32 like CSC.Row.
+	IR []int32
 }
 
 // DCSCFromCSC compresses a CSC matrix.
@@ -42,7 +42,7 @@ func (d *DCSC) NNZCols() int { return len(d.JC) }
 
 // Column returns the row indices of column j (empty if j has no entries),
 // via binary search over the compressed column list.
-func (d *DCSC) Column(j int) []int {
+func (d *DCSC) Column(j int) []int32 {
 	k := sort.SearchInts(d.JC, j)
 	if k == len(d.JC) || d.JC[k] != j {
 		return nil
@@ -52,11 +52,11 @@ func (d *DCSC) Column(j int) []int {
 
 // MemWords returns the storage footprint in 8-byte words.
 func (d *DCSC) MemWords() int64 {
-	return int64(len(d.JC) + len(d.CP) + len(d.IR))
+	return int64(len(d.JC) + len(d.CP) + (len(d.IR)+1)/2)
 }
 
 // MemWords returns the CSC storage footprint in 8-byte words, for
 // comparison with DCSC on hypersparse blocks.
 func (a *CSC) MemWords() int64 {
-	return int64(len(a.ColPtr) + len(a.Row))
+	return int64(len(a.ColPtr) + (len(a.Row)+1)/2)
 }

@@ -356,7 +356,11 @@ func cscFromCoords(rows, cols int, rr, cc []int) *CSC {
 		}
 		outPtr[j+1] = w
 	}
-	return &CSC{Rows: rows, Cols: cols, ColPtr: outPtr, Row: append([]int(nil), rowIdx[:w]...)}
+	row32 := make([]int32, w)
+	for k, r := range rowIdx[:w] {
+		row32[k] = int32(r)
+	}
+	return &CSC{Rows: rows, Cols: cols, ColPtr: outPtr, Row: row32}
 }
 
 func TestCSCFromCoords(t *testing.T) {
@@ -364,10 +368,10 @@ func TestCSCFromCoords(t *testing.T) {
 	if c.NNZ() != 2 { // duplicate (2,0) dropped
 		t.Fatalf("nnz = %d", c.NNZ())
 	}
-	if got := c.Column(0); !reflect.DeepEqual(got, []int{2}) {
+	if got := c.Column(0); !reflect.DeepEqual(got, []int32{2}) {
 		t.Errorf("col 0 = %v", got)
 	}
-	if got := c.Column(1); !reflect.DeepEqual(got, []int{0}) {
+	if got := c.Column(1); !reflect.DeepEqual(got, []int32{0}) {
 		t.Errorf("col 1 = %v", got)
 	}
 }
@@ -382,7 +386,7 @@ func TestToCSCRoundtrip(t *testing.T) {
 		for _, j := range a.Row(i) {
 			found := false
 			for _, r := range c.Column(j) {
-				if r == i {
+				if int(r) == i {
 					found = true
 				}
 			}
