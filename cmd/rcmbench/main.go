@@ -21,7 +21,7 @@
 //	rcmbench -exp ablation-ordering  RCM vs AMD vs Sloan, bandwidth vs fill proxy
 //	rcmbench -exp spy                before/after ASCII spy plots (Fig. 3 plots)
 //	rcmbench -exp service            ordering-service QPS vs cache hit ratio
-//	rcmbench -exp ingest             RCMB ingest strategies + out-of-core digest
+//	rcmbench -exp ingest             RCMB ingest strategies, one content digest
 //	rcmbench -exp fleet              sharded fleet QPS vs replica count
 //	rcmbench -exp all                everything above
 //
@@ -44,17 +44,21 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/bench"
 	"repro/rcm"
-	"repro/rcm/bench"
 )
 
 func main() {
+	var ids []string
+	for _, e := range bench.Experiments(bench.Config{}) {
+		ids = append(ids, e.ID)
+	}
 	var (
-		exp        = flag.String("exp", "all", "experiment id (fig1|fig3|table2|fig4|fig5|fig6|ablation-sort|ablation-semiring|ablation-hybrid|ablation-format|ablation-dcsc|ablation-components|ablation-direction|ablation-heuristic|ablation-ordering|quality|sizesense|sloan|spy|service|ingest|fleet|all)")
+		exp        = flag.String("exp", "all", "experiment id ("+strings.Join(append(ids, "all"), "|")+")")
 		scale      = flag.Int("scale", 2, "downscale factor for the analog matrices (1 = full analog)")
 		maxCores   = flag.Int("maxcores", 0, "skip scaling configurations above this core count (0 = none)")
 		matrices   = flag.String("matrices", "", "comma-separated matrix filter (default: all nine)")
-		procs      = flag.Int("procs", 16, "process count for the sort and direction ablations")
+		procs      = flag.Int("procs", 16, "process count for the sort, direction and heuristic ablations")
 		amdThreads = flag.Int("amdthreads", 4, "AMD multiple-elimination thread count for the ordering ablation (output is identical at any)")
 		dir        = flag.String("direction", "auto", "traversal direction policy for distributed runs (auto|top-down|bottom-up)")
 		heur       = flag.String("heuristic", "pseudo-peripheral", "start-vertex heuristic for every run (pseudo-peripheral|bi-criteria|min-degree|first-vertex)")
@@ -81,154 +85,48 @@ func main() {
 		BetaNsPerWord: *beta,
 		Direction:     direction,
 		Heuristic:     heuristic,
+		Procs:         *procs,
+		AMDThreads:    *amdThreads,
 		Out:           os.Stdout,
 	}
 	if *matrices != "" {
 		cfg.Matrices = strings.Split(*matrices, ",")
 	}
 
-	run := func(id string) bool { return *exp == id || *exp == "all" }
-	csvOut := func(write func(w io.Writer) error) {
-		if *csvPath == "" {
-			return
-		}
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rcmbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := write(f); err != nil {
-			fmt.Fprintf(os.Stderr, "rcmbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "rcmbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *csvPath)
-	}
 	ran := false
-	if run("fig1") {
-		res := bench.RunFig1(cfg)
-		if *exp == "fig1" {
-			csvOut(res.WriteCSV)
-		}
-		fmt.Println()
-		ran = true
-	}
-	if run("fig3") {
-		bench.RunFig3(cfg)
-		fmt.Println()
-		ran = true
-	}
-	if run("table2") {
-		bench.RunTable2(cfg)
-		ran = true
-	}
-	if run("fig4") || run("fig5") {
-		series := bench.RunHybridScaling(cfg)
-		if run("fig4") {
-			series.PrintFig4(cfg)
-		}
-		if run("fig5") {
-			series.PrintFig5(cfg)
-		}
-		if *exp == "fig4" || *exp == "fig5" {
-			csvOut(series.WriteCSV)
+	for _, e := range bench.Experiments(cfg) {
+		if *exp != e.ID && *exp != "all" {
+			continue
 		}
 		ran = true
-	}
-	if run("fig6") {
-		bench.RunFig6(cfg)
-		ran = true
-	}
-	if run("ablation-sort") {
-		bench.RunAblationSort(cfg, *procs)
-		ran = true
-	}
-	if run("ablation-direction") {
-		bench.RunAblationDirection(cfg, *procs)
-		ran = true
-	}
-	if run("ablation-heuristic") {
-		bench.RunAblationHeuristic(cfg, *procs)
-		ran = true
-	}
-	if run("ablation-semiring") {
-		bench.RunAblationSemiring(cfg, 3)
-		ran = true
-	}
-	if run("ablation-hybrid") {
-		bench.RunAblationHybrid(cfg)
-		ran = true
-	}
-	if run("ablation-format") {
-		bench.RunAblationLocalFormat(cfg)
-		ran = true
-	}
-	if run("quality") {
-		bench.RunQuality(cfg)
-		ran = true
-	}
-	if run("sizesense") {
-		bench.RunSizeSensitivity(cfg, "ldoor")
-		ran = true
-	}
-	if run("sloan") {
-		bench.RunSloanComparison(cfg)
-		ran = true
-	}
-	if run("ablation-dcsc") {
-		bench.RunAblationDCSC(cfg)
-		ran = true
-	}
-	if run("ablation-components") {
-		bench.RunAblationComponents(cfg)
-		ran = true
-	}
-	if run("ablation-ordering") {
-		bench.RunAblationOrdering(cfg, *amdThreads)
-		ran = true
-	}
-	if run("service") {
-		rows := bench.RunServiceThroughput(cfg)
-		if *exp == "service" {
-			csvOut(func(w io.Writer) error { return bench.WriteServiceCSV(w, rows) })
+		res, err := e.Run()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
-		ran = true
-	}
-	if run("ingest") {
-		rows := bench.RunIngest(cfg)
-		if *exp == "ingest" {
-			csvOut(func(w io.Writer) error { return bench.WriteIngestCSV(w, rows) })
-		}
-		ran = true
-	}
-	if run("fleet") {
-		rows := bench.RunFleet(cfg)
-		if *exp == "fleet" {
-			csvOut(func(w io.Writer) error { return bench.WriteFleetCSV(w, rows) })
-		}
-		ran = true
-	}
-	if run("spy") {
-		names := cfg.Matrices
-		if len(names) == 0 {
-			names = []string{"ldoor"}
-		}
-		for _, n := range names {
-			before, after, err := bench.SpyPair(cfg, n)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+		if *exp == e.ID && e.CSV != nil && *csvPath != "" {
+			if err := writeCSV(*csvPath, func(w io.Writer) error { return e.CSV(w, res) }); err != nil {
+				fmt.Fprintf(os.Stderr, "rcmbench: %v\n", err)
+				os.Exit(1)
 			}
-			fmt.Printf("%s before RCM:\n%s\n%s after RCM:\n%s\n", n, before, n, after)
+			fmt.Printf("wrote %s\n", *csvPath)
 		}
-		ran = true
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "rcmbench: unknown experiment %q\n", *exp)
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+func writeCSV(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

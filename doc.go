@@ -10,9 +10,8 @@
 // synthetic graph generators and the CG solvers an application needs, so no
 // caller ever imports repro/internal/... The ordering service repro/rcm/service
 // (HTTP front end cmd/rcmserve) serves Order behind a content-hash result
-// cache with single-flight deduplication; the experiment harness that
-// regenerates every table and figure is repro/rcm/bench, driven by
-// cmd/rcmbench.
+// cache with single-flight deduplication; cmd/rcmbench regenerates every
+// table and figure.
 //
 // The engine lives under internal/: package core holds the four RCM
 // implementations (sequential, matrix-algebraic, shared-memory parallel,
@@ -20,10 +19,7 @@
 // spvec, semiring and tally form the simulated distributed-memory substrate
 // that replaces MPI+CombBLAS; graphgen generates the synthetic analogs of
 // the paper's matrix suite; cg provides the CG + block-Jacobi solver of
-// Fig. 1; bench implements the experiments.
-//
-// The benchmarks in this package (bench_test.go) wrap one experiment each:
-// go test -bench=. runs the full evaluation at a reduced scale, and
-// cmd/rcmbench runs it at any scale from the command line. See README.md,
-// DESIGN.md and EXPERIMENTS.md.
+// Fig. 1; bench implements the experiments, one table of them that
+// cmd/rcmbench runs at any scale and go test runs at a tiny one. See
+// README.md, DESIGN.md and EXPERIMENTS.md.
 package repro

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graphgen"
 	"repro/internal/tally"
+	"repro/rcm"
 )
 
 // SortAblationRow compares the three frontier-labeling strategies on one
@@ -29,11 +30,9 @@ type SortAblationRow struct {
 }
 
 // RunAblationSort regenerates the sorting ablation: ordering time and
-// quality under SortFull / SortLocal / SortNone at a fixed process count.
-func RunAblationSort(cfg Config, procs int) []SortAblationRow {
-	if procs < 1 {
-		procs = 16
-	}
+// quality under SortFull / SortLocal / SortNone at cfg.Procs processes.
+func RunAblationSort(cfg Config) []SortAblationRow {
+	procs := cfg.procs()
 	var rows []SortAblationRow
 	for _, e := range graphgen.Suite() {
 		if !cfg.wants(e.Name) {
@@ -84,11 +83,10 @@ type SemiringAblationRow struct {
 }
 
 // RunAblationSemiring quantifies how much ordering quality depends on the
-// deterministic parent/tie-breaking rule the semiring enforces.
-func RunAblationSemiring(cfg Config, seeds int) []SemiringAblationRow {
-	if seeds < 1 {
-		seeds = 3
-	}
+// deterministic parent/tie-breaking rule the semiring enforces, over three
+// re-randomized identity seeds.
+func RunAblationSemiring(cfg Config) []SemiringAblationRow {
+	const seeds = 3
 	var rows []SemiringAblationRow
 	for _, e := range graphgen.Suite() {
 		if !cfg.wants(e.Name) {
@@ -180,14 +178,12 @@ type DirectionAblationRow struct {
 }
 
 // RunAblationDirection regenerates the direction ablation: modelled time
-// under Auto / TopDown / BottomUp at a fixed process count, plus Auto's
+// under Auto / TopDown / BottomUp at cfg.Procs processes, plus Auto's
 // level split — the experiment behind the claim that direction optimization
 // attacks the fat middle levels of low-diameter graphs without perturbing
 // the ordering.
-func RunAblationDirection(cfg Config, procs int) []DirectionAblationRow {
-	if procs < 1 {
-		procs = 16
-	}
+func RunAblationDirection(cfg Config) []DirectionAblationRow {
+	procs := cfg.procs()
 	var rows []DirectionAblationRow
 	for _, e := range graphgen.Suite() {
 		if !cfg.wants(e.Name) {
@@ -261,17 +257,15 @@ type HeuristicAblationRow struct {
 }
 
 // heuristicOrder is the column order of HeuristicAblationRow.BW/Prof.
-var heuristicOrder = [4]string{"pseudo-peripheral", "bi-criteria", "min-degree", "first-vertex"}
+var heuristicOrder = [4]rcm.StartHeuristic{rcm.PseudoPeripheral, rcm.BiCriteria, rcm.MinDegree, rcm.FirstVertex}
 
 // RunAblationHeuristic regenerates the start-heuristic ablation: ordering
 // quality per heuristic over the generator suite — the RCM++ claim is that
 // the bi-criteria finder's bandwidth is at most the pseudo-peripheral
 // default's on most matrices — together with the sweep counts the finder
-// pays and the cross-engine identity check.
-func RunAblationHeuristic(cfg Config, procs int) []HeuristicAblationRow {
-	if procs < 1 {
-		procs = 16
-	}
+// pays (at cfg.Procs processes) and the cross-engine identity check.
+func RunAblationHeuristic(cfg Config) []HeuristicAblationRow {
+	procs := cfg.procs()
 	var rows []HeuristicAblationRow
 	for _, e := range graphgen.Suite() {
 		if !cfg.wants(e.Name) {
@@ -286,7 +280,7 @@ func RunAblationHeuristic(cfg Config, procs int) []HeuristicAblationRow {
 			seq := core.SequentialOpt(a, opt)
 			p := a.Permute(seq.Perm)
 			row.BW[hi], row.Prof[hi] = p.Bandwidth(), p.Profile()
-			if h != "pseudo-peripheral" && h != "bi-criteria" {
+			if h != rcm.PseudoPeripheral && h != rcm.BiCriteria {
 				continue
 			}
 			// The searching heuristics also run distributed, for the
@@ -295,7 +289,7 @@ func RunAblationHeuristic(cfg Config, procs int) []HeuristicAblationRow {
 			if !reflect.DeepEqual(ord.Perm, seq.Perm) {
 				row.Identical = false
 			}
-			if h == "pseudo-peripheral" {
+			if h == rcm.PseudoPeripheral {
 				row.SweepsPeripheral = ord.Breakdown.PeripheralSweeps
 			} else {
 				row.SweepsBiCriteria = ord.Breakdown.PeripheralSweeps
@@ -334,11 +328,10 @@ type QualityRow struct {
 	Identical  bool
 }
 
-// RunQuality verifies (and reports) quality-vs-concurrency across the suite.
-func RunQuality(cfg Config, procs []int) []QualityRow {
-	if len(procs) == 0 {
-		procs = []int{1, 4, 16, 64}
-	}
+// RunQuality verifies (and reports) quality-vs-concurrency across the suite
+// at 1, 4, 16 and 64 processes.
+func RunQuality(cfg Config) []QualityRow {
+	procs := []int{1, 4, 16, 64}
 	var rows []QualityRow
 	for _, e := range graphgen.Suite() {
 		if !cfg.wants(e.Name) {

@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: one runner per table and figure
-// of the paper's evaluation (§V), each emitting the same rows/series the
-// paper reports. The runners return structured results (so the root-level
-// Go benchmarks and the tests can assert on them) and render human-readable
-// tables to a writer.
+// of the paper's evaluation (§V), plus the ablations and the serving,
+// ingest and fleet experiments, each emitting the same rows/series the
+// paper reports. The runners return structured results (so the tests can
+// assert on them) and render human-readable tables to a writer.
+// Experiments lists them by id for command rcmbench.
 //
 // Absolute times are modelled BSP seconds from the machine model in package
 // tally; only the shape (who wins, by what factor, where curves cross) is
@@ -16,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/spmat"
 	"repro/internal/tally"
+	"repro/rcm"
 )
 
 // Config controls an experiment run.
@@ -27,23 +29,25 @@ type Config struct {
 	// MaxCores skips scaling configurations above this core count
 	// (0 = run everything the experiment defines).
 	MaxCores int
-	// Model is the base machine model (threads overridden per
-	// configuration); nil selects tally.Edison().
-	Model *tally.Model
 	// Matrices restricts suite experiments to the named matrices
 	// (nil = all nine).
 	Matrices []string
+	// AlphaNs and BetaNsPerWord override the machine model's per-message
+	// latency and inverse bandwidth (0 = the calibrated tally.Edison
+	// value). See DESIGN.md for the calibration rationale.
+	AlphaNs, BetaNsPerWord float64
 	// Direction selects the traversal direction policy of the distributed
-	// runs the scaling experiments perform (default DirAuto).
-	Direction core.Direction
-	// DirAlpha and DirBeta override the Auto switching thresholds
-	// (0 = Beamer defaults).
-	DirAlpha, DirBeta int
-	// Heuristic selects the start-vertex heuristic of every run, by its
-	// canonical facade name: "pseudo-peripheral" (also ""), "bi-criteria",
-	// "min-degree" or "first-vertex". Unknown names panic — command-line
-	// front ends validate with rcm.ParseHeuristic first.
-	Heuristic string
+	// runs (rcm.Auto by default).
+	Direction rcm.Direction
+	// Heuristic selects the start-vertex heuristic of every run
+	// (rcm.PseudoPeripheral by default).
+	Heuristic rcm.StartHeuristic
+	// Procs is the process count of the sort, direction and heuristic
+	// ablations (0 = 16).
+	Procs int
+	// AMDThreads is the AMD engine's thread count in the ordering ablation
+	// (0 = 1; the output is identical at any).
+	AMDThreads int
 	// Out receives the rendered tables; nil discards them.
 	Out io.Writer
 }
@@ -52,31 +56,31 @@ type Config struct {
 // one matrix. The matrix parameter resolves the heuristics that inspect the
 // graph (min-degree needs the global minimum-degree vertex).
 func (c Config) optionsFor(a *spmat.CSR) core.Options {
-	opt := core.Options{Start: -1, Direction: c.Direction, DirAlpha: c.DirAlpha, DirBeta: c.DirBeta}
+	opt := core.Options{Start: -1, Direction: core.Direction(c.Direction)}
 	applyHeuristic(&opt, a, c.Heuristic)
 	return opt
 }
 
-// applyHeuristic resolves a canonical heuristic name into engine options,
-// mirroring the facade's coreOptions translation. Every start-vertex field
-// is assigned on every path, so a later call fully overrides an earlier one
+// applyHeuristic resolves a start heuristic into engine options, mirroring
+// the facade's coreOptions translation. Every start-vertex field is
+// assigned on every path, so a later call fully overrides an earlier one
 // (RunAblationHeuristic re-applies each column's heuristic on top of the
 // base configuration).
-func applyHeuristic(opt *core.Options, a *spmat.CSR, name string) {
+func applyHeuristic(opt *core.Options, a *spmat.CSR, h rcm.StartHeuristic) {
 	opt.Policy = nil
 	opt.SkipPeripheral = false
 	opt.Start = -1
-	switch name {
-	case "", "pseudo-peripheral":
-	case "bi-criteria":
+	switch h {
+	case rcm.PseudoPeripheral:
+	case rcm.BiCriteria:
 		opt.Policy = core.BiCriteriaPolicy{}
-	case "min-degree":
+	case rcm.MinDegree:
 		opt.SkipPeripheral = true
 		opt.Start = core.MinDegreeVertex(a)
-	case "first-vertex":
+	case rcm.FirstVertex:
 		opt.SkipPeripheral = true
 	default:
-		panic(fmt.Sprintf("bench: unknown heuristic %q", name))
+		panic(fmt.Sprintf("bench: unknown heuristic %v", h))
 	}
 }
 
@@ -88,10 +92,21 @@ func (c Config) scale() int {
 }
 
 func (c Config) model() *tally.Model {
-	if c.Model == nil {
-		return tally.Edison()
+	m := tally.Edison()
+	if c.AlphaNs > 0 {
+		m.AlphaNs = c.AlphaNs
 	}
-	return c.Model
+	if c.BetaNsPerWord > 0 {
+		m.BetaNsPerWord = c.BetaNsPerWord
+	}
+	return m
+}
+
+func (c Config) procs() int {
+	if c.Procs < 1 {
+		return 16
+	}
+	return c.Procs
 }
 
 func (c Config) out() io.Writer {

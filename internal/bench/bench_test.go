@@ -2,11 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graphgen"
+	"repro/rcm"
 )
 
 // fastCfg keeps the experiment tests quick: tiny analogs, few cores.
@@ -145,17 +147,10 @@ func TestSpyPair(t *testing.T) {
 	}
 }
 
-func TestSummarizeSuite(t *testing.T) {
-	infos := SummarizeSuite(Config{Scale: 10, Matrices: []string{"ldoor", "Nm7"}})
-	if len(infos) != 2 {
-		t.Fatalf("%d infos", len(infos))
-	}
-}
-
 func TestRunScalingBreakdownShapes(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Config{Scale: 3, MaxCores: 54, Out: &buf, Matrices: []string{"ldoor", "Nm7"}}
-	series := RunScaling(cfg, HybridConfigs())
+	series := RunScaling(cfg)
 	if len(series) != 2 {
 		t.Fatalf("%d series", len(series))
 	}
@@ -207,7 +202,7 @@ func TestRunFig6FlatSlowerThanHybridAtScale(t *testing.T) {
 	}
 	// Compare flat 64 cores against hybrid 54 cores (nearest config):
 	// the flat run pays ~6x the process count.
-	hybrid := RunScaling(cfg, HybridConfigs())
+	hybrid := RunScaling(cfg)
 	var flat64, hyb54 float64
 	for _, p := range flat.Points {
 		if p.Config.Cores == 64 {
@@ -261,8 +256,8 @@ func TestGatherCost(t *testing.T) {
 
 func TestRunAblationSort(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := Config{Scale: 8, Out: &buf, Matrices: []string{"ldoor"}}
-	rows := RunAblationSort(cfg, 9)
+	cfg := Config{Scale: 8, Procs: 9, Out: &buf, Matrices: []string{"ldoor"}}
+	rows := RunAblationSort(cfg)
 	if len(rows) != 1 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -275,25 +270,25 @@ func TestRunAblationSort(t *testing.T) {
 	if r.SortNone >= r.SortFull {
 		t.Errorf("no-sort SORTPERM time %g not below full %g", r.SortNone, r.SortFull)
 	}
-	if RunAblationSort(Config{Scale: 10, Matrices: []string{"Nm7"}}, 0)[0].Procs != 16 {
+	if RunAblationSort(Config{Scale: 10, Matrices: []string{"Nm7"}})[0].Procs != 16 {
 		t.Error("default procs")
 	}
 }
 
 func TestRunAblationHeuristic(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := Config{Scale: 8, Out: &buf, Matrices: []string{"ldoor", "Serena"}}
-	rows := RunAblationHeuristic(cfg, 4)
+	cfg := Config{Scale: 8, Procs: 4, Out: &buf, Matrices: []string{"ldoor", "Serena"}}
+	rows := RunAblationHeuristic(cfg)
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for _, r := range rows {
-		for hi, name := range heuristicOrder {
+		for hi, h := range heuristicOrder {
 			if r.BW[hi] <= 0 || r.Prof[hi] <= 0 {
-				t.Errorf("%s/%s: missing quality numbers: %+v", r.Name, name, r)
+				t.Errorf("%s/%v: missing quality numbers: %+v", r.Name, h, r)
 			}
 			if r.BW[hi] >= r.BWBefore {
-				t.Errorf("%s/%s: bandwidth %d not reduced from %d", r.Name, name, r.BW[hi], r.BWBefore)
+				t.Errorf("%s/%v: bandwidth %d not reduced from %d", r.Name, h, r.BW[hi], r.BWBefore)
 			}
 		}
 		// The cross-engine identity oracle under both searching
@@ -310,33 +305,33 @@ func TestRunAblationHeuristic(t *testing.T) {
 	if !strings.Contains(buf.String(), "bi-criteria bandwidth") {
 		t.Error("summary line missing")
 	}
-	if RunAblationHeuristic(Config{Scale: 10, Matrices: []string{"Nm7"}}, 0)[0].Procs != 16 {
+	if RunAblationHeuristic(Config{Scale: 10, Matrices: []string{"Nm7"}})[0].Procs != 16 {
 		t.Error("default procs")
 	}
 }
 
 func TestConfigHeuristicThreadsThroughOptions(t *testing.T) {
 	a := graphgen.SuiteByName("ldoor").Build(10)
-	for _, h := range []string{"", "pseudo-peripheral", "bi-criteria", "min-degree", "first-vertex"} {
+	for _, h := range heuristicOrder {
 		opt := Config{Heuristic: h}.optionsFor(a)
 		ord := core.SequentialOpt(a, opt)
 		if got := len(ord.Perm); got != a.N {
-			t.Errorf("%q: perm length %d", h, got)
+			t.Errorf("%v: perm length %d", h, got)
 		}
-		skip := h == "min-degree" || h == "first-vertex"
+		skip := h == rcm.MinDegree || h == rcm.FirstVertex
 		if opt.SkipPeripheral != skip {
-			t.Errorf("%q: SkipPeripheral = %v", h, opt.SkipPeripheral)
+			t.Errorf("%v: SkipPeripheral = %v", h, opt.SkipPeripheral)
 		}
 	}
 	// Re-applying a heuristic fully overrides the previous one: a base
 	// -heuristic min-degree must not leak its skip/start into the
 	// ablation's pseudo-peripheral column.
-	opt := Config{Heuristic: "min-degree"}.optionsFor(a)
-	applyHeuristic(&opt, a, "pseudo-peripheral")
+	opt := Config{Heuristic: rcm.MinDegree}.optionsFor(a)
+	applyHeuristic(&opt, a, rcm.PseudoPeripheral)
 	if opt.SkipPeripheral || opt.Start != -1 || opt.Policy != nil {
 		t.Errorf("override leaked state: %+v", opt)
 	}
-	applyHeuristic(&opt, a, "bi-criteria")
+	applyHeuristic(&opt, a, rcm.BiCriteria)
 	if opt.SkipPeripheral || opt.Policy == nil {
 		t.Errorf("bi-criteria override leaked state: %+v", opt)
 	}
@@ -345,14 +340,14 @@ func TestConfigHeuristicThreadsThroughOptions(t *testing.T) {
 			t.Error("unknown heuristic accepted")
 		}
 	}()
-	Config{Heuristic: "nope"}.optionsFor(a)
+	Config{Heuristic: rcm.StartHeuristic(99)}.optionsFor(a)
 }
 
 func TestRunAblationSemiring(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Config{Scale: 8, Out: &buf, Matrices: []string{"Serena"}}
-	rows := RunAblationSemiring(cfg, 2)
-	if len(rows) != 1 || len(rows[0].BWSpread) != 2 {
+	rows := RunAblationSemiring(cfg)
+	if len(rows) != 1 || len(rows[0].BWSpread) != 3 {
 		t.Fatalf("rows = %+v", rows)
 	}
 	if rows[0].BWDeterministic <= 0 {
@@ -386,7 +381,7 @@ func TestRunAblationHybrid(t *testing.T) {
 func TestRunQuality(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Config{Scale: 8, Out: &buf, Matrices: []string{"audikw_1"}}
-	rows := RunQuality(cfg, []int{1, 4, 9})
+	rows := RunQuality(cfg)
 	if len(rows) != 1 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -397,9 +392,6 @@ func TestRunQuality(t *testing.T) {
 		if bw != rows[0].Bandwidths[0] {
 			t.Error("bandwidth varies with concurrency")
 		}
-	}
-	if len(RunQuality(Config{Scale: 10, Matrices: []string{"Nm7"}}, nil)[0].Procs) != 4 {
-		t.Error("default procs list")
 	}
 }
 
@@ -419,5 +411,25 @@ func TestRunAblationLocalFormat(t *testing.T) {
 	last := float64(rows[len(rows)-1].CSCWork) / float64(rows[len(rows)-1].CSRScanWork)
 	if last <= first {
 		t.Errorf("work ratio did not grow with density: %g -> %g", first, last)
+	}
+}
+
+// TestModelOverrides checks that the α/β overrides reach the machine model
+// (a larger latency must not make the modelled run faster).
+func TestModelOverrides(t *testing.T) {
+	// MaxCores 24 keeps the 2×2 process grid: below that every surviving
+	// configuration is single-process and never communicates.
+	base := Config{Scale: 12, MaxCores: 24, Matrices: []string{"ldoor"}, Out: io.Discard}
+	slow := base
+	slow.AlphaNs = 1e6
+	var fast, lagged bytes.Buffer
+	if err := WriteScalingCSV(&fast, RunScaling(base)); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteScalingCSV(&lagged, RunScaling(slow)); err != nil {
+		t.Fatal(err)
+	}
+	if fast.String() == lagged.String() {
+		t.Error("α override had no effect on the modelled results")
 	}
 }

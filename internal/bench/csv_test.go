@@ -9,7 +9,7 @@ import (
 
 func TestWriteScalingCSV(t *testing.T) {
 	cfg := Config{Scale: 8, MaxCores: 24, Matrices: []string{"Nm7"}}
-	series := RunScaling(cfg, HybridConfigs())
+	series := RunScaling(cfg)
 	var buf bytes.Buffer
 	if err := WriteScalingCSV(&buf, series); err != nil {
 		t.Fatal(err)

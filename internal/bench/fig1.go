@@ -76,5 +76,6 @@ func RunFig1(cfg Config) *Fig1Result {
 			p.Cores, p.Natural.ModeledSeconds, p.Natural.Iterations,
 			p.RCM.ModeledSeconds, p.RCM.Iterations, sp)
 	}
+	fmt.Fprintln(w)
 	return res
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graphgen"
-	"repro/internal/spmat"
 )
 
 // Fig3Row is one row of the matrix-suite table (Fig. 3): structural
@@ -58,6 +57,7 @@ func RunFig3(cfg Config) []Fig3Row {
 			r.Name, r.N, r.NNZ, r.BWPre, r.BWPost, r.PseudoDiam,
 			r.PaperBWPre, r.PaperBWPost, r.PaperDiam)
 	}
+	fmt.Fprintln(w)
 	return rows
 }
 
@@ -74,15 +74,19 @@ func SpyPair(cfg Config, name string) (before, after string, err error) {
 	return a.SpyString(40, 20), p.SpyString(40, 20), nil
 }
 
-// SummarizeSuite returns the structural summaries of the analog suite
-// (used by tests and the CLI's info command).
-func SummarizeSuite(cfg Config) []spmat.Info {
-	var infos []spmat.Info
-	for _, e := range graphgen.Suite() {
-		if !cfg.wants(e.Name) {
-			continue
-		}
-		infos = append(infos, spmat.Summarize(e.Name, e.Build(cfg.scale())))
+// RunSpy prints the spy pair of every selected suite matrix (ldoor when
+// none is selected). An unknown name is an error.
+func RunSpy(cfg Config) error {
+	names := cfg.Matrices
+	if len(names) == 0 {
+		names = []string{"ldoor"}
 	}
-	return infos
+	for _, n := range names {
+		before, after, err := SpyPair(cfg, n)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(cfg.out(), "%s before RCM:\n%s\n%s after RCM:\n%s\n", n, before, n, after)
+	}
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync"
 	"time"
 
@@ -216,10 +215,7 @@ func RunFleet(cfg Config) []FleetRow {
 }
 
 func runFleet(cfg Config, p fleetParams) []FleetRow {
-	out := cfg.Out
-	if out == nil {
-		out = os.Stdout
-	}
+	out := cfg.out()
 	a := rcm.Grid2D(30, 20)
 	var bin bytes.Buffer
 	if err := rcm.WriteBinary(&bin, a); err != nil {

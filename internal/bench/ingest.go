@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/mmio"
 	"repro/rcm"
 )
 
@@ -18,8 +17,7 @@ import (
 type IngestRow struct {
 	// Stage names the ingest strategy: read-stream (bufio reader with the
 	// fused digest), mmap-serial / mmap-parallel (the zero-copy bytes
-	// decoder over a mapped file), scanner (the chunked out-of-core
-	// decode).
+	// decoder over a mapped file).
 	Stage string
 	// Threads is the decode worker count (1 = serial).
 	Threads int
@@ -28,32 +26,21 @@ type IngestRow struct {
 	// MBps is the encoded image size divided by the decode time.
 	MBps float64
 	// DigestOK reports that the strategy reproduced the canonical pattern
-	// digest — for the scanner, that block-wise hashing of row-block
-	// sub-CSRs addresses the same content as whole-matrix ingest.
+	// digest.
 	DigestOK bool
 }
 
 // RunIngest measures the raw-speed ingest path end to end on an encoded
-// RCMB file: the streaming reader, the mmap-backed zero-copy decoder
-// (serial and parallel), and the chunked out-of-core scanner. Every
-// strategy must reproduce the same content digest — the scanner's pass is
-// the proof that a matrix too large to hold as one CSR can still be
-// content-addressed and cache-matched block by block, using O(n + block)
-// memory.
+// RCMB file: the streaming reader and the mmap-backed zero-copy decoder
+// (serial and parallel). Every strategy must reproduce the same content
+// digest.
 func RunIngest(cfg Config) []IngestRow {
-	out := cfg.Out
-	if out == nil {
-		out = os.Stdout
-	}
-	scale := cfg.Scale
-	if scale == 0 {
-		scale = 2
-	}
+	out := cfg.out()
 	entry, err := rcm.SuiteByName("ldoor")
 	if err != nil {
 		panic(err) // the suite always has ldoor
 	}
-	a := entry.Build(scale)
+	a := entry.Build(cfg.scale())
 
 	dir, err := os.MkdirTemp("", "rcm-ingest")
 	if err != nil {
@@ -130,30 +117,6 @@ func RunIngest(cfg Config) []IngestRow {
 		digest := m.Digest()
 		add(stage, eff, time.Since(start), digest)
 	}
-
-	// Chunked out-of-core decode: row-block sub-CSRs, O(n + block) memory.
-	sf, err := os.Open(path)
-	if err != nil {
-		panic(err)
-	}
-	start = time.Now()
-	sc, err := mmio.NewBinaryScanner(sf, 0)
-	if err != nil {
-		panic(err)
-	}
-	blocks := 0
-	for {
-		if _, err := sc.Next(); err == io.EOF {
-			break
-		} else if err != nil {
-			panic(err)
-		}
-		blocks++
-	}
-	add("scanner", 1, time.Since(start), sc.Digest())
-	sf.Close()
-
-	fmt.Fprintf(out, "scanner streamed %d row blocks; every strategy must land on the same content address.\n", blocks)
 	return rows
 }
 

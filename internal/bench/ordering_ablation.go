@@ -29,12 +29,10 @@ type OrderingRow struct {
 
 // RunAblationOrdering orders each suite analog with RCM, AMD and Sloan and
 // reports bandwidth, fill proxy and profile side by side, plus wall-clock
-// seconds per family. AMD runs the multiple-elimination engine at the
-// configured thread count (output is identical at any).
-func RunAblationOrdering(cfg Config, threads int) []OrderingRow {
-	if threads < 1 {
-		threads = 1
-	}
+// seconds per family. AMD runs the multiple-elimination engine at
+// cfg.AMDThreads threads (output is identical at any).
+func RunAblationOrdering(cfg Config) []OrderingRow {
+	threads := max(cfg.AMDThreads, 1)
 	var rows []OrderingRow
 	for _, e := range graphgen.Suite() {
 		if !cfg.wants(e.Name) {

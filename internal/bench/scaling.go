@@ -66,8 +66,8 @@ func runScalePoint(a *spmat.CSR, cc CoreConfig, base *tally.Model, mode core.Sor
 // RunScaling runs the strong-scaling sweep behind Figs. 4 and 5: the
 // distributed RCM on every suite analog across the hybrid core
 // configurations.
-func RunScaling(cfg Config, configs []CoreConfig) []ScaleSeries {
-	configs = cfg.filterConfigs(configs)
+func RunScaling(cfg Config) []ScaleSeries {
+	configs := cfg.filterConfigs(HybridConfigs())
 	var out []ScaleSeries
 	for _, e := range graphgen.Suite() {
 		if !cfg.wants(e.Name) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -40,14 +39,7 @@ type ServiceThroughputRow struct {
 // ordering must be near zero, so QPS should scale roughly like
 // 1/(1 − hit ratio) once the distinct working set is resident.
 func RunServiceThroughput(cfg Config) []ServiceThroughputRow {
-	out := cfg.Out
-	if out == nil {
-		out = os.Stdout
-	}
-	scale := cfg.Scale
-	if scale == 0 {
-		scale = 2
-	}
+	out := cfg.out()
 	entry, err := rcm.SuiteByName("ldoor")
 	if err != nil {
 		panic(err) // the suite always has ldoor
@@ -56,7 +48,7 @@ func RunServiceThroughput(cfg Config) []ServiceThroughputRow {
 	// kernel speed, so a smaller analog keeps the sweep quick. The
 	// distributed backend is the interesting tenant — its jobs both cost
 	// the most and carry the modelled breakdown through the cache.
-	a := entry.Build(2 * scale)
+	a := entry.Build(2 * cfg.scale())
 	spec := service.Spec{Backend: "distributed", Procs: 4, Threads: 2}
 
 	const requests = 96
@@ -71,7 +63,9 @@ func RunServiceThroughput(cfg Config) []ServiceThroughputRow {
 
 	rows := make([]ServiceThroughputRow, 0, 3)
 	for _, target := range []float64{0, 0.5, 0.9} {
-		distinct := requests - int(float64(requests)*target)
+		// A key is a pinned start vertex, so a small analog caps the
+		// distinct keys at its dimension.
+		distinct := min(requests-int(float64(requests)*target), a.N())
 		if distinct < 1 {
 			distinct = 1
 		}

@@ -18,23 +18,18 @@ type SizePoint struct {
 	BestCores int
 }
 
-// RunSizeSensitivity reruns one analog at multiple sizes and reports where
-// each size stops scaling. This regenerates the paper's §V-D observation in
-// a controlled way: "the largest two matrices continue to scale on more
-// than 4K cores whereas smaller problems do not scale beyond 1K cores" —
-// i.e. the scaling limit moves right with the problem size. It also
-// documents why the downscaled analogs hit their communication walls at
-// proportionally lower core counts than the full-size matrices in the paper.
-func RunSizeSensitivity(cfg Config, name string, scales []int) []SizePoint {
-	e := graphgen.SuiteByName(name)
-	if e == nil {
-		e = graphgen.SuiteByName("ldoor")
-	}
-	if len(scales) == 0 {
-		scales = []int{6, 4, 2}
-	}
+// RunSizeSensitivity reruns the ldoor analog at scales 6, 4 and 2 and
+// reports where each size stops scaling. This regenerates the paper's §V-D
+// observation in a controlled way: "the largest two matrices continue to
+// scale on more than 4K cores whereas smaller problems do not scale beyond
+// 1K cores" — i.e. the scaling limit moves right with the problem size. It
+// also documents why the downscaled analogs hit their communication walls
+// at proportionally lower core counts than the full-size matrices in the
+// paper.
+func RunSizeSensitivity(cfg Config) []SizePoint {
+	e := graphgen.SuiteByName("ldoor")
 	var out []SizePoint
-	for _, s := range scales {
+	for _, s := range []int{6, 4, 2} {
 		a := e.Build(s)
 		sp := SizePoint{Scale: s, N: a.N, NNZ: a.NNZ()}
 		best := -1.0

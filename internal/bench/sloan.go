@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graphgen"
-	"repro/internal/spmat"
 )
 
 // SloanRow compares RCM against Sloan's ordering on the envelope metrics
@@ -64,10 +63,4 @@ func RunSloanComparison(cfg Config) []SloanRow {
 	}
 	fmt.Fprintln(w)
 	return rows
-}
-
-// WavefrontOf is a small helper used by tests and the CLI: the wavefront
-// stats of a matrix under a given ordering.
-func WavefrontOf(a *spmat.CSR, perm []int) spmat.WavefrontStats {
-	return a.Permute(perm).Wavefront()
 }

@@ -151,3 +151,20 @@ func TestDistributedPCGMoreProcsThanRows(t *testing.T) {
 		t.Error("no convergence")
 	}
 }
+
+// BenchmarkDistributedPCG measures the distributed CG solver on the
+// simulated runtime (the Fig. 1 configuration).
+func BenchmarkDistributedPCG(b *testing.B) {
+	a := graphgen.Thermal2(8)
+	rhs := make([]float64, a.N)
+	for i := range rhs {
+		rhs[i] = float64(i%5) - 2
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := DistributedPCG(a, rhs, 8, nil, 1e-6, 4000)
+		if err != nil || !res.Converged {
+			b.Fatalf("solve failed: %v %+v", err, res)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/comm"
+	"repro/internal/graphgen"
 	"repro/internal/grid"
 	"repro/internal/semiring"
 	"repro/internal/spmat"
@@ -539,4 +540,22 @@ func TestLocalSpMSpVCSRScanMatchesCSC(t *testing.T) {
 			}
 		}
 	})
+}
+
+// BenchmarkSpMSpV measures one distributed SpMSpV over (select2nd, min)
+// with a mid-size frontier on a 2×2 grid.
+func BenchmarkSpMSpV(b *testing.B) {
+	a := graphgen.SuiteByName("Serena").Build(3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		comm.Run(4, nil, func(c *comm.Comm) {
+			d := grid.NewDist(grid.Square(c), a.N)
+			m := NewMat(d, a)
+			x := NewSpV(d)
+			for g := x.Lo; g < x.Hi; g += 16 {
+				x.Loc.Append(g, int64(g))
+			}
+			SpMSpV(m, x, semiring.Select2ndMin)
+		})
+	}
 }

@@ -2,7 +2,6 @@ package mmio
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -154,97 +153,5 @@ func TestOpenBinary(t *testing.T) {
 	}
 	if _, err := OpenBinary(filepath.Join(dir, "absent.rcmb"), 1); err == nil {
 		t.Error("missing file accepted")
-	}
-}
-
-// TestBinaryScanner pins the out-of-core contract: block-wise decode
-// reassembles the exact pattern, the accumulated digest equals the
-// canonical one, the trailing values section is drained, and the block
-// buffers may be reused (callers must copy what they keep).
-func TestBinaryScanner(t *testing.T) {
-	for name, a := range testMatrices() {
-		for _, rows := range []int{1, 3, 0} { // 0 → default block size
-			var buf bytes.Buffer
-			if err := WriteBinary(&buf, a); err != nil {
-				t.Fatal(err)
-			}
-			sc, err := NewBinaryScanner(bytes.NewReader(buf.Bytes()), rows)
-			if err != nil {
-				t.Fatalf("%s rows=%d: %v", name, rows, err)
-			}
-			if sc.N() != a.N || sc.NNZ() != a.NNZ() || sc.HasValues() != a.HasValues() {
-				t.Fatalf("%s rows=%d: header mismatch", name, rows)
-			}
-			if d := sc.Digest(); d != "" {
-				t.Errorf("%s rows=%d: digest available before EOF", name, rows)
-			}
-			rowPtr := []int{0}
-			var col []int
-			nextLo := 0
-			for {
-				blk, err := sc.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatalf("%s rows=%d: %v", name, rows, err)
-				}
-				if blk.Lo != nextLo {
-					t.Fatalf("%s rows=%d: block starts at %d, want %d", name, rows, blk.Lo, nextLo)
-				}
-				nextLo = blk.Hi
-				base := len(col)
-				col = append(col, blk.Col...)
-				for _, p := range blk.RowPtr[1:] {
-					rowPtr = append(rowPtr, base+p)
-				}
-			}
-			if nextLo != a.N {
-				t.Fatalf("%s rows=%d: scanner stopped at row %d of %d", name, rows, nextLo, a.N)
-			}
-			if !reflect.DeepEqual(rowPtr, a.RowPtr) || !reflect.DeepEqual(append([]int{}, col...), append([]int{}, a.Col...)) {
-				t.Errorf("%s rows=%d: reassembled pattern differs", name, rows)
-			}
-			if got, want := sc.Digest(), spmat.PatternDigest(a); got != want {
-				t.Errorf("%s rows=%d: digest %s != canonical %s", name, rows, got, want)
-			}
-			// After EOF, Next keeps returning EOF.
-			if _, err := sc.Next(); err != io.EOF {
-				t.Errorf("%s rows=%d: Next after EOF = %v", name, rows, err)
-			}
-		}
-	}
-}
-
-// TestBinaryScannerMalformed: header and body corruption surface as errors,
-// and a truncated values section is caught at drain time.
-func TestBinaryScannerMalformed(t *testing.T) {
-	var good bytes.Buffer
-	if err := WriteBinary(&good, spmat.FromCoords(3, []spmat.Coord{
-		{Row: 0, Col: 1, Val: 2}, {Row: 1, Col: 0, Val: 2}, {Row: 2, Col: 2, Val: 5},
-	}, false)); err != nil {
-		t.Fatal(err)
-	}
-	raw := good.Bytes()
-	if _, err := NewBinaryScanner(bytes.NewReader(raw[:4]), 0); err == nil {
-		t.Error("short header accepted")
-	}
-	sc, err := NewBinaryScanner(bytes.NewReader(raw[:len(raw)-4]), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawErr := false
-	for {
-		_, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			sawErr = true
-			break
-		}
-	}
-	if !sawErr {
-		t.Error("truncated values drained without error")
 	}
 }

@@ -13,11 +13,9 @@ import (
 // cache key (rcm.Matrix.Digest re-exports it), so its byte layout is pinned:
 // changing it would silently invalidate every deployed cache.
 //
-// PatternHasher is the incremental form, letting the RCMB decoders fuse the
-// digest into the decode pass itself — the service's binary upload path
-// computes the cache key without ever re-walking RowPtr/Col — and letting
-// the out-of-core BinaryScanner digest a matrix block by block without the
-// whole column array resident.
+// PatternHasher is the incremental form, letting the streaming RCMB reader
+// fuse the digest into the decode pass itself, so the service's binary
+// upload path computes the cache key without re-walking RowPtr/Col.
 
 // PatternHasher accumulates the canonical pattern digest incrementally. The
 // writes must follow the canonical order: construction (which hashes the

@@ -133,7 +133,7 @@ func checkBounds(t *testing.T, b []int, n, threads int, what string) {
 
 // TestPatternHasherMatchesOneShot pins that the incremental hasher fed
 // block-wise reproduces PatternDigest exactly — the invariant the fused
-// decoders and the out-of-core scanner rely on.
+// streaming decoder relies on.
 func TestPatternHasherMatchesOneShot(t *testing.T) {
 	a := randSymK(97, 300, false, 4)
 	want := PatternDigest(a)

@@ -51,8 +51,8 @@
 // cache, single-flight deduplication) served over HTTP by cmd/rcmserve —
 // see OPERATIONS.md.
 //
-// The experiment harness that regenerates every table and figure lives in
-// the subpackage repro/rcm/bench and is driven by cmd/rcmbench; see
-// EXPERIMENTS.md. The design of the simulated distributed-memory substrate
-// is documented in DESIGN.md.
+// The experiment harness that regenerates every table and figure is
+// internal to the module and driven by cmd/rcmbench; see EXPERIMENTS.md.
+// The design of the simulated distributed-memory substrate is documented
+// in DESIGN.md.
 package rcm
