@@ -13,11 +13,12 @@
 // cache with single-flight deduplication; cmd/rcmbench regenerates every
 // table and figure.
 //
-// The engine lives under internal/: package core holds the four RCM
-// implementations (sequential, matrix-algebraic, shared-memory parallel,
-// and the paper's distributed algorithm); packages comm, grid, distmat,
-// spvec, semiring and tally form the simulated distributed-memory substrate
-// that replaces MPI+CombBLAS; graphgen generates the synthetic analogs of
+// The engine lives under internal/: package core holds the three RCM
+// engines (sequential, shared-memory parallel, and the paper's distributed
+// matrix-algebraic algorithm, which the Algebraic backend runs at p = 1);
+// packages comm, grid, distmat, spvec, semiring and tally form the
+// simulated distributed-memory substrate that replaces MPI+CombBLAS;
+// graphgen generates the synthetic analogs of
 // the paper's matrix suite; cg provides the CG + block-Jacobi solver of
 // Fig. 1; bench implements the experiments, one table of them that
 // cmd/rcmbench runs at any scale and go test runs at a tiny one. See

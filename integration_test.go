@@ -82,9 +82,9 @@ func TestPipelineFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPipelineAllImplementationsOnSuite runs the four implementations over
-// every suite analog at miniature scale and checks the determinism
-// contract matrix-wide.
+// TestPipelineAllImplementationsOnSuite runs the three engines, the
+// distributed one at p = 1 and p = 4, over every suite analog at miniature
+// scale and checks the determinism contract matrix-wide.
 func TestPipelineAllImplementationsOnSuite(t *testing.T) {
 	for _, e := range graphgen.Suite() {
 		a := e.Build(10)
@@ -92,14 +92,13 @@ func TestPipelineAllImplementationsOnSuite(t *testing.T) {
 		if !spmat.IsPerm(want.Perm) {
 			t.Fatalf("%s: invalid sequential permutation", e.Name)
 		}
-		if got := core.Algebraic(a); !reflect.DeepEqual(want.Perm, got.Perm) {
-			t.Errorf("%s: algebraic differs", e.Name)
-		}
 		if got := core.Shared(a, 2); !reflect.DeepEqual(want.Perm, got.Perm) {
 			t.Errorf("%s: shared differs", e.Name)
 		}
-		if got := core.Distributed(a, core.DistOptions{Procs: 4}); !reflect.DeepEqual(want.Perm, got.Perm) {
-			t.Errorf("%s: distributed differs", e.Name)
+		for _, p := range []int{1, 4} {
+			if got := core.Distributed(a, core.DistOptions{Procs: p}); !reflect.DeepEqual(want.Perm, got.Perm) {
+				t.Errorf("%s: distributed at p=%d differs", e.Name, p)
+			}
 		}
 	}
 }

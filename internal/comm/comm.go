@@ -2,9 +2,10 @@
 // bulk-synchronous message-passing runtime in pure Go that plays the role
 // MPI plays in the paper.
 //
-// Ranks are goroutines. Collectives move data by copying it through a shared
-// exchange area guarded by generation barriers, so the data movement is
-// real (every word crosses the exchange exactly once per collective, like a
+// Ranks are goroutines, except that a one-rank world runs on the caller's
+// goroutine. Collectives move data by copying it through a shared exchange
+// area guarded by generation barriers, so the data movement is real (every
+// word crosses the exchange exactly once per collective, like a
 // shared-memory MPI transport) and can be counted exactly. Every collective
 // also advances the participants' BSP virtual clocks (see package tally):
 // clocks synchronize to the maximum over the group, then the modelled α-β
@@ -140,12 +141,15 @@ func (c *Comm) Stats() *tally.Stats { return c.stats }
 // Model returns the machine model of the run.
 func (c *Comm) Model() *tally.Model { return c.model }
 
-// Run spawns p rank goroutines executing f and waits for all of them. It
-// returns the per-rank stats, whose virtual clocks and phase buckets describe
-// the modelled execution (see package tally).
+// Run executes f on p ranks and waits for all of them. It returns the
+// per-rank stats, whose virtual clocks and phase buckets describe the
+// modelled execution (see package tally).
 //
-// A panic in any rank is not recovered: it crashes the test or program, which
-// is the desired loud failure for a simulator.
+// A one-rank world runs f on the caller's goroutine, so a panic in it
+// unwinds into the caller like any other call and a recover there sees it.
+// Larger worlds spawn one goroutine per rank; a panic in any of those ranks
+// is not recovered and crashes the test or program, which is the desired
+// loud failure for a simulator.
 func Run(p int, model *tally.Model, f func(c *Comm)) []*tally.Stats {
 	if p < 1 {
 		panic(fmt.Sprintf("comm: invalid world size %d", p))
@@ -160,6 +164,10 @@ func Run(p int, model *tally.Model, f func(c *Comm)) []*tally.Stats {
 	for r := 0; r < p; r++ {
 		stats[r] = tally.NewStats(model)
 		c := &Comm{rank: r, size: p, slots: slots, bar: bar, stats: stats[r], model: model}
+		if p == 1 {
+			f(c)
+			break
+		}
 		wg.Add(1)
 		go func(c *Comm) {
 			defer wg.Done()

@@ -37,6 +37,23 @@ func TestRunInvalidSizePanics(t *testing.T) {
 	Run(0, nil, func(c *Comm) {})
 }
 
+// TestRunOneRankPanicReachesCaller pins that a one-rank world runs on the
+// caller's goroutine: a panic after a collective unwinds into the caller's
+// recover instead of crashing the process from a rank goroutine.
+func TestRunOneRankPanicReachesCaller(t *testing.T) {
+	type boom struct{}
+	defer func() {
+		if r := recover(); r != (boom{}) {
+			t.Fatalf("recovered %v, want the rank's panic value", r)
+		}
+	}()
+	Run(1, nil, func(c *Comm) {
+		AllReduceSum(c, int64(1))
+		panic(boom{})
+	})
+	t.Fatal("Run returned after its rank panicked")
+}
+
 func TestAllGatherv(t *testing.T) {
 	p := 5
 	results := make([][][]int, p)

@@ -1,19 +1,17 @@
 // Package core implements the paper's primary contribution: the Reverse
-// Cuthill-McKee ordering, in four interchangeable implementations that share
-// one deterministic contract.
+// Cuthill-McKee ordering, in three interchangeable engines that share one
+// deterministic contract.
 //
 //   - Sequential: the classic queue-based RCM of George & Liu (Algorithm 1
 //     of the paper) with the pseudo-peripheral vertex finder (Algorithm 2).
-//   - Algebraic: a sequential transliteration of the paper's
-//     matrix-algebraic formulation (Algorithms 3 and 4) built on the
-//     Table I primitives of package spvec — the bridge between the classic
-//     algorithm and the distributed one.
 //   - Shared: a level-synchronous shared-memory parallel RCM in the style
 //     of Karantasis et al. / SpMP, the paper's shared-memory baseline
 //     (Table II).
-//   - Distributed: the paper's distributed-memory algorithm over the 2D
-//     decomposition of package distmat, run on the simulated
-//     bulk-synchronous runtime of package comm.
+//   - Distributed: the paper's matrix-algebraic formulation (Algorithms 3
+//     and 4 over the Table I primitives) on the 2D decomposition of package
+//     distmat, run on the simulated bulk-synchronous runtime of package
+//     comm. At p = 1 it is the single-process form of the same algorithm,
+//     which the facade's Algebraic backend runs.
 //
 // The deterministic contract: ties between vertices with equal degree are
 // broken by vertex id; each newly discovered vertex attaches to its
@@ -21,7 +19,7 @@
 // pseudo-peripheral search starts from the smallest vertex id of each
 // component and picks the minimum-(degree, id) vertex of the last BFS
 // level; components are processed in order of their smallest vertex id.
-// Under this contract all four implementations produce the identical
+// Under this contract all three engines produce the identical
 // permutation — the reproduction's primary correctness oracle, exercised
 // heavily by the test suite.
 package core

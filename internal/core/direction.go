@@ -3,7 +3,7 @@ package core
 import "fmt"
 
 // Direction selects the traversal direction policy of the level-synchronous
-// BFS engines (Algebraic, Shared, Distributed). The classic queue-based
+// BFS engines (Shared, Distributed). The classic queue-based
 // Sequential engine has no level structure to optimize and ignores it.
 //
 // Direction optimization never changes the computed permutation: the

@@ -113,9 +113,9 @@ func TestDirectionMultiComponent(t *testing.T) {
 		{Start: -1, DirAlpha: 2, DirBeta: 64},
 	} {
 		for name, got := range map[string]*Ordering{
-			"algebraic":   AlgebraicOpt(a, opt),
-			"shared":      SharedOpt(a, 4, opt),
-			"distributed": &Distributed(a, DistOptions{Procs: 4, Options: opt}).Ordering,
+			"shared":         SharedOpt(a, 4, opt),
+			"distributed":    &Distributed(a, DistOptions{Procs: 4, Options: opt}).Ordering,
+			"distributed/p1": &Distributed(a, DistOptions{Procs: 1, Options: opt}).Ordering,
 		} {
 			if !reflect.DeepEqual(got.Perm, want.Perm) {
 				t.Errorf("%s (%+v): permutation differs from sequential", name, opt)

@@ -8,12 +8,12 @@ import (
 )
 
 // The golden suite pins the permutations of the generator-suite analogs to
-// FNV-1a hashes captured before the typed-substrate/keyed-sort refactor
-// (PR 2). All four backends must produce the byte-identical permutation
-// (the deterministic contract), and that permutation — plus the SortLocal
-// and SortNone ablation orderings of the Distributed backend — must never
-// drift: substrate and sort rewrites are wall-clock changes, not output
-// changes.
+// FNV-1a hashes captured before the typed-substrate/keyed-sort refactor.
+// All three engines, the distributed one at p = 1 and p = 4, must produce
+// the byte-identical permutation (the deterministic contract), and that
+// permutation — plus the SortLocal and SortNone ablation orderings of the
+// Distributed backend — must never drift: substrate and sort rewrites are
+// wall-clock changes, not output changes.
 //
 // Direction optimization rides the same oracle: the default runs now take
 // the DirAuto hybrid, and TestGoldenPermutationsDirections additionally
@@ -67,10 +67,10 @@ func TestGoldenPermutationsAllBackends(t *testing.T) {
 				t.Fatalf("suite matrix changed: n=%d, golden %d", a.N, g.n)
 			}
 			results := map[string]uint64{
-				"sequential":  hashPerm(Sequential(a).Perm),
-				"algebraic":   hashPerm(Algebraic(a).Perm),
-				"shared":      hashPerm(Shared(a, 4).Perm),
-				"distributed": hashPerm(Distributed(a, DistOptions{Procs: goldenProcs}).Perm),
+				"sequential":     hashPerm(Sequential(a).Perm),
+				"shared":         hashPerm(Shared(a, 4).Perm),
+				"distributed":    hashPerm(Distributed(a, DistOptions{Procs: goldenProcs}).Perm),
+				"distributed/p1": hashPerm(Distributed(a, DistOptions{Procs: 1}).Perm),
 			}
 			for backend, h := range results {
 				if h != g.full {
@@ -89,7 +89,7 @@ func TestGoldenPermutationsAllBackends(t *testing.T) {
 
 // goldenBiCriteria pins the BiCriteria start-heuristic permutations,
 // captured when the start-policy subsystem landed. The suite exercises all
-// four backends (which must agree with each other, level by level, under
+// three engines (which must agree with each other, level by level, under
 // the K-way candidate shortlist and AllReduced widths), the 1/4/9 process
 // grids, DCSC block storage, and the SortLocal/SortNone ablations.
 var goldenBiCriteria = []struct {
@@ -119,7 +119,6 @@ func TestGoldenPermutationsBiCriteria(t *testing.T) {
 			a := entry.Build(goldenScale)
 			results := map[string]uint64{
 				"sequential":       hashPerm(SequentialOpt(a, bc).Perm),
-				"algebraic":        hashPerm(AlgebraicOpt(a, bc).Perm),
 				"shared":           hashPerm(SharedOpt(a, 4, bc).Perm),
 				"distributed":      hashPerm(Distributed(a, DistOptions{Procs: goldenProcs, Options: bc}).Perm),
 				"distributed/p1":   hashPerm(Distributed(a, DistOptions{Procs: 1, Options: bc}).Perm),
@@ -156,8 +155,6 @@ func TestGoldenPermutationsDirections(t *testing.T) {
 			}
 			a := entry.Build(goldenScale)
 			results := map[string]uint64{
-				"algebraic/bottomup":        hashPerm(AlgebraicOpt(a, bu).Perm),
-				"algebraic/auto":            hashPerm(AlgebraicOpt(a, auto).Perm),
 				"shared/bottomup":           hashPerm(SharedOpt(a, 4, bu).Perm),
 				"shared/auto":               hashPerm(SharedOpt(a, 4, auto).Perm),
 				"distributed/bottomup":      hashPerm(Distributed(a, DistOptions{Procs: goldenProcs, Options: bu}).Perm),
@@ -165,6 +162,7 @@ func TestGoldenPermutationsDirections(t *testing.T) {
 				"distributed/bottomup/p9":   hashPerm(Distributed(a, DistOptions{Procs: 9, Options: bu}).Perm),
 				"distributed/bottomup/dcsc": hashPerm(Distributed(a, DistOptions{Procs: goldenProcs, Hypersparse: true, Options: bu}).Perm),
 				"distributed/auto":          hashPerm(Distributed(a, DistOptions{Procs: goldenProcs, Options: auto}).Perm),
+				"distributed/auto/p1":       hashPerm(Distributed(a, DistOptions{Procs: 1, Options: auto}).Perm),
 				"distributed/auto/dcsc":     hashPerm(Distributed(a, DistOptions{Procs: goldenProcs, Hypersparse: true, Options: auto}).Perm),
 			}
 			for variant, h := range results {

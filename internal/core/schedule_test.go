@@ -59,13 +59,15 @@ func TestScheduledOrderMatchesSequential(t *testing.T) {
 // and checks the stitched output still matches the sequential baseline.
 func TestScheduledOrderBigEngines(t *testing.T) {
 	bigs := map[string]func(*spmat.CSR, Options) *Ordering{
-		"algebraic": AlgebraicOpt,
 		"shared": func(sub *spmat.CSR, o Options) *Ordering {
 			return SharedOpt(sub, 4, o)
 		},
 		"distributed": func(sub *spmat.CSR, o Options) *Ordering {
 			d := Distributed(sub, DistOptions{Procs: 4, Model: tally.Edison(), Options: o})
 			return &d.Ordering
+		},
+		"distributed/p1": func(sub *spmat.CSR, o Options) *Ordering {
+			return &Distributed(sub, DistOptions{Procs: 1, Options: o}).Ordering
 		},
 	}
 	for gname, a := range scheduleCorpus() {

@@ -7,14 +7,14 @@ import (
 )
 
 // This file is the pluggable start-vertex subsystem: the policy that picks
-// the BFS root of each component, factored out of the four engines. Every
+// the BFS root of each component, factored out of the three engines. Every
 // engine exposes its pseudo-peripheral BFS machinery through the Sweeper
 // interface — one rooted breadth-first sweep summarized as a LevelStructure —
 // and the policies (the paper's Algorithm 2/4 search and the RCM++
 // bi-criteria finder of Hou & Liu, arXiv:2409.04171) are pure functions of
 // those summaries. Because a LevelStructure contains only global quantities
 // (heights, level widths, (degree, id)-minimal candidates), a policy decides
-// identically in all four engines — and, inside the distributed engine,
+// identically in all three engines — and, inside the distributed engine,
 // identically on every rank — which is what keeps the deterministic contract
 // intact under any heuristic.
 

@@ -216,8 +216,7 @@ func TestDeterministicContractAcrossHeuristics(t *testing.T) {
 				t.Fatalf("round %d %s: sequential: %v", round, name, err)
 			}
 			got := map[string][]int{
-				"algebraic": AlgebraicOpt(a, opt).Perm,
-				"shared":    SharedOpt(a, 3, opt).Perm,
+				"shared": SharedOpt(a, 3, opt).Perm,
 			}
 			for _, procs := range []int{1, 4, 9} {
 				got[fmt.Sprintf("distributed/p%d", procs)] = Distributed(a, DistOptions{Procs: procs, Options: opt}).Perm

@@ -21,7 +21,6 @@ package distmat
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/comm"
@@ -220,22 +219,9 @@ func (x *SpV) GatherDense(y *Vec) {
 	x.D.G.World.Stats().AddWork(int64(x.Loc.Len()))
 }
 
-// Select returns the entries of x whose dense value satisfies pred: the
-// distributed SELECT primitive. Local by construction.
-func (x *SpV) Select(y *Vec, pred func(int64) bool) *SpV {
-	out := &SpV{D: x.D, Lo: x.Lo, Hi: x.Hi}
-	for k, i := range x.Loc.Ind {
-		if pred(y.At(i)) {
-			out.Loc.Append(i, x.Loc.Val[k])
-		}
-	}
-	x.D.G.World.Stats().AddWork(int64(x.Loc.Len()))
-	return out
-}
-
 // SelectInPlace filters x down to the entries whose dense value satisfies
-// pred, reusing x's storage: the allocation-free SELECT used on the BFS hot
-// path. Local by construction.
+// pred, reusing x's storage: the distributed SELECT primitive, allocation
+// free on the BFS hot path. Local by construction.
 func (x *SpV) SelectInPlace(y *Vec, pred func(int64) bool) {
 	n := x.Loc.Len()
 	w := 0
@@ -260,37 +246,6 @@ func (x *SpV) SetDense(y *Vec) {
 	x.D.G.World.Stats().AddWork(int64(x.Loc.Len()))
 }
 
-// minPair is the payload of the ArgMin reduction.
-type minPair struct {
-	key int64
-	ind int
-}
-
-// ArgMinBy returns the global index of x minimizing (y value, index), with
-// deterministic tie-breaking by index, or -1 if x is globally empty. This is
-// the REDUCE(Lcur, D) step selecting the minimum-degree vertex of the last
-// BFS level (Algorithm 4, line 16). Collective.
-func (x *SpV) ArgMinBy(y *Vec) int {
-	best := minPair{key: math.MaxInt64, ind: -1}
-	for _, i := range x.Loc.Ind {
-		k := y.At(i)
-		if k < best.key || (k == best.key && i < best.ind) || best.ind == -1 {
-			best = minPair{key: k, ind: i}
-		}
-	}
-	x.D.G.World.Stats().AddWork(int64(x.Loc.Len()))
-	out := comm.AllReduce(x.D.G.World, best, func(a, b minPair) minPair {
-		if b.ind == -1 {
-			return a
-		}
-		if a.ind == -1 || b.key < a.key || (b.key == a.key && b.ind < a.ind) {
-			return b
-		}
-		return a
-	})
-	return out.ind
-}
-
 // KeyedInd is a (key, index) pair of the k-smallest reduction.
 type KeyedInd struct {
 	Key int64
@@ -312,12 +267,14 @@ func pushKeyedInd(list []KeyedInd, c KeyedInd, max int) []KeyedInd {
 }
 
 // ArgMinKBy returns the k smallest (y value, index) pairs over the global
-// support of x, in ascending (key, index) order — the K-way generalization
-// of ArgMinBy that the bi-criteria start policy shortlists last-level
-// candidates with. Each rank selects its local k best, the lists are
-// allgathered, and every rank merges them identically, so the result is
-// byte-identical across ranks. Returns fewer than k pairs when x has fewer
-// global nonzeros. Collective.
+// support of x, in ascending (key, index) order, with deterministic
+// tie-breaking by index. At k = 1 this is the REDUCE(Lcur, D) step selecting
+// the minimum-degree vertex of the last BFS level (Algorithm 4, line 16);
+// the bi-criteria start policy shortlists its last-level candidates with a
+// larger k. Each rank selects its local k best, the lists are allgathered,
+// and every rank merges them identically, so the result is byte-identical
+// across ranks. Returns fewer than k pairs when x has fewer global
+// nonzeros. Collective.
 func (x *SpV) ArgMinKBy(y *Vec, k int) []KeyedInd {
 	if k < 1 {
 		k = 1

@@ -163,13 +163,13 @@ func TestSpVSelectSetGather(t *testing.T) {
 				r.Set(g, 7)
 			}
 		}
-		sel := x.Select(r, func(v int64) bool { return v == -1 })
-		for _, i := range sel.Loc.Ind {
+		x.SelectInPlace(r, func(v int64) bool { return v == -1 })
+		for _, i := range x.Loc.Ind {
 			if i < 8 || i%2 != 0 {
 				t.Errorf("selected %d", i)
 			}
 		}
-		sel.SetDense(r)
+		x.SetDense(r)
 		full := r.Gather(0)
 		if d.G.World.Rank() == 0 {
 			for g, v := range full {
@@ -184,10 +184,10 @@ func TestSpVSelectSetGather(t *testing.T) {
 			}
 		}
 		// GatherDense pulls values back from R.
-		sel.GatherDense(r)
-		for k, i := range sel.Loc.Ind {
-			if sel.Loc.Val[k] != int64(i) {
-				t.Errorf("gathered val[%d] = %d", i, sel.Loc.Val[k])
+		x.GatherDense(r)
+		for k, i := range x.Loc.Ind {
+			if x.Loc.Val[k] != int64(i) {
+				t.Errorf("gathered val[%d] = %d", i, x.Loc.Val[k])
 			}
 		}
 	})
@@ -206,8 +206,11 @@ func TestArgMinBy(t *testing.T) {
 				x.Loc.Append(g, 0)
 			}
 		}
-		if got := x.ArgMinBy(deg); got != 5 {
-			t.Errorf("argmin = %d, want 5 (tie with 7 broken by id)", got)
+		if got := x.ArgMinKBy(deg, 1); !reflect.DeepEqual(got, []KeyedInd{{Key: 1, Ind: 5}}) {
+			t.Errorf("argmin = %v, want vertex 5 (tie with 7 broken by id)", got)
+		}
+		if got := x.ArgMinKBy(deg, 2); !reflect.DeepEqual(got, []KeyedInd{{Key: 1, Ind: 5}, {Key: 1, Ind: 7}}) {
+			t.Errorf("argmin k=2 = %v, want vertices 5 then 7", got)
 		}
 	})
 }
@@ -216,8 +219,8 @@ func TestArgMinByEmpty(t *testing.T) {
 	onGrid(t, 4, 8, func(d *grid.Dist) {
 		deg := NewVec(d, 1)
 		x := NewSpV(d)
-		if got := x.ArgMinBy(deg); got != -1 {
-			t.Errorf("empty argmin = %d", got)
+		if got := x.ArgMinKBy(deg, 1); len(got) != 0 {
+			t.Errorf("empty argmin = %v", got)
 		}
 	})
 }
@@ -372,7 +375,7 @@ func TestSortPermMatchesSequentialSort(t *testing.T) {
 	for v := 3; v <= 30; v++ {
 		tuples = append(tuples, spvec.Tuple{Parent: int64(v % 5), Degree: degs[v], Vertex: v})
 	}
-	spvec.SortTuples(tuples)
+	spvec.SortTuplesWS(nil, tuples)
 	nv := int64(100)
 	wantLabel := map[int]int64{}
 	for k, tu := range tuples {
@@ -391,7 +394,7 @@ func TestSortPermMatchesSequentialSort(t *testing.T) {
 					lnext.Loc.Append(g, int64(g%5))
 				}
 			}
-			rnext := SortPerm(lnext, deg, nv)
+			rnext := SortPermWS(&SortWS{}, lnext, deg, nv)
 			if !rnext.Loc.IsSorted() {
 				t.Errorf("p=%d: Rnext unsorted", p)
 			}
@@ -416,7 +419,7 @@ func TestSortPermMatchesSequentialSort(t *testing.T) {
 func TestSortPermEmptyFrontier(t *testing.T) {
 	onGrid(t, 4, 10, func(d *grid.Dist) {
 		deg := NewVec(d, 0)
-		rnext := SortPerm(NewSpV(d), deg, 5)
+		rnext := SortPermWS(&SortWS{}, NewSpV(d), deg, 5)
 		if rnext.Loc.Len() != 0 {
 			t.Error("labels from empty frontier")
 		}
@@ -427,7 +430,7 @@ func TestSortPermSingleEntry(t *testing.T) {
 	onGrid(t, 4, 10, func(d *grid.Dist) {
 		deg := NewVec(d, 3)
 		ln := NewSpVSingle(d, 7, 0)
-		rnext := SortPerm(ln, deg, 41)
+		rnext := SortPermWS(&SortWS{}, ln, deg, 41)
 		total := comm.AllReduceSum(d.G.World, int64(rnext.Loc.Len()))
 		if total != 1 {
 			t.Errorf("labeled %d vertices", total)
@@ -452,7 +455,7 @@ func TestSortPermLocalLabelsAllExactlyOnce(t *testing.T) {
 					lnext.Loc.Append(g, int64(g%4))
 				}
 			}
-			rnext := SortPermLocal(lnext, deg, 10)
+			rnext := SortPermLocalWS(&SortWS{}, lnext, deg, 10)
 			for k, i := range rnext.Loc.Ind {
 				ch <- Entry{Ind: i, Val: rnext.Loc.Val[k]}
 			}

@@ -45,7 +45,7 @@ type minMax struct {
 	min, max int64
 }
 
-// SortPerm implements the distributed SORTPERM primitive of §IV-B. Input:
+// SortPermWS implements the distributed SORTPERM primitive of §IV-B. Input:
 // the next frontier lnext, whose values are parent labels, and the degree
 // vector deg; nv is the number of vertices labeled so far. It returns the
 // distributed sparse vector Rnext assigning to every vertex of lnext its new
@@ -60,12 +60,9 @@ type minMax struct {
 // degree, vertex) — not a comparison sort), an exclusive scan turns bucket
 // offsets into global positions, and a second AllToAllv returns
 // (vertex, label) pairs to the vertex owners.
-func SortPerm(lnext *SpV, deg *Vec, nv int64) *SpV {
-	return SortPermWS(&SortWS{}, lnext, deg, nv)
-}
-
-// SortPermWS is SortPerm over an explicit per-rank workspace; the ordering
-// BFS calls it once per level with the same workspace.
+//
+// ws is the per-rank workspace; the ordering BFS calls SortPermWS once per
+// level with the same workspace.
 func SortPermWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 	g := lnext.D.G
 	world := g.World
@@ -221,17 +218,13 @@ func labeled(lnext *SpV, labels []int64) *SpV {
 	return out
 }
 
-// SortPermLocal is the "local sort only" ablation (the paper's §VI future
-// work: trade ordering quality for the global AllToAll). Every rank sorts
-// its local slice of the frontier by (parent, degree, vertex) and labels it
-// within the rank-contiguous range offset by the exclusive scan of local
-// counts. No tuple exchange takes place, so vertices are only ordered
-// correctly relative to frontier entries on the same rank.
-func SortPermLocal(lnext *SpV, deg *Vec, nv int64) *SpV {
-	return SortPermLocalWS(&SortWS{}, lnext, deg, nv)
-}
-
-// SortPermLocalWS is SortPermLocal over an explicit per-rank workspace.
+// SortPermLocalWS is the "local sort only" ablation (the paper's §VI
+// future work: trade ordering quality for the global AllToAll). Every rank
+// sorts its local slice of the frontier by (parent, degree, vertex) and
+// labels it within the rank-contiguous range offset by the exclusive scan
+// of local counts. No tuple exchange takes place, so vertices are only
+// ordered correctly relative to frontier entries on the same rank. ws is
+// the per-rank workspace, as for SortPermWS.
 func SortPermLocalWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 	world := lnext.D.G.World
 	if cap(ws.tuples) < lnext.Loc.Len() {

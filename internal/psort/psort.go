@@ -1,32 +1,23 @@
-// Package psort provides the deterministic sorts of the frontier pipeline.
-//
-// Two families:
-//
-//   - Keyed/Lex: stable linear-time sorts by unsigned integer keys —
-//     counting sort when the key range is compact, LSD radix (8-bit digits,
-//     uniform digits skipped) otherwise, with parallel histogram+scatter on
-//     large inputs. The RCM frontier sorts are all keyed by small
-//     non-negative integers ((parent label, degree, vertex id) — the
-//     classic linear-time Cuthill-McKee labeling of George & Liu), so every
-//     per-level sort of the pipeline runs in O(n) instead of O(n log n).
-//
-//   - Slice: a deterministic parallel comparator merge sort, for orders
-//     that have no integer key. The shared-memory RCM baseline used it for
-//     every BFS level; it remains for generic comparators.
-//
-// All sorts are deterministic regardless of goroutine scheduling: the keyed
-// sorts are stable by construction, and Slice's merge tree is fixed by the
-// input length.
+// Package psort provides the deterministic sorts of the frontier pipeline:
+// Keyed and Lex, stable linear-time sorts by unsigned integer keys —
+// counting sort when the key range is compact, LSD radix (8-bit digits,
+// uniform digits skipped) otherwise, with parallel histogram+scatter on
+// large inputs. The RCM frontier sorts are all keyed by small non-negative
+// integers ((parent label, degree, vertex id) — the classic linear-time
+// Cuthill-McKee labeling of George & Liu), so every per-level sort of the
+// pipeline runs in O(n) instead of O(n log n). Being stable by
+// construction, the sorts are deterministic regardless of goroutine
+// scheduling. InsertCapped, the bounded top-K insertion of the start-vertex
+// shortlists, completes the package.
 package psort
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 )
 
-// minParallel is the slice size below which sequential execution is used;
-// goroutine and merge overheads dominate under it.
+// minParallel is the slice size below which the radix passes run
+// sequentially; goroutine overheads dominate under it.
 const minParallel = 4096
 
 // minKeyed is the size below which the keyed sorts fall back to a stable
@@ -304,102 +295,6 @@ func eachChunk(bounds []int, fn func(c, a, b int)) {
 		}(c)
 	}
 	wg.Wait()
-}
-
-// Slice sorts data by less using up to threads goroutines: the deterministic
-// parallel comparator merge sort, for total orders without an integer key.
-func Slice[T any](data []T, less func(a, b T) bool, threads int) {
-	if threads < 1 {
-		threads = 1
-	}
-	if len(data) < minParallel || threads == 1 {
-		sort.Slice(data, func(i, j int) bool { return less(data[i], data[j]) })
-		return
-	}
-	// Round the chunk count down to a power of two so the merge tree is
-	// balanced.
-	chunks := 1
-	for chunks*2 <= threads {
-		chunks *= 2
-	}
-	if chunks > len(data)/minParallel {
-		chunks = 1
-		for chunks*2 <= len(data)/minParallel {
-			chunks *= 2
-		}
-	}
-	if chunks < 2 {
-		sort.Slice(data, func(i, j int) bool { return less(data[i], data[j]) })
-		return
-	}
-
-	bounds := make([]int, chunks+1)
-	for c := 0; c <= chunks; c++ {
-		bounds[c] = c * len(data) / chunks
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			part := data[lo:hi]
-			sort.Slice(part, func(i, j int) bool { return less(part[i], part[j]) })
-		}(bounds[c], bounds[c+1])
-	}
-	wg.Wait()
-
-	// Pairwise parallel merge rounds.
-	buf := make([]T, len(data))
-	src, dst := data, buf
-	for width := 1; width < chunks; width *= 2 {
-		var mw sync.WaitGroup
-		for c := 0; c < chunks; c += 2 * width {
-			lo := bounds[c]
-			mid := bounds[min(c+width, chunks)]
-			hi := bounds[min(c+2*width, chunks)]
-			mw.Add(1)
-			go func(lo, mid, hi int) {
-				defer mw.Done()
-				mergeInto(dst[lo:hi], src[lo:mid], src[mid:hi], less)
-			}(lo, mid, hi)
-		}
-		mw.Wait()
-		src, dst = dst, src
-	}
-	if &src[0] != &data[0] {
-		copy(data, src)
-	}
-}
-
-func mergeInto[T any](out, a, b []T, less func(x, y T) bool) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if less(b[j], a[i]) {
-			out[k] = b[j]
-			j++
-		} else {
-			out[k] = a[i]
-			i++
-		}
-		k++
-	}
-	for i < len(a) {
-		out[k] = a[i]
-		i++
-		k++
-	}
-	for j < len(b) {
-		out[k] = b[j]
-		j++
-		k++
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // InsertCapped inserts c into the ascending (by less) shortlist list,

@@ -7,111 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestSliceSmall(t *testing.T) {
-	data := []int{5, 2, 9, 1, 5, 6}
-	Slice(data, func(a, b int) bool { return a < b }, 4)
-	if !sort.IntsAreSorted(data) {
-		t.Errorf("not sorted: %v", data)
-	}
-}
-
-func TestSliceEmptyAndSingle(t *testing.T) {
-	Slice([]int{}, func(a, b int) bool { return a < b }, 4)
-	one := []int{7}
-	Slice(one, func(a, b int) bool { return a < b }, 4)
-	if one[0] != 7 {
-		t.Error("singleton mangled")
-	}
-}
-
-func TestSliceLargeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n := 200_000
-	data := make([]int, n)
-	for i := range data {
-		data[i] = rng.Intn(1_000_000)
-	}
-	ref := append([]int(nil), data...)
-	sort.Ints(ref)
-	for _, threads := range []int{1, 2, 3, 4, 8} {
-		d := append([]int(nil), data...)
-		Slice(d, func(a, b int) bool { return a < b }, threads)
-		for i := range ref {
-			if d[i] != ref[i] {
-				t.Fatalf("threads=%d: mismatch at %d", threads, i)
-			}
-		}
-	}
-}
-
-func TestSliceDeterministicOnTotalOrder(t *testing.T) {
-	// With a total order (ties broken by a unique field), the result is
-	// identical across thread counts.
-	type rec struct{ key, id int }
-	rng := rand.New(rand.NewSource(2))
-	n := 50_000
-	base := make([]rec, n)
-	for i := range base {
-		base[i] = rec{key: rng.Intn(100), id: i}
-	}
-	less := func(a, b rec) bool {
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		return a.id < b.id
-	}
-	first := append([]rec(nil), base...)
-	Slice(first, less, 1)
-	for _, threads := range []int{2, 4, 7} {
-		d := append([]rec(nil), base...)
-		Slice(d, less, threads)
-		for i := range first {
-			if d[i] != first[i] {
-				t.Fatalf("threads=%d: order differs at %d", threads, i)
-			}
-		}
-	}
-}
-
-func TestQuickSliceSortsAnything(t *testing.T) {
-	f := func(data []int32, threads uint8) bool {
-		th := int(threads%8) + 1
-		d := append([]int32(nil), data...)
-		Slice(d, func(a, b int32) bool { return a < b }, th)
-		for i := 1; i < len(d); i++ {
-			if d[i-1] > d[i] {
-				return false
-			}
-		}
-		return len(d) == len(data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkSlice(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	n := 500_000
-	base := make([]int64, n)
-	for i := range base {
-		base[i] = rng.Int63()
-	}
-	for _, threads := range []int{1, 2} {
-		name := map[int]string{1: "t1", 2: "t2"}[threads]
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				d := append([]int64(nil), base...)
-				b.StartTimer()
-				Slice(d, func(a, b int64) bool { return a < b }, threads)
-			}
-		})
-	}
-}
-
-// --- Keyed / Lex (linear-time) sorts -------------------------------------
-
 func TestKeyedSmallAndEdge(t *testing.T) {
 	Keyed([]int{}, func(v int) uint64 { return uint64(v) }, 4)
 	one := []int{7}

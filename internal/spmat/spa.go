@@ -8,13 +8,12 @@ import (
 )
 
 // SPA is the sparse accumulator every SpMSpV folds into: the distributed
-// CSC and DCSC local kernels, the row-partial merge at the tail of the
-// distributed SpMSpV, and the Algebraic engine's sequential kernel. A dense
-// value array holds the folds, and a bitmap over the same index space is
-// both the touched marker and the output order: draining scans its words
-// ascending, so no sort runs unless the touched set is too sparse for the
-// scan to pay. Entries fold in arrival order, so duplicate indices fold in
-// the order the caller supplies them.
+// CSC and DCSC local kernels and the row-partial merge at the tail of the
+// distributed SpMSpV. A dense value array holds the folds, and a bitmap
+// over the same index space is both the touched marker and the output
+// order: draining scans its words ascending, so no sort runs unless the
+// touched set is too sparse for the scan to pay. Entries fold in arrival
+// order, so duplicate indices fold in the order the caller supplies them.
 //
 // A drained SPA has every bit clear, which is what lets Reset reuse it
 // without zeroing anything.

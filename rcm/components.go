@@ -85,7 +85,7 @@ func (c config) runScheduled(g *spmat.CSR, copt core.Options, res *Result) {
 	case Sequential:
 		// ScheduleOptions.Big defaults to the sequential engine.
 	case Algebraic:
-		so.Big = core.AlgebraicOpt
+		so.Big = algebraic
 	case Shared:
 		so.Big = func(sub *spmat.CSR, o core.Options) *core.Ordering {
 			return core.SharedOpt(sub, c.threads, o)

@@ -1,6 +1,6 @@
 // Package rcm is the public front door of the repro module: a one-call
-// Reverse Cuthill-McKee ordering pipeline over the four interchangeable
-// implementations of the paper "The Reverse Cuthill-McKee Algorithm in
+// Reverse Cuthill-McKee ordering pipeline over the three interchangeable
+// engines of the paper "The Reverse Cuthill-McKee Algorithm in
 // Distributed-Memory" (Azad, Jacquelin, Buluç, Ng — IPDPS 2017,
 // arXiv:1610.08128).
 //
@@ -21,7 +21,7 @@
 //	    rcm.WithStartHeuristic(rcm.BiCriteria) // starting-vertex policy (RCM++, MinDegree, ...)
 //	)
 //
-// All four backends obey one deterministic contract (ties by vertex id,
+// Every backend obeys one deterministic contract (ties by vertex id,
 // minimum-label parent attachment, components by smallest vertex id), so
 // they produce the identical permutation under every start heuristic; the
 // Result carries the permutation in symrcm convention (Perm[k] = old index

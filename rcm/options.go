@@ -6,19 +6,22 @@ import (
 	"repro/internal/core"
 )
 
-// Backend selects which of the four interchangeable RCM implementations
-// runs the ordering. All four obey the same deterministic contract and
-// return the identical permutation; they differ in execution model and in
-// what the Result can report.
+// Backend selects which RCM engine runs the ordering: one of the three
+// interchangeable engines, or Algebraic, the distributed one run on a single
+// process. All backends obey the same deterministic contract and return the
+// identical permutation; they differ in execution model and in what the
+// Result can report.
 type Backend int
 
 const (
 	// Sequential is the classic queue-based RCM of George & Liu
 	// (Algorithms 1 and 2 of the paper). The default.
 	Sequential Backend = iota
-	// Algebraic is the sequential transliteration of the paper's
-	// matrix-algebraic formulation (Algorithms 3 and 4), the
-	// single-process reference for Distributed.
+	// Algebraic runs the paper's matrix-algebraic formulation
+	// (Algorithms 3 and 4) on one process: the Distributed engine at
+	// p = 1. It ignores WithProcs, WithSortMode, WithRandomPermSeed and
+	// WithHypersparse, and reports like a sequential backend (Procs and
+	// Threads 1, no Modeled breakdown).
 	Algebraic
 	// Shared is the level-synchronous shared-memory parallel RCM in the
 	// style of Karantasis et al. (SpMP), the paper's shared-memory

@@ -8,7 +8,8 @@ import (
 )
 
 // BenchmarkOrder measures the end-to-end facade hot path — Order on the
-// generator-suite analogs — for all four backends, reporting allocations.
+// generator-suite analogs — for every backend (the three engines, plus
+// Algebraic, the distributed one at p = 1), reporting allocations.
 // These are the wall-clock numbers of the simulation layer itself (not the
 // modelled BSP time), which is what bounds how large a virtual machine the
 // experiments can afford; the Distributed sub-benchmarks are the ones the

@@ -136,7 +136,7 @@ func order(a *Matrix, wantMatrix bool, opts []Option) (*Result, *Matrix, error) 
 		case Sequential:
 			fill(res, core.SequentialOpt(g, copt))
 		case Algebraic:
-			fill(res, core.AlgebraicOpt(g, copt))
+			fill(res, algebraic(g, copt))
 		case Shared:
 			fill(res, core.SharedOpt(g, c.threads, copt))
 			res.Threads = c.threads
@@ -263,6 +263,14 @@ func (c config) coreOptions(g *spmat.CSR) (core.Options, error) {
 		return core.Options{}, fmt.Errorf("rcm: unknown start heuristic %v", c.heuristic)
 	}
 	return opt, nil
+}
+
+// algebraic runs the Algebraic backend: Algorithms 3 and 4 on the
+// distributed engine at p = 1. The configured procs, sort mode, seed and
+// hypersparse flag are not forwarded, and the Result keeps the sequential
+// backends' 1/1 configuration and nil Modeled.
+func algebraic(g *spmat.CSR, o core.Options) *core.Ordering {
+	return &core.Distributed(g, core.DistOptions{Procs: 1, Options: o}).Ordering
 }
 
 // fill copies the engine ordering into the public Result.

@@ -2,6 +2,7 @@ package rcm
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -45,6 +46,54 @@ func TestBackendsAgree(t *testing.T) {
 		}
 		if res.PseudoDiameter != ref.PseudoDiameter {
 			t.Errorf("%s: pseudo-diameter %d != %d", tc.name, res.PseudoDiameter, ref.PseudoDiameter)
+		}
+	}
+}
+
+// TestAlgebraicIgnoresDistributedOptions pins the Algebraic backend's
+// contract: it runs the distributed engine at p = 1, ignores the process
+// grid, sort mode, load-balancing seed and block storage, and reports itself
+// as a sequential backend — scheduled or not. The multi-component matrix's
+// 64×64 giant reaches the default threshold, so the scheduler routes it
+// through the backend too.
+func TestAlgebraicIgnoresDistributedOptions(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		a    *Matrix
+	}{
+		{"scrambled", scrambled(t)},
+		{"multi", MultiComponent(64, 40, 17, 1)},
+	} {
+		ref, err := Order(m.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sched := range []bool{false, true} {
+			tag := fmt.Sprintf("%s/scheduled=%v", m.name, sched)
+			opts := []Option{WithBackend(Algebraic), WithProcs(4), WithSortMode(SortNone), WithRandomPermSeed(7), WithHypersparse(true)}
+			if sched {
+				opts = append(opts, WithComponentScheduling(0))
+			}
+			res, err := Order(m.a, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			if !reflect.DeepEqual(res.Perm, ref.Perm) {
+				t.Errorf("%s: permutation differs from sequential", tag)
+			}
+			if res.PseudoDiameter != ref.PseudoDiameter || res.Components != ref.Components {
+				t.Errorf("%s: pseudo-diameter/components %d/%d, sequential %d/%d",
+					tag, res.PseudoDiameter, res.Components, ref.PseudoDiameter, ref.Components)
+			}
+			if res.Backend != Algebraic {
+				t.Errorf("%s: backend %v, want algebraic", tag, res.Backend)
+			}
+			if res.Procs != 1 || res.Threads != 1 {
+				t.Errorf("%s: recorded %d procs × %d threads, want 1 × 1", tag, res.Procs, res.Threads)
+			}
+			if res.Modeled != nil {
+				t.Errorf("%s: algebraic result carries a modelled breakdown", tag)
+			}
 		}
 	}
 }
