@@ -35,9 +35,8 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/spmat"
 )
 
@@ -184,7 +183,10 @@ func (s *solver) find(v int) int {
 
 // round runs one multiple-elimination step: select a distance-2 independent
 // set of minimum-degree pivots sequentially, then eliminate, merge and
-// update degrees in parallel over the pivots.
+// update degrees in parallel over the pivots, each phase a queue whose
+// workers own one scratch each. A pivot's work reads and writes only its
+// own neighbourhood (disjoint by construction), so the schedule cannot
+// influence the outcome.
 func (s *solver) round() {
 	pivots := s.selectPivots()
 	for _, p := range pivots {
@@ -193,9 +195,9 @@ func (s *solver) round() {
 	}
 	s.rounds = append(s.rounds, pivots)
 	aliveEnd := s.alive
-	s.forEachPivot(pivots, func(ws *workerScratch, p int) { s.eliminate(ws, p) })
-	s.forEachPivot(pivots, func(ws *workerScratch, p int) { s.mergeVariables(ws, p) })
-	s.forEachPivot(pivots, func(ws *workerScratch, p int) { s.updateDegrees(ws, p, aliveEnd) })
+	par.Queue(s.threads, len(pivots), func(w, i int) { s.eliminate(s.scratch[w], pivots[i]) })
+	par.Queue(s.threads, len(pivots), func(w, i int) { s.mergeVariables(s.scratch[w], pivots[i]) })
+	par.Queue(s.threads, len(pivots), func(w, i int) { s.updateDegrees(s.scratch[w], pivots[i], aliveEnd) })
 }
 
 // selectPivots is the sequential greedy sweep: among the alive variables of
@@ -499,41 +501,6 @@ func (s *solver) updateDegrees(ws *workerScratch, p int, aliveEnd int) {
 		}
 		s.deg[i] = d
 	}
-}
-
-// forEachPivot runs fn over the round's pivots on min(threads, len(pivots))
-// workers, each with its own scratch. Work is claimed from an atomic
-// cursor; because every fn invocation reads and writes only the pivot's own
-// neighbourhood (disjoint by construction), the schedule cannot influence
-// the outcome.
-func (s *solver) forEachPivot(pivots []int, fn func(ws *workerScratch, p int)) {
-	w := s.threads
-	if w > len(pivots) {
-		w = len(pivots)
-	}
-	if w <= 1 {
-		ws := s.scratch[0]
-		for _, p := range pivots {
-			fn(ws, p)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func(ws *workerScratch) {
-			defer wg.Done()
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= len(pivots) {
-					return
-				}
-				fn(ws, pivots[idx])
-			}
-		}(s.scratch[k])
-	}
-	wg.Wait()
 }
 
 // perm assembles the elimination order: rounds chronologically, pivots of a

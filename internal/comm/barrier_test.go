@@ -30,7 +30,7 @@ func atProcs(t *testing.T, f func(t *testing.T)) {
 func TestBarrierNobodyPassesEarly(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		const n, rounds = 8, 60
-		b := newBarrier(n)
+		b := newWorld().newBarrier(n)
 		var arrived atomic.Int64
 		done := make(chan struct{})
 		for r := 0; r < n; r++ {

@@ -2,10 +2,10 @@
 // bulk-synchronous message-passing runtime in pure Go that plays the role
 // MPI plays in the paper.
 //
-// Ranks are goroutines, except that a one-rank world runs on the caller's
-// goroutine. Collectives move data by copying it through a shared exchange
-// area guarded by generation barriers, so the data movement is real (every
-// word crosses the exchange exactly once per collective, like a
+// Ranks are goroutines started by par.For (a one-rank world runs on the
+// caller's goroutine). Collectives move data by copying it through a shared
+// exchange area guarded by generation barriers, so the data movement is real
+// (every word crosses the exchange exactly once per collective, like a
 // shared-memory MPI transport) and can be counted exactly. Every collective
 // also advances the participants' BSP virtual clocks (see package tally):
 // clocks synchronize to the maximum over the group, then the modelled α-β
@@ -28,6 +28,10 @@
 // part of the model: how a rank waits changes how fast the simulation
 // runs, never a count, a clock or a result.
 //
+// A panicking rank aborts its world, as MPI's default error handler aborts
+// the job: its peers unwind at their next barrier wait, and Run re-panics
+// on its caller's goroutine with the lowest panicking rank's value.
+//
 // Collectives that return data come in two flavours: the plain form returns
 // fresh slices, and the Into form appends into a caller-supplied scratch
 // buffer so steady-state callers (SpMSpV, SORTPERM, halo exchanges) can run
@@ -40,6 +44,7 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -47,6 +52,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/par"
 	"repro/internal/tally"
 )
 
@@ -67,28 +73,56 @@ type slotEntry struct {
 // barrier"); 256 was best.
 const spinBudget = 256
 
+// world is the state every barrier of one Run shares, Split's included: the
+// abort flag a panicking rank sets, and the one lock and condition variable
+// parked waiters use, so one broadcast reaches them all.
+type world struct {
+	aborted atomic.Bool
+	mu      sync.Mutex
+	cond    sync.Cond
+}
+
+func newWorld() *world {
+	w := &world{}
+	w.cond.L = &w.mu
+	return w
+}
+
+// errAborted is what a waiter panics with once its world is aborted; Run
+// swallows it. Built once, so the abort path allocates nothing.
+var errAborted = errors.New("comm: world aborted by a panicking rank")
+
+// unwind is every rank's deferred exit. A waiter's errAborted is
+// swallowed; any other panic aborts the world (the flag is set, then parked
+// waiters are woken under the lock) and carries on to Run's join.
+func (w *world) unwind() {
+	if v := recover(); v != nil && v != errAborted {
+		w.aborted.Store(true)
+		w.mu.Lock()
+		w.cond.Broadcast()
+		w.mu.Unlock()
+		panic(v)
+	}
+}
+
 // barrier is a reusable generation barrier. Arrivals count through an
 // atomic counter; the last arrival resets it and advances the generation,
 // which releases the round. A waiter first polls the generation, calling
 // runtime.Gosched between polls so its P runs another rank instead of
-// idling, and only after spinBudget polls parks on the condition variable.
-// The atomics are the happens-before edges of the exchange: every rank's
-// slot write precedes its counter increment, the last increment precedes
-// the generation advance, and every waiter observes that advance before it
-// reads a peer's slot.
+// idling, and only after spinBudget polls parks on the world's condition
+// variable. Each poll, and each wake-up of a parked waiter, also checks the
+// world's abort flag. The atomics are the happens-before edges of the
+// exchange: every rank's slot write precedes its counter increment, the
+// last increment precedes the generation advance, and every waiter
+// observes that advance before it reads a peer's slot.
 type barrier struct {
 	n     int32
 	count atomic.Int32
 	gen   atomic.Uint32
-	mu    sync.Mutex
-	cond  *sync.Cond
+	w     *world
 }
 
-func newBarrier(n int) *barrier {
-	b := &barrier{n: int32(n)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
+func (w *world) newBarrier(n int) *barrier { return &barrier{n: int32(n), w: w} }
 
 func (b *barrier) wait() {
 	if b.n <= 1 {
@@ -97,23 +131,29 @@ func (b *barrier) wait() {
 	g := b.gen.Load()
 	if b.count.Add(1) == b.n {
 		b.count.Store(0)
-		b.mu.Lock()
+		b.w.mu.Lock()
 		b.gen.Store(g + 1)
-		b.cond.Broadcast()
-		b.mu.Unlock()
+		b.w.cond.Broadcast()
+		b.w.mu.Unlock()
 		return
 	}
 	for i := 0; i < spinBudget; i++ {
 		if b.gen.Load() != g {
 			return
 		}
+		if b.w.aborted.Load() {
+			panic(errAborted)
+		}
 		runtime.Gosched()
 	}
-	b.mu.Lock()
-	for b.gen.Load() == g {
-		b.cond.Wait()
+	b.w.mu.Lock()
+	for b.gen.Load() == g && !b.w.aborted.Load() {
+		b.w.cond.Wait()
 	}
-	b.mu.Unlock()
+	b.w.mu.Unlock()
+	if b.gen.Load() == g {
+		panic(errAborted)
+	}
 }
 
 // Comm is a communicator: a group of ranks sharing an exchange area and a
@@ -145,11 +185,11 @@ func (c *Comm) Model() *tally.Model { return c.model }
 // per-rank stats, whose virtual clocks and phase buckets describe the
 // modelled execution (see package tally).
 //
-// A one-rank world runs f on the caller's goroutine, so a panic in it
-// unwinds into the caller like any other call and a recover there sees it.
-// Larger worlds spawn one goroutine per rank; a panic in any of those ranks
-// is not recovered and crashes the test or program, which is the desired
-// loud failure for a simulator.
+// The ranks run through par.For: a one-rank world runs f on the caller's
+// goroutine, so a panic reaches the caller as the raw value. In a larger
+// world a panicking rank aborts the world, so no rank stays blocked in a
+// collective, and Run re-panics with a *par.Panic carrying the lowest
+// panicking rank's value and stack.
 func Run(p int, model *tally.Model, f func(c *Comm)) []*tally.Stats {
 	if p < 1 {
 		panic(fmt.Sprintf("comm: invalid world size %d", p))
@@ -157,24 +197,15 @@ func Run(p int, model *tally.Model, f func(c *Comm)) []*tally.Stats {
 	if model == nil {
 		model = tally.Edison()
 	}
+	w := newWorld()
 	slots := make([]slotEntry, p)
-	bar := newBarrier(p)
+	bar := w.newBarrier(p)
 	stats := make([]*tally.Stats, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
+	par.For(p, func(r int) {
+		defer w.unwind()
 		stats[r] = tally.NewStats(model)
-		c := &Comm{rank: r, size: p, slots: slots, bar: bar, stats: stats[r], model: model}
-		if p == 1 {
-			f(c)
-			break
-		}
-		wg.Add(1)
-		go func(c *Comm) {
-			defer wg.Done()
-			f(c)
-		}(c)
-	}
-	wg.Wait()
+		f(&Comm{rank: r, size: p, slots: slots, bar: bar, stats: stats[r], model: model})
+	})
 	return stats
 }
 
@@ -676,7 +707,7 @@ type splitShare struct {
 // by (key, old rank), exactly like MPI_Comm_split. Every rank must call it.
 func (c *Comm) Split(color, key int) *Comm {
 	if c.size == 1 {
-		return &Comm{rank: 0, size: 1, slots: make([]slotEntry, 1), bar: newBarrier(1), stats: c.stats, model: c.model}
+		return &Comm{rank: 0, size: 1, slots: make([]slotEntry, 1), bar: c.bar.w.newBarrier(1), stats: c.stats, model: c.model}
 	}
 	// Round 1: gather everyone's (color, key).
 	keys := AllGather(c, splitKey{color, key, c.rank})
@@ -703,7 +734,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	// Round 2: the leader of each group allocates the shared state and
 	// publishes it in its own slot; members read it.
 	if c.rank == leader {
-		depositVal(c, splitShare{slots: make([]slotEntry, len(group)), bar: newBarrier(len(group))})
+		depositVal(c, splitShare{slots: make([]slotEntry, len(group)), bar: c.bar.w.newBarrier(len(group))})
 	} else {
 		c.deposit(nil, 0)
 	}

@@ -2,9 +2,8 @@ package core
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/spmat"
 )
 
@@ -54,8 +53,8 @@ type ScheduleOptions struct {
 	// direction, reversal).
 	Options
 	// Big orders one extracted component with the full engine; nil selects
-	// SequentialOpt. Big calls run one at a time on the calling goroutine,
-	// in processing order, so stateful closures (e.g. collecting modelled
+	// SequentialOpt. Big calls run one at a time on one goroutine, in
+	// processing order, so stateful closures (e.g. collecting modelled
 	// breakdowns) need no locking.
 	Big func(sub *spmat.CSR, opt Options) *Ordering
 }
@@ -165,34 +164,21 @@ func ScheduledOrder(a *spmat.CSR, so ScheduleOptions) (*Ordering, *ScheduleStats
 	stats.Batched = len(smalls)
 	stats.Direct = ncomp - len(smalls)
 
-	// Small components drain concurrently; big ones run on this goroutine
-	// in processing order. All writes land in disjoint label ranges and
-	// disjoint diams slots, so the interleaving is output-invisible.
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	nw := workers
-	if nw > len(smalls) {
-		nw = len(smalls)
-	}
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(smalls) {
-					return
-				}
-				run(smalls[i], SequentialOpt)
-			}
-		}()
-	}
-	for _, c := range order {
-		if sizes[c] >= thr {
-			run(c, big)
+	// Small components drain through a worker queue while the big ones run
+	// one at a time, in processing order, on the other arm's goroutine. All
+	// writes land in disjoint label ranges and disjoint diams slots, so the
+	// interleaving is output-invisible.
+	par.For(2, func(arm int) {
+		if arm == 0 {
+			par.Queue(workers, len(smalls), func(_, i int) { run(smalls[i], SequentialOpt) })
+			return
 		}
-	}
-	wg.Wait()
+		for _, c := range order {
+			if sizes[c] >= thr {
+				run(c, big)
+			}
+		}
+	})
 
 	res := &Ordering{Components: ncomp}
 	for _, d := range diams {

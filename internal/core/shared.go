@@ -1,8 +1,7 @@
 package core
 
 import (
-	"sync"
-
+	"repro/internal/par"
 	"repro/internal/psort"
 	"repro/internal/spmat"
 )
@@ -88,29 +87,6 @@ type sharedWork struct {
 	mu       int64 // edges incident to unlabeled vertices
 }
 
-// parallelRanges invokes f(t, lo, hi) for threads contiguous slices of
-// [0, n) and waits.
-func (w *sharedWork) parallelRanges(n int, f func(t, lo, hi int)) {
-	t := w.threads
-	if t > n {
-		t = n
-	}
-	if t <= 1 {
-		f(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < t; k++ {
-		lo, hi := k*n/t, (k+1)*n/t
-		wg.Add(1)
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			f(k, lo, hi)
-		}(k, lo, hi)
-	}
-	wg.Wait()
-}
-
 // candidate is a (child, parent position) pair produced during expansion.
 type candidate struct {
 	child     int
@@ -122,7 +98,7 @@ type candidate struct {
 // marked until the merge), so workers race only on reads.
 func (w *sharedWork) expand(frontier []int, visited []bool) []candidate {
 	parts := make([][]candidate, w.threads)
-	w.parallelRanges(len(frontier), func(t, lo, hi int) {
+	par.Blocks(spmat.Blocks(len(frontier), w.threads), func(t, lo, hi int) {
 		var out []candidate
 		for pi := lo; pi < hi; pi++ {
 			v := frontier[pi]
@@ -153,7 +129,7 @@ func (w *sharedWork) expand(frontier []int, visited []bool) []candidate {
 // keeps the downstream merge byte-identical between the two directions.
 func (w *sharedWork) expandBottomUp(visited []bool, labelFree bool) []candidate {
 	parts := make([][]candidate, w.threads)
-	w.parallelRanges(w.a.N, func(t, lo, hi int) {
+	par.Blocks(spmat.Blocks(w.a.N, w.threads), func(t, lo, hi int) {
 		var out []candidate
 		for u := lo; u < hi; u++ {
 			if visited[u] {

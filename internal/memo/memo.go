@@ -8,8 +8,9 @@
 // itself (Miss). The fill runs on its own goroutine: no caller's context
 // can cancel or fail it, so one client hanging up never fails the others
 // waiting on the same key, and a finished fill is kept for the next
-// caller even when every waiter has gone. A panic in the fill becomes a
-// *PanicError for every waiter instead of a crashed process.
+// caller even when every waiter has gone. A panic in the fill, or on a
+// goroutine the fill forked through package par, becomes a *PanicError for
+// every waiter instead of a crashed process.
 package memo
 
 import (
@@ -19,6 +20,8 @@ import (
 	"log"
 	"runtime/debug"
 	"sync"
+
+	"repro/internal/par"
 )
 
 // Outcome reports how Get served a key.
@@ -36,8 +39,8 @@ const (
 // PanicError is the error every waiter of a panicking fill gets.
 type PanicError struct {
 	Key   string // the key being filled
-	Value any    // what the fill panicked with
-	Stack []byte // the fill goroutine's stack at the panic
+	Value any    // what the fill panicked with (a *par.Panic's Value)
+	Stack []byte // the panicking goroutine's stack at the panic
 }
 
 func (e *PanicError) Error() string {
@@ -144,6 +147,9 @@ func (c *Cache[V]) run(key string, f *flight[V], fill func() (V, error)) {
 	defer func() {
 		if r := recover(); r != nil {
 			pe := &PanicError{Key: key, Value: r, Stack: debug.Stack()}
+			if p, ok := r.(*par.Panic); ok {
+				pe.Value, pe.Stack = p.Value, p.Stack // the faulting goroutine's, not the join's
+			}
 			log.Printf("%v\n%s", pe, pe.Stack)
 			f.err = pe
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -11,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/par"
 )
 
 // byLen charges a string value its length.
@@ -285,5 +288,36 @@ func TestPanickingFill(t *testing.T) {
 	v, out, err := c.Get(context.Background(), "k", func() (string, error) { return "ok", nil })
 	if err != nil || v != "ok" || out != Miss {
 		t.Errorf("Get after a panicking fill = %q, %d, %v; want a fresh fill", v, out, err)
+	}
+}
+
+//go:noinline
+func panickingWorker() { panic("worker invariant broken") }
+
+// TestPanickingFillWorker: a fill whose forked worker panics yields a
+// *PanicError carrying the worker's own value and stack, as a panic on the
+// fill goroutine itself would, not the join's *par.Panic.
+func TestPanickingFillWorker(t *testing.T) {
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(os.Stderr)
+
+	c := New(1<<20, byLen)
+	_, _, err := c.Get(context.Background(), "k", func() (string, error) {
+		par.For(4, func(i int) {
+			if i == 2 {
+				panickingWorker()
+			}
+		})
+		return "unreachable", nil
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a *PanicError", err)
+	}
+	if pe.Value != "worker invariant broken" {
+		t.Errorf("PanicError.Value = %#v, want the worker's value", pe.Value)
+	}
+	if !strings.Contains(string(pe.Stack), "memo.panickingWorker") {
+		t.Errorf("PanicError.Stack does not name the worker:\n%s", pe.Stack)
 	}
 }

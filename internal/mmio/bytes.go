@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 
+	"repro/internal/par"
 	"repro/internal/spmat"
 )
 
@@ -110,15 +110,7 @@ func readBinaryBytes(buf []byte, threads int, wantDigest bool) (*spmat.CSR, stri
 	// Col. Errors are collected per block and reported lowest-block-first,
 	// so rejection is deterministic at any thread count.
 	errs := make([]error, nb)
-	var wg sync.WaitGroup
-	for k := 0; k < nb; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			errs[k] = decodeColBlock(buf, offs[k], a, bounds[k], bounds[k+1])
-		}(k)
-	}
-	wg.Wait()
+	par.Blocks(bounds, func(k, lo, hi int) { errs[k] = decodeColBlock(buf, offs[k], a, lo, hi) })
 	for _, e := range errs {
 		if e != nil {
 			return nil, "", e

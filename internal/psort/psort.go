@@ -13,7 +13,8 @@ package psort
 
 import (
 	"math/bits"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // minParallel is the slice size below which the radix passes run
@@ -237,7 +238,7 @@ func radixPass[T any](ws *Scratch[T], src, dst []T, lo uint64, shift uint, key f
 	if chunks == 1 {
 		digitHist(&hists[0], src, lo, shift, key)
 	} else {
-		eachChunk(bounds, func(c, a, b int) { digitHist(&hists[c], src[a:b], lo, shift, key) })
+		par.Blocks(bounds, func(c, a, b int) { digitHist(&hists[c], src[a:b], lo, shift, key) })
 	}
 	// Exclusive scan over (digit, chunk): chunk c's first slot for digit d.
 	var total [256]int
@@ -261,7 +262,7 @@ func radixPass[T any](ws *Scratch[T], src, dst []T, lo uint64, shift uint, key f
 	if chunks == 1 {
 		digitScatter(&hists[0], src, dst, lo, shift, key)
 	} else {
-		eachChunk(bounds, func(c, a, b int) { digitScatter(&hists[c], src[a:b], dst, lo, shift, key) })
+		par.Blocks(bounds, func(c, a, b int) { digitScatter(&hists[c], src[a:b], dst, lo, shift, key) })
 	}
 	return true
 }
@@ -281,20 +282,6 @@ func digitScatter[T any](off *[256]int, src, dst []T, lo uint64, shift uint, key
 		dst[off[d]] = v
 		off[d]++
 	}
-}
-
-// eachChunk runs fn(c, bounds[c], bounds[c+1]) for every chunk on its own
-// goroutine and waits for all of them.
-func eachChunk(bounds []int, fn func(c, a, b int)) {
-	var wg sync.WaitGroup
-	for c := 0; c+1 < len(bounds); c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			fn(c, bounds[c], bounds[c+1])
-		}(c)
-	}
-	wg.Wait()
 }
 
 // InsertCapped inserts c into the ascending (by less) shortlist list,

@@ -1,9 +1,6 @@
 package spmat
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // Row-block partitioning shared by every parallel bulk kernel (Permute,
 // Bandwidth, Profile, Degrees, Wavefront, the binary-decode workers). A
@@ -70,25 +67,4 @@ func WeightedBlocks(ptr []int, threads int) []int {
 		b[k] = lo
 	}
 	return b
-}
-
-// parallelBlocks runs fn(k, lo, hi) for every block of the boundary slice,
-// concurrently when there is more than one block.
-func parallelBlocks(bounds []int, fn func(k, lo, hi int)) {
-	nb := len(bounds) - 1
-	if nb <= 1 {
-		if nb == 1 {
-			fn(0, bounds[0], bounds[1])
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(nb)
-	for k := 0; k < nb; k++ {
-		go func(k int) {
-			defer wg.Done()
-			fn(k, bounds[k], bounds[k+1])
-		}(k)
-	}
-	wg.Wait()
 }

@@ -1,9 +1,9 @@
 package spmat
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // Parallel connected components over the CSR pattern: a concurrent
@@ -64,12 +64,6 @@ func ufUnion(parent []int32, x, y int32) {
 // result is deterministic and matches Components on symmetric patterns.
 func (a *CSR) ParallelComponents(threads int) (comp []int, ncomp int) {
 	n := a.N
-	if threads < 1 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	if threads > n {
-		threads = n
-	}
 	comp = make([]int, n)
 	if n == 0 {
 		return comp, 0
@@ -78,7 +72,7 @@ func (a *CSR) ParallelComponents(threads int) (comp []int, ncomp int) {
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	scan := func(lo, hi int) {
+	par.Blocks(Blocks(n, threads), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for _, j := range a.Row(i) {
 				if j != i {
@@ -86,21 +80,7 @@ func (a *CSR) ParallelComponents(threads int) (comp []int, ncomp int) {
 				}
 			}
 		}
-	}
-	if threads <= 1 {
-		scan(0, n)
-	} else {
-		var wg sync.WaitGroup
-		for t := 0; t < threads; t++ {
-			lo, hi := t*n/threads, (t+1)*n/threads
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				scan(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
+	})
 	// Deterministic numbering: roots are component minima, so an ascending
 	// scan meets every root before the rest of its component.
 	for v := 0; v < n; v++ {

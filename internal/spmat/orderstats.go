@@ -3,6 +3,8 @@ package spmat
 import (
 	"math"
 	"sort"
+
+	"repro/internal/par"
 )
 
 // OrderStats is the ordering-quality statistics of a matrix under one
@@ -47,7 +49,7 @@ func (a *CSR) OrderStats(inv []int, threads int) OrderStats {
 	}
 	part := make([]OrderStats, len(bounds)-1)
 	w := make([]int, n)
-	parallelBlocks(bounds, func(k, lo, hi int) {
+	par.Blocks(bounds, func(k, lo, hi int) {
 		part[k] = a.orderStatsRows(inv, lo, hi, w)
 	})
 	var st OrderStats

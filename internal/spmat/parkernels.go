@@ -3,6 +3,8 @@ package spmat
 import (
 	"math"
 	"sort"
+
+	"repro/internal/par"
 )
 
 // Parallel bulk kernels over row blocks. rcm.Order no longer calls them:
@@ -33,7 +35,7 @@ func (a *CSR) DegreesPar(threads int) []int {
 		return a.Degrees()
 	}
 	deg := make([]int, a.N)
-	parallelBlocks(WeightedBlocks(a.RowPtr, threads), func(_, lo, hi int) {
+	par.Blocks(WeightedBlocks(a.RowPtr, threads), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			d := 0
 			for _, j := range a.Row(i) {
@@ -55,7 +57,7 @@ func (a *CSR) BandwidthPar(threads int) int {
 	}
 	bounds := WeightedBlocks(a.RowPtr, threads)
 	part := make([]int, len(bounds)-1)
-	parallelBlocks(bounds, func(k, lo, hi int) {
+	par.Blocks(bounds, func(k, lo, hi int) {
 		bw := 0
 		for i := lo; i < hi; i++ {
 			for _, j := range a.Row(i) {
@@ -88,7 +90,7 @@ func (a *CSR) ProfilePar(threads int) int64 {
 	}
 	bounds := Blocks(a.N, threads)
 	part := make([]int64, len(bounds)-1)
-	parallelBlocks(bounds, func(k, lo, hi int) {
+	par.Blocks(bounds, func(k, lo, hi int) {
 		var p int64
 		for i := lo; i < hi; i++ {
 			row := a.Row(i)
@@ -116,7 +118,7 @@ func (a *CSR) FillProxyPar(threads int) int64 {
 	}
 	bounds := WeightedBlocks(a.RowPtr, threads)
 	part := make([]int64, len(bounds)-1)
-	parallelBlocks(bounds, func(k, lo, hi int) {
+	par.Blocks(bounds, func(k, lo, hi int) {
 		var f int64
 		for i := lo; i < hi; i++ {
 			row := a.Row(i)
@@ -143,7 +145,7 @@ func (a *CSR) WavefrontPar(threads int) WavefrontStats {
 	}
 	n := a.N
 	fj := make([]int, n)
-	parallelBlocks(Blocks(n, threads), func(_, lo, hi int) {
+	par.Blocks(Blocks(n, threads), func(_, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			fj[j] = j
 			row := a.Row(j)
