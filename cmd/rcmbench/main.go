@@ -15,10 +15,9 @@
 //	rcmbench -exp ablation-format    CSC vs CSR-scan local kernel (§IV-A)
 //	rcmbench -exp quality            ordering quality vs concurrency (§I claim)
 //	rcmbench -exp sizesense          scaling limit vs matrix size (§V-D claim)
-//	rcmbench -exp sloan              RCM vs Sloan envelope quality (extension)
 //	rcmbench -exp ablation-dcsc      CSC vs DCSC block storage (hypersparsity)
 //	rcmbench -exp ablation-components component scheduling on/off, shared engine
-//	rcmbench -exp ablation-ordering  RCM vs AMD vs Sloan, bandwidth vs fill proxy
+//	rcmbench -exp ablation-ordering  RCM vs AMD vs Sloan: bandwidth, fill proxy, profile, RMS wavefront
 //	rcmbench -exp spy                before/after ASCII spy plots (Fig. 3 plots)
 //	rcmbench -exp service            ordering-service QPS vs cache hit ratio
 //	rcmbench -exp ingest             RCMB ingest strategies, one content digest

@@ -1,7 +1,7 @@
 // CGSolve: the Fig. 1 scenario end to end. Solve a scrambled ("natural"
 // ordering) 2D thermal problem with conjugate gradients and a block-Jacobi
 // preconditioner, then solve the RCM-reordered system, and compare both the
-// real iteration counts and the modelled distributed solve times as the
+// real iteration counts and the distributed solve's modelled times as the
 // core count grows.
 package main
 
@@ -45,19 +45,20 @@ func main() {
 	solve("natural", a)
 	solve("rcm", p)
 
-	// The modelled distributed solve at growing core counts (Fig. 1).
+	// The distributed solve on the simulated runtime at growing core
+	// counts, one block per process (Fig. 1); times are modelled.
 	fmt.Printf("\n%6s %14s %14s %9s\n", "cores", "natural (s)", "rcm (s)", "speedup")
 	for _, cores := range []int{1, 4, 16, 64, 256} {
-		nat, err := rcm.ModelDistributedSolve(a, cores, 1e-6, 20000)
+		nat, err := rcm.SolveDistributedPCG(a, b, cores, 1e-6, 20000)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ord, err := rcm.ModelDistributedSolve(p, cores, 1e-6, 20000)
+		ord, err := rcm.SolveDistributedPCG(p, b, cores, 1e-6, 20000)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%6d %14.4f %14.4f %8.2fx\n",
-			cores, nat.ModeledSeconds, ord.ModeledSeconds,
-			nat.ModeledSeconds/ord.ModeledSeconds)
+			cores, nat.Modeled.Seconds, ord.Modeled.Seconds,
+			nat.Modeled.Seconds/ord.Modeled.Seconds)
 	}
 }

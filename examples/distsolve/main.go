@@ -42,13 +42,13 @@ func main() {
 		log.Fatal(err)
 	}
 	report := func(name string, r *rcm.DistSolveResult) {
-		fmt.Printf("%-8s %4d iterations, %.1e final rel, %8d halo words, modelled %.4f s\n",
-			name, r.Iterations, r.FinalRel, r.Modeled.Words, r.Modeled.Seconds)
+		fmt.Printf("%-8s %4d iterations, %.1e final rel, %5d halo words from %2d neighbours per SpMV, modelled %.4f s\n",
+			name, r.Iterations, r.FinalRel, r.HaloWordsPerIter, r.HaloMsgsPerIter, r.Modeled.Seconds)
 	}
 	fmt.Println("\ndistributed PCG on 16 processes:")
 	report("natural", natural)
 	report("rcm", ordered)
-	fmt.Printf("\nhalo traffic reduced %.1fx, time %.1fx\n",
-		float64(natural.Modeled.Words)/float64(ordered.Modeled.Words),
+	fmt.Printf("\nhalo per SpMV reduced %.1fx, time %.1fx\n",
+		float64(natural.HaloWordsPerIter)/float64(ordered.HaloWordsPerIter),
 		natural.Modeled.Seconds/ordered.Modeled.Seconds)
 }

@@ -83,17 +83,26 @@ func TestFilterConfigs(t *testing.T) {
 func TestRunFig1ShowsRCMAdvantageAtScale(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Config{Scale: 10, MaxCores: 64, Out: &buf}
-	res := RunFig1(cfg)
+	res, err := RunFig1(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.BWRCM >= res.BWNatural {
 		t.Errorf("RCM bandwidth %d not below natural %d", res.BWRCM, res.BWNatural)
 	}
-	if len(res.Points) == 0 {
-		t.Fatal("no points")
+	if len(res.Points) < 2 {
+		t.Fatalf("%d points", len(res.Points))
 	}
-	last := res.Points[len(res.Points)-1]
-	if last.RCM.ModeledSeconds >= last.Natural.ModeledSeconds {
-		t.Errorf("at %d cores RCM (%g) not faster than natural (%g)",
-			last.Cores, last.RCM.ModeledSeconds, last.Natural.ModeledSeconds)
+	// Fig. 1's claim: RCM helps more at the top core count than at one.
+	speedup := func(p Fig1Point) float64 { return modeledSeconds(p.Natural) / modeledSeconds(p.RCM) }
+	first, last := res.Points[0], res.Points[len(res.Points)-1]
+	if speedup(last) <= 1 {
+		t.Errorf("at %d cores RCM (%g s) not faster than natural (%g s)",
+			last.Cores, modeledSeconds(last.RCM), modeledSeconds(last.Natural))
+	}
+	if speedup(last) <= speedup(first) {
+		t.Errorf("RCM speedup %.2fx at %d cores not above %.2fx at %d",
+			speedup(last), last.Cores, speedup(first), first.Cores)
 	}
 	if !strings.Contains(buf.String(), "Fig 1") {
 		t.Error("no table rendered")

@@ -4,6 +4,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+
+	"repro/internal/cg"
 )
 
 // WriteScalingCSV emits the Fig. 4/5 sweep as CSV, one row per
@@ -46,12 +48,11 @@ func WriteFig1CSV(w io.Writer, res *Fig1Result) error {
 	if err := cw.Write([]string{"cores", "ordering", "modeled_s", "iterations", "comm_words_per_iter", "comm_msgs_per_iter", "converged"}); err != nil {
 		return err
 	}
+	row := func(cores int, ordering string, r *cg.DistResult) []string {
+		return []string{fmt.Sprint(cores), ordering, fmt.Sprintf("%.9f", modeledSeconds(r)), fmt.Sprint(r.Iterations), fmt.Sprint(r.HaloWords), fmt.Sprint(r.HaloMsgs), fmt.Sprint(r.Converged)}
+	}
 	for _, p := range res.Points {
-		rows := [][]string{
-			{fmt.Sprint(p.Cores), "natural", fmt.Sprintf("%.9f", p.Natural.ModeledSeconds), fmt.Sprint(p.Natural.Iterations), fmt.Sprint(p.Natural.CommWordsPerIter), fmt.Sprint(p.Natural.CommMsgsPerIter), fmt.Sprint(p.Natural.Converged)},
-			{fmt.Sprint(p.Cores), "rcm", fmt.Sprintf("%.9f", p.RCM.ModeledSeconds), fmt.Sprint(p.RCM.Iterations), fmt.Sprint(p.RCM.CommWordsPerIter), fmt.Sprint(p.RCM.CommMsgsPerIter), fmt.Sprint(p.RCM.Converged)},
-		}
-		for _, r := range rows {
+		for _, r := range [][]string{row(p.Cores, "natural", p.Natural), row(p.Cores, "rcm", p.RCM)} {
 			if err := cw.Write(r); err != nil {
 				return err
 			}

@@ -35,7 +35,10 @@ func TestWriteScalingCSV(t *testing.T) {
 }
 
 func TestWriteFig1CSV(t *testing.T) {
-	res := RunFig1(Config{Scale: 12, MaxCores: 16})
+	res, err := RunFig1(Config{Scale: 12, MaxCores: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := WriteFig1CSV(&buf, res); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,8 @@ func Experiments(cfg Config) []Experiment {
 		}
 	}
 	return []Experiment{
-		experiment(cfg, "fig1", RunFig1, WriteFig1CSV),
+		{ID: "fig1", Run: func() (any, error) { return RunFig1(cfg) },
+			CSV: func(w io.Writer, res any) error { return WriteFig1CSV(w, res.(*Fig1Result)) }},
 		experiment(cfg, "fig3", RunFig3, nil),
 		experiment(cfg, "table2", RunTable2, nil),
 		experiment(cfg, "fig4", scaling(PrintFig4), WriteScalingCSV),
@@ -42,10 +43,9 @@ func Experiments(cfg Config) []Experiment {
 		experiment(cfg, "ablation-format", RunAblationLocalFormat, nil),
 		experiment(cfg, "quality", RunQuality, nil),
 		experiment(cfg, "sizesense", RunSizeSensitivity, nil),
-		experiment(cfg, "sloan", RunSloanComparison, nil),
 		experiment(cfg, "ablation-dcsc", RunAblationDCSC, nil),
 		experiment(cfg, "ablation-components", RunAblationComponents, nil),
-		experiment(cfg, "ablation-ordering", RunAblationOrdering, nil),
+		{ID: "ablation-ordering", Run: func() (any, error) { return RunAblationOrdering(cfg) }},
 		experiment(cfg, "service", RunServiceThroughput, WriteServiceCSV),
 		experiment(cfg, "ingest", RunIngest, WriteIngestCSV),
 		experiment(cfg, "fleet", RunFleet, WriteFleetCSV),

@@ -58,7 +58,6 @@ var experimentChecks = map[string]func(t *testing.T, res any, out string){
 		}
 	},
 	"sizesense": wantRows(3),
-	"sloan":     wantRows(9),
 	"ablation-dcsc": func(t *testing.T, res any, _ string) {
 		rows := res.([]DCSCRow)
 		if last := rows[len(rows)-1]; last.DCSCWords >= last.CSCWords {

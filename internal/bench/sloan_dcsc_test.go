@@ -6,30 +6,34 @@ import (
 	"testing"
 )
 
+// The RCM-against-Sloan columns of the ordering ablation.
 func TestRunSloanComparison(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := Config{Scale: 6, Out: &buf, Matrices: []string{"ldoor", "nlpkkt240"}}
-	rows := RunSloanComparison(cfg)
+	rows, err := RunAblationOrdering(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for _, r := range rows {
 		// Both heuristics must improve on the scrambled input.
-		if r.ProfileRCM >= r.ProfileBefore || r.ProfSloan >= r.ProfileBefore {
+		if r.RCM.Profile >= r.Input.Profile || r.Sloan.Profile >= r.Input.Profile {
 			t.Errorf("%s: profiles not reduced: before=%d rcm=%d sloan=%d",
-				r.Name, r.ProfileBefore, r.ProfileRCM, r.ProfSloan)
+				r.Name, r.Input.Profile, r.RCM.Profile, r.Sloan.Profile)
 		}
 		// On plain meshes Sloan (which targets the profile) must stay
 		// within 2x of RCM; saddle-point structures like nlpkkt defeat
 		// its default weights, which the experiment is there to show.
-		if r.Name == "ldoor" && r.ProfSloan > 2*r.ProfileRCM {
-			t.Errorf("%s: Sloan profile %d far above RCM %d", r.Name, r.ProfSloan, r.ProfileRCM)
+		if r.Name == "ldoor" && r.Sloan.Profile > 2*r.RCM.Profile {
+			t.Errorf("%s: Sloan profile %d far above RCM %d", r.Name, r.Sloan.Profile, r.RCM.Profile)
 		}
-		if r.RMSSloan <= 0 || r.RMSRCM <= 0 {
+		if r.Sloan.Wavefront.RMS <= 0 || r.RCM.Wavefront.RMS <= 0 {
 			t.Errorf("%s: missing wavefront stats", r.Name)
 		}
 	}
-	if !strings.Contains(buf.String(), "Sloan") {
+	if !strings.Contains(buf.String(), "rms-sloan") {
 		t.Error("table not rendered")
 	}
 }

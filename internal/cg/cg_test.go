@@ -267,33 +267,3 @@ func TestQuickILU0SolveIsExactWhenNoFill(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestModelDistributedCGFavoursRCMAtScale(t *testing.T) {
-	a := graphgen.Thermal2(10) // 30x30 scrambled grid
-	ord := core.Sequential(a)
-	rcm := a.Permute(ord.Perm)
-	natural := ModelDistributedCG(a, 16, nil, 1e-6, 3000)
-	ordered := ModelDistributedCG(rcm, 16, nil, 1e-6, 3000)
-	if !natural.Converged || !ordered.Converged {
-		t.Fatalf("convergence: %+v %+v", natural, ordered)
-	}
-	if ordered.ModeledSeconds >= natural.ModeledSeconds {
-		t.Errorf("RCM not faster at p=16: %g vs %g", ordered.ModeledSeconds, natural.ModeledSeconds)
-	}
-	if ordered.CommWordsPerIter >= natural.CommWordsPerIter {
-		t.Errorf("RCM ghost volume %d not below natural %d", ordered.CommWordsPerIter, natural.CommWordsPerIter)
-	}
-	// Single core: no ghost exchange.
-	solo := ModelDistributedCG(rcm, 1, nil, 1e-6, 3000)
-	if solo.CommWordsPerIter != 0 || solo.CommMsgsPerIter != 0 {
-		t.Errorf("p=1 has ghosts: %+v", solo)
-	}
-}
-
-func TestModelDistributedCGCoresClamped(t *testing.T) {
-	a := triDiag(12)
-	st := ModelDistributedCG(a, 0, nil, 1e-8, 100)
-	if st.Cores != 1 {
-		t.Errorf("cores = %d", st.Cores)
-	}
-}

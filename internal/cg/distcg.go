@@ -3,6 +3,7 @@ package cg
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/comm"
@@ -19,15 +20,19 @@ type DistResult struct {
 	// and communication time of the solve.
 	Breakdown tally.Breakdown
 	Procs     int
+	// HaloWords and HaloMsgs bound one SpMV's halo exchange: the maximum
+	// over ranks of ghost entries received (8-byte words) and of owners
+	// received from. Both are zero at one process.
+	HaloWords, HaloMsgs int64
 }
 
 // DistributedPCG solves Ax = b with preconditioned CG on the simulated
 // bulk-synchronous runtime: a 1D row-block partition with one block-Jacobi
 // ILU(0) block per process (the PETSc configuration of Fig. 1), real halo
-// exchanges for the SpMV through AllToAllv, and AllReduce dot products.
-// Unlike ModelDistributedCG — which prices a sequential solve — this runs
-// the actual distributed algorithm, so its iteration counts, its
-// communication volumes and its modelled time all emerge from execution.
+// exchanges for the SpMV through NeighborAllToAllvConcat, priced like
+// PETSc's VecScatter at α per neighbour, and AllReduce dot products. Its
+// iteration counts, its communication volumes and its modelled time all
+// emerge from execution.
 func DistributedPCG(a *spmat.CSR, b []float64, procs int, model *tally.Model, tol float64, maxIter int) (*DistResult, error) {
 	if !a.HasValues() {
 		return nil, fmt.Errorf("cg: distributed PCG requires numeric values")
@@ -43,9 +48,14 @@ func DistributedPCG(a *spmat.CSR, b []float64, procs int, model *tally.Model, to
 	}
 	out := &DistResult{Procs: procs}
 	var solveErr error
+	// Rank k's halo plan: ghost entries received per SpMV, and the owners
+	// they come from.
+	haloWords := make([]int64, procs)
+	haloMsgs := make([]int64, procs)
 
 	stats := comm.Run(procs, model, func(c *comm.Comm) {
 		r := newCGRank(c, a)
+		haloWords[c.Rank()], haloMsgs[c.Rank()] = r.haloCounts()
 		if r.err != nil {
 			if c.Rank() == 0 {
 				solveErr = r.err
@@ -67,6 +77,7 @@ func DistributedPCG(a *spmat.CSR, b []float64, procs int, model *tally.Model, to
 		return nil, solveErr
 	}
 	out.Breakdown = tally.Collect(stats)
+	out.HaloWords, out.HaloMsgs = slices.Max(haloWords), slices.Max(haloMsgs)
 	return out, nil
 }
 
@@ -84,7 +95,7 @@ type cgRank struct {
 	// rank must send to o (the mirror of o's ghostIdx for this rank).
 	ghostIdx [][]int
 	sendIdx  [][]int
-	// ghostVal maps a global ghost column to its slot in the received
+	// ghostPos maps a global ghost column to its slot in the received
 	// value buffer.
 	ghostPos map[int]int
 
@@ -188,6 +199,17 @@ func newCGRank(c *comm.Comm, a *spmat.CSR) *cgRank {
 	return r
 }
 
+// haloCounts returns the plan's per-SpMV receive volume: ghost entries and
+// the owners they come from (zero before the plan exists).
+func (r *cgRank) haloCounts() (words, owners int64) {
+	for _, idx := range r.ghostIdx {
+		if len(idx) > 0 {
+			owners++
+		}
+	}
+	return int64(len(r.ghostPos)), owners
+}
+
 // haloExchange distributes the needed remote entries of p (local slice) and
 // returns the ghost value buffer aligned with ghostPos. The send buffers
 // and the receive buffer come from the rank's scratch, so the steady-state
@@ -204,7 +226,7 @@ func (r *cgRank) haloExchange(p []float64) []float64 {
 		work += len(idx)
 	}
 	r.c.Stats().AddWork(int64(work))
-	r.ghostBuf, r.counts = comm.AllToAllvConcat(r.c, r.sendBufs, r.ghostBuf, r.counts)
+	r.ghostBuf, r.counts = comm.NeighborAllToAllvConcat(r.c, r.sendBufs, r.ghostBuf, r.counts)
 	return r.ghostBuf
 }
 

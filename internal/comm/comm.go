@@ -369,8 +369,10 @@ func AllGathervConcatInto[T any](c *Comm, local []T, into []T) []T {
 }
 
 // allToAllvCost charges the modelled cost and traffic counters of a
-// personalized exchange with the given send lists and received word count.
-func allToAllvCost[T any](c *Comm, sync float64, send [][]T, recvWords int64) {
+// personalized exchange with the given send lists and received word count:
+// the dense all-to-all price, or with neighbor the neighbourhood price, which
+// charges latency only for the non-empty sends.
+func allToAllvCost[T any](c *Comm, sync float64, send [][]T, recvWords int64, neighbor bool) {
 	var sentWords int64
 	var msgs int64
 	for i := 0; i < c.size; i++ {
@@ -388,6 +390,9 @@ func allToAllvCost[T any](c *Comm, sync float64, send [][]T, recvWords int64) {
 		moved = recvWords
 	}
 	cost := c.model.AllToAllCost(c.size, moved)
+	if neighbor {
+		cost = c.model.NeighborCost(msgs, moved)
+	}
 	c.stats.CommSync(sync, cost, msgs, sentWords)
 }
 
@@ -410,7 +415,7 @@ func AllToAllv[T any](c *Comm, send [][]T) [][]T {
 		recv[i] = append([]T(nil), theirs[c.rank]...)
 		recvWords += words[T](len(theirs[c.rank]))
 	}
-	allToAllvCost(c, sync, send, recvWords)
+	allToAllvCost(c, sync, send, recvWords, false)
 	c.release()
 	return recv
 }
@@ -420,8 +425,22 @@ func AllToAllv[T any](c *Comm, send [][]T) [][]T {
 // counts. into and counts are optional scratch buffers reused when large
 // enough, so steady-state callers can exchange without allocating; pass nil
 // to allocate fresh. The concatenation is the natural form for callers that
-// merge the pieces anyway (SpMSpV, SORTPERM, halo exchange).
+// merge the pieces anyway (SpMSpV, SORTPERM).
 func AllToAllvConcat[T any](c *Comm, send [][]T, into []T, counts []int) ([]T, []int) {
+	return allToAllvConcat(c, send, into, counts, false)
+}
+
+// NeighborAllToAllvConcat is AllToAllvConcat priced as a neighbourhood
+// exchange (MPI_Neighbor_alltoallv, PETSc's VecScatter): it moves the same
+// data and counts the same messages and words, but charges α per non-empty
+// send instead of α·(q−1) (tally.Model.NeighborCost). Clocks still sync to
+// the group maximum first. It is the halo exchange of a sparse
+// matrix-vector product, whose ranks talk to a few neighbours each.
+func NeighborAllToAllvConcat[T any](c *Comm, send [][]T, into []T, counts []int) ([]T, []int) {
+	return allToAllvConcat(c, send, into, counts, true)
+}
+
+func allToAllvConcat[T any](c *Comm, send [][]T, into []T, counts []int, neighbor bool) ([]T, []int) {
 	if len(send) != c.size {
 		panic(fmt.Sprintf("comm: AllToAllvConcat send has %d buffers for %d ranks", len(send), c.size))
 	}
@@ -451,7 +470,7 @@ func AllToAllvConcat[T any](c *Comm, send [][]T, into []T, counts []int) ([]T, [
 		out = append(out, theirs[c.rank]...)
 		recvWords += words[T](len(theirs[c.rank]))
 	}
-	allToAllvCost(c, sync, send, recvWords)
+	allToAllvCost(c, sync, send, recvWords, neighbor)
 	c.release()
 	return out, counts
 }

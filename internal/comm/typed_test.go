@@ -137,9 +137,21 @@ func TestTableAllToAllv(t *testing.T) {
 	})
 }
 
+// TestTableAllToAllvConcat runs the table through both prices of the
+// exchange: the two functions move the same data and count the same
+// traffic, and only the clock advance differs (α·(q−1) against α per
+// non-empty send, plus β·max(sent, received) for both).
 func TestTableAllToAllvConcat(t *testing.T) {
+	exchanges := []struct {
+		name string
+		f    func(*Comm, [][]int, []int, []int) ([]int, []int)
+	}{
+		{"dense", AllToAllvConcat[int]},
+		{"neighbor", NeighborAllToAllvConcat[int]},
+	}
 	forEachComm(t, func(t *testing.T, world, sub *Comm) {
 		p := sub.Size()
+		m := sub.Model()
 		send := make([][]int, p)
 		for dst := 0; dst < p; dst++ {
 			if dst%2 == 1 {
@@ -149,28 +161,62 @@ func TestTableAllToAllvConcat(t *testing.T) {
 				send[dst] = append(send[dst], sub.Rank()*100+dst)
 			}
 		}
+		var sent, msgs int64
+		for dst, b := range send {
+			if dst != sub.Rank() && len(b) > 0 {
+				sent += int64(len(b))
+				msgs++
+			}
+		}
 		var scratch []int
 		var counts []int
-		for round := 0; round < 2; round++ { // scratch reuse across rounds
-			scratch, counts = AllToAllvConcat(sub, send, scratch, counts)
-			pos := 0
-			for src := 0; src < p; src++ {
-				want := 0
-				if sub.Rank()%2 == 0 {
-					want = src + 1
-				}
-				if counts[src] != want {
-					t.Fatalf("round %d: counts[%d] = %d, want %d", round, src, counts[src], want)
-				}
-				for k := 0; k < counts[src]; k++ {
-					if scratch[pos+k] != src*100+sub.Rank() {
-						t.Errorf("from %d item %d: %d", src, k, scratch[pos+k])
-					}
-				}
-				pos += counts[src]
+		// Rounds 0 and 1 reuse the scratch; round 2 sends nothing at all.
+		for round := 0; round < 3; round++ {
+			if round == 2 {
+				send, sent, msgs = make([][]int, p), 0, 0
 			}
-			if pos != len(scratch) {
-				t.Fatalf("counts sum %d != len %d", pos, len(scratch))
+			var traffic [2][2]int64 // per exchange: Msgs, Words counted
+			for e, ex := range exchanges {
+				sub.Barrier() // equal clocks across the group
+				st := sub.Stats()
+				clock, m0, w0 := st.ClockNs(), st.Msgs, st.Words
+				scratch, counts = ex.f(sub, send, scratch, counts)
+				traffic[e] = [2]int64{st.Msgs - m0, st.Words - w0}
+				pos := 0
+				for src := 0; src < p; src++ {
+					want := 0
+					if sub.Rank()%2 == 0 && round < 2 {
+						want = src + 1
+					}
+					if counts[src] != want {
+						t.Fatalf("%s round %d: counts[%d] = %d, want %d", ex.name, round, src, counts[src], want)
+					}
+					for k := 0; k < counts[src]; k++ {
+						if scratch[pos+k] != src*100+sub.Rank() {
+							t.Errorf("%s from %d item %d: %d", ex.name, src, k, scratch[pos+k])
+						}
+					}
+					pos += counts[src]
+				}
+				if pos != len(scratch) {
+					t.Fatalf("%s: counts sum %d != len %d", ex.name, pos, len(scratch))
+				}
+				// Received words include the rank's own piece, as in the
+				// dense price.
+				alphas := msgs
+				if ex.name == "dense" {
+					alphas = int64(p - 1)
+				}
+				wantClock := clock
+				if p > 1 {
+					wantClock += m.AlphaNs*float64(alphas) + m.BetaNsPerWord*float64(max(sent, int64(len(scratch))))
+				}
+				if got := st.ClockNs(); got != wantClock {
+					t.Errorf("%s round %d: clock advanced %g ns, want %g", ex.name, round, got-clock, wantClock-clock)
+				}
+			}
+			if traffic[0] != traffic[1] || traffic[0] != [2]int64{msgs, sent} {
+				t.Errorf("round %d: traffic dense %v neighbor %v, want [%d %d]", round, traffic[0], traffic[1], msgs, sent)
 			}
 		}
 	})
@@ -330,11 +376,21 @@ func TestCollectivesDoNotAliasExchange(t *testing.T) {
 	Run(3, nil, func(c *Comm) {
 		local := []int{c.Rank() + 1}
 		got := AllGathervConcatInto(c, local, nil)
+		send := [][]int{{c.Rank() + 1}, {c.Rank() + 1}, {c.Rank() + 1}}
+		halo, _ := NeighborAllToAllvConcat(c, send, nil, nil)
 		local[0] = -777
+		for _, b := range send {
+			b[0] = -777
+		}
 		c.Barrier()
 		for r, v := range got {
 			if v != r+1 {
 				t.Errorf("rank %d saw mutated value %d from %d", c.Rank(), v, r)
+			}
+		}
+		for r, v := range halo {
+			if v != r+1 {
+				t.Errorf("rank %d saw mutated halo value %d from %d", c.Rank(), v, r)
 			}
 		}
 	})

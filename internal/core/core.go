@@ -231,6 +231,8 @@ func cmComponent(a *spmat.CSR, deg []int, labels []int64, r int, nv int64, ws *p
 	labels[r] = nv
 	nv++
 	var kids []int
+	// Built once: the radix path hands it to goroutines, so it escapes.
+	key := func(v int) uint64 { return uint64(deg[v]) }
 	for qi := 0; qi < len(order); qi++ {
 		v := order[qi]
 		kids = kids[:0]
@@ -240,7 +242,7 @@ func cmComponent(a *spmat.CSR, deg []int, labels []int64, r int, nv int64, ws *p
 				kids = append(kids, w)
 			}
 		}
-		psort.KeyedWS(ws, kids, func(v int) uint64 { return uint64(deg[v]) }, 1)
+		psort.KeyedWS(ws, kids, key, 1)
 		for _, w := range kids {
 			labels[w] = nv
 			nv++

@@ -42,6 +42,17 @@ func TestSequentialProducesValidPermutation(t *testing.T) {
 	}
 }
 
+// TestSequentialAllocsBounded pins the labelling loop's allocations on the
+// scale-2 ldoor analog: a per-vertex heap allocation (an escaping closure
+// built inside the BFS loop once cost 13,564 per order) shows up here.
+func TestSequentialAllocsBounded(t *testing.T) {
+	a := graphgen.SuiteByName("ldoor").Build(2)
+	opt := DefaultOptions()
+	if allocs := testing.AllocsPerRun(3, func() { SequentialOpt(a, opt) }); allocs > 256 {
+		t.Errorf("SequentialOpt made %.0f allocations per order on n=%d, want ≤ 256", allocs, a.N)
+	}
+}
+
 func TestSequentialEmptyMatrix(t *testing.T) {
 	got := Sequential(spmat.FromCoords(0, nil, true))
 	if len(got.Perm) != 0 || got.Components != 0 {

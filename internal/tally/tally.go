@@ -144,6 +144,14 @@ func (m *Model) AllToAllCost(q int, words int64) float64 {
 	return m.AlphaNs*float64(q-1) + m.BetaNsPerWord*float64(words)
 }
 
+// NeighborCost models a neighbourhood exchange (MPI_Neighbor_alltoallv,
+// PETSc's VecScatter) in which this rank sends msgs non-empty messages and
+// injects/extracts words words: α per message plus the bandwidth term, so a
+// rank pays no latency for partners it has nothing to send.
+func (m *Model) NeighborCost(msgs, words int64) float64 {
+	return m.AlphaNs*float64(msgs) + m.BetaNsPerWord*float64(words)
+}
+
 // AllReduceCost models an all-reduce of words words among q ranks
 // (reduce-scatter + all-gather).
 func (m *Model) AllReduceCost(q int, words int64) float64 {

@@ -58,6 +58,10 @@ func TestCostModelShapes(t *testing.T) {
 	if c := m.AllToAllCost(4, 10); c != 100*3+2*10 {
 		t.Errorf("alltoall cost %f", c)
 	}
+	// A neighbourhood exchange pays α per non-empty message, not per peer.
+	if c := m.NeighborCost(2, 10); c != 100*2+2*10 {
+		t.Errorf("neighbor cost %f", c)
+	}
 	if c := m.AllReduceCost(4, 1); c != 2*100*2+2*2*1 {
 		t.Errorf("allreduce cost %f", c)
 	}

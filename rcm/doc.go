@@ -41,7 +41,7 @@
 // binary format for large uploads (ReadBinary, WriteBinary), the synthetic
 // graph generators and the paper's nine-matrix analog suite (Grid2D, Grid3D,
 // RMAT, Suite, ...), and the conjugate-gradient solvers of the paper's
-// Fig. 1 motivation (SolvePCG, SolveDistributedPCG, ModelDistributedSolve).
+// Fig. 1 motivation (SolvePCG, SolveDistributedPCG).
 //
 // Orderings are content-addressable: Matrix.Digest hashes the canonical
 // sparsity pattern and OptionsFingerprint canonicalizes a resolved option

@@ -482,14 +482,6 @@ func TestSolvers(t *testing.T) {
 			ires.Iterations, plain.Iterations)
 	}
 
-	cost, err := ModelDistributedSolve(p, 16, 1e-6, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost.Cores != 16 || cost.ModeledSeconds <= 0 {
-		t.Errorf("degenerate modelled cost: %+v", cost)
-	}
-
 	dist, err := SolveDistributedPCG(p, b, 4, 1e-6, 5000)
 	if err != nil {
 		t.Fatal(err)
@@ -497,8 +489,11 @@ func TestSolvers(t *testing.T) {
 	if !dist.Converged || dist.Procs != 4 {
 		t.Errorf("distributed solve: converged=%v procs=%d", dist.Converged, dist.Procs)
 	}
-	if dist.Modeled == nil || dist.Modeled.Words <= 0 {
+	if dist.Modeled == nil || dist.Modeled.Words <= 0 || dist.Modeled.Seconds <= 0 {
 		t.Error("distributed solve missing its breakdown")
+	}
+	if dist.HaloWordsPerIter <= 0 || dist.HaloMsgsPerIter <= 0 {
+		t.Errorf("distributed solve missing its halo: words=%d msgs=%d", dist.HaloWordsPerIter, dist.HaloMsgsPerIter)
 	}
 }
 

@@ -119,49 +119,6 @@ type precAdapter struct{ m Preconditioner }
 
 func (p precAdapter) Apply(r, z []float64) { p.m.Apply(r, z) }
 
-// SolveCost is the modelled cost of a distributed PCG solve at a given
-// core count — one point of Fig. 1.
-type SolveCost struct {
-	// Cores is the number of processes (one block-Jacobi block each).
-	Cores int
-	// Iterations and Converged come from the actual PCG run with Cores
-	// preconditioner blocks.
-	Iterations int
-	Converged  bool
-	// ModeledSeconds is iterations × (computation + communication) under
-	// the machine model.
-	ModeledSeconds float64
-	// CommWordsPerIter and CommMsgsPerIter bound the ghost exchange of
-	// one SpMV: the maximum words any process sends and the maximum
-	// number of neighbours it messages.
-	CommWordsPerIter int64
-	CommMsgsPerIter  int64
-}
-
-// ModelDistributedSolve prices a distributed PCG solve of Ax = b on the
-// given core count under a 1D row-block partition and the default machine
-// model: the iteration count is measured by running PCG with one
-// block-Jacobi block per core, and each iteration is charged its ghost
-// exchange. The widening natural-vs-RCM gap of Fig. 1 comes out of this
-// function.
-func ModelDistributedSolve(a *Matrix, cores int, tol float64, maxIter int) (SolveCost, error) {
-	if a == nil || a.csr == nil {
-		return SolveCost{}, fmt.Errorf("rcm: nil matrix")
-	}
-	if !a.csr.HasValues() {
-		return SolveCost{}, fmt.Errorf("rcm: modelled solve requires numeric values")
-	}
-	st := cg.ModelDistributedCG(a.csr, cores, nil, tol, maxIter)
-	return SolveCost{
-		Cores:            st.Cores,
-		Iterations:       st.Iterations,
-		Converged:        st.Converged,
-		ModeledSeconds:   st.ModeledSeconds,
-		CommWordsPerIter: st.CommWordsPerIter,
-		CommMsgsPerIter:  st.CommMsgsPerIter,
-	}, nil
-}
-
 // DistSolveResult reports a distributed PCG solve executed on the
 // simulated bulk-synchronous runtime.
 type DistSolveResult struct {
@@ -173,13 +130,19 @@ type DistSolveResult struct {
 	// Modeled is the BSP cost of the run: modelled time and real
 	// (counted) communication volume.
 	Modeled *Breakdown
+	// HaloWordsPerIter and HaloMsgsPerIter bound the halo exchange of one
+	// SpMV: the most ghost entries (8-byte words) any process receives and
+	// the most neighbours it receives them from.
+	HaloWordsPerIter, HaloMsgsPerIter int64
 }
 
 // SolveDistributedPCG solves Ax = b with preconditioned CG on the
 // simulated runtime: a 1D row-block partition with one block-Jacobi ILU(0)
-// block per process, real halo exchanges for the SpMV, and all-reduce dot
-// products. Its iteration counts and communication volumes emerge from
-// actual execution; only the clock is modelled.
+// block per process, real halo exchanges for the SpMV (priced at α per
+// neighbour), and all-reduce dot products. Its iteration counts and
+// communication volumes emerge from actual execution; only the clock is
+// modelled. Run it on the natural and the RCM-ordered matrix at growing
+// procs for one Fig. 1 point each.
 func SolveDistributedPCG(a *Matrix, b []float64, procs int, tol float64, maxIter int) (*DistSolveResult, error) {
 	if a == nil || a.csr == nil {
 		return nil, fmt.Errorf("rcm: nil matrix")
@@ -189,9 +152,11 @@ func SolveDistributedPCG(a *Matrix, b []float64, procs int, tol float64, maxIter
 		return nil, err
 	}
 	return &DistSolveResult{
-		SolveResult: newSolveResult(r.Result),
-		X:           r.X,
-		Procs:       r.Procs,
-		Modeled:     newBreakdown(r.Breakdown),
+		SolveResult:      newSolveResult(r.Result),
+		X:                r.X,
+		Procs:            r.Procs,
+		Modeled:          newBreakdown(r.Breakdown),
+		HaloWordsPerIter: r.HaloWords,
+		HaloMsgsPerIter:  r.HaloMsgs,
 	}, nil
 }
