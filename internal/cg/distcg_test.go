@@ -84,8 +84,8 @@ func TestDistributedPCGBlockCountMatchesSequentialBlockJacobi(t *testing.T) {
 
 func TestDistributedPCGRCMReducesHaloTraffic(t *testing.T) {
 	// Fig. 1's mechanism on the executed solver: RCM shrinks each rank's
-	// halo to the band overlap with its neighbours, so fewer words, fewer
-	// neighbours and, at α per neighbour, less modelled time.
+	// halo to the band overlap with its neighbours, so fewer words and
+	// fewer neighbours per SpMV.
 	a := graphgen.Thermal2(12)
 	rcm := a.Permute(core.Sequential(a).Perm)
 	b := randVec(a.N, 3)
@@ -110,11 +110,34 @@ func TestDistributedPCGRCMReducesHaloTraffic(t *testing.T) {
 	if ord.Iterations > nat.Iterations {
 		t.Errorf("RCM iterations %d above natural %d", ord.Iterations, nat.Iterations)
 	}
+}
+
+// Fig. 1's claim on the modelled time of the executed solve: at α per
+// neighbour, RCM's smaller halo makes the solve cheaper at 16 processes,
+// and one process has no halo to price.
+func TestModelDistributedCGFavoursRCMAtScale(t *testing.T) {
+	a := graphgen.Thermal2(10) // 30x30 scrambled grid
+	rcm := a.Permute(core.Sequential(a).Perm)
+	b := randVec(a.N, 3)
+	nat, err := DistributedPCG(a, b, 16, nil, 1e-6, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ord, err := DistributedPCG(rcm, b, 16, nil, 1e-6, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !nat.Converged || !ord.Converged {
+		t.Fatalf("convergence: natural=%v rcm=%v", nat.Converged, ord.Converged)
+	}
 	if o, n := ord.Breakdown.TotalNs(), nat.Breakdown.TotalNs(); o >= n {
-		t.Errorf("RCM modelled time %g ns not below natural %g ns", o, n)
+		t.Errorf("RCM modelled time %g ns not below natural %g ns at p=16", o, n)
+	}
+	if ord.HaloWords >= nat.HaloWords {
+		t.Errorf("RCM halo words/iter %d not below natural %d at p=16", ord.HaloWords, nat.HaloWords)
 	}
 	// One process: no halo.
-	solo, err := DistributedPCG(rcm, b, 1, nil, 1e-6, 4000)
+	solo, err := DistributedPCG(rcm, b, 1, nil, 1e-6, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,17 +179,32 @@ func TestDistributedPCGErrors(t *testing.T) {
 func TestDistributedPCGMoreProcsThanRows(t *testing.T) {
 	a := graphgen.Grid2D(3, 2)
 	b := randVec(a.N, 8)
-	// procs clamps into [1, n].
-	for _, tc := range []struct{ procs, want int }{{50, a.N}, {0, 1}} {
-		dist, err := DistributedPCG(a, b, tc.procs, nil, 1e-9, 500)
+	dist, err := DistributedPCG(a, b, 50, nil, 1e-9, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dist.Procs != a.N {
+		t.Errorf("procs clamped to %d, want %d", dist.Procs, a.N)
+	}
+	if !dist.Converged {
+		t.Error("no convergence")
+	}
+}
+
+// Fewer than one process runs the solve on one.
+func TestModelDistributedCGCoresClamped(t *testing.T) {
+	a := triDiag(12)
+	b := randVec(a.N, 8)
+	for _, procs := range []int{0, -3} {
+		dist, err := DistributedPCG(a, b, procs, nil, 1e-8, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dist.Procs != tc.want {
-			t.Errorf("procs %d clamped to %d, want %d", tc.procs, dist.Procs, tc.want)
+		if dist.Procs != 1 {
+			t.Errorf("procs %d clamped to %d, want 1", procs, dist.Procs)
 		}
 		if !dist.Converged {
-			t.Errorf("procs %d: no convergence", tc.procs)
+			t.Errorf("procs %d: no convergence", procs)
 		}
 	}
 }
