@@ -16,8 +16,8 @@
 // The engine lives under internal/: package core holds the three RCM
 // engines (sequential, shared-memory parallel, and the paper's distributed
 // matrix-algebraic algorithm, which the Algebraic backend runs at p = 1);
-// packages comm, grid, distmat, spvec, semiring and tally form the
-// simulated distributed-memory substrate that replaces MPI+CombBLAS;
+// packages comm, grid, distmat and tally form the simulated
+// distributed-memory substrate that replaces MPI+CombBLAS;
 // graphgen generates the synthetic analogs of
 // the paper's matrix suite; cg provides the CG + block-Jacobi solver of
 // Fig. 1; bench implements the experiments, one table of them that

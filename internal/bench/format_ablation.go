@@ -7,7 +7,6 @@ import (
 	"repro/internal/distmat"
 	"repro/internal/graphgen"
 	"repro/internal/grid"
-	"repro/internal/semiring"
 	"repro/internal/spmat"
 )
 
@@ -53,12 +52,11 @@ func RunAblationLocalFormat(cfg Config) []FormatAblationRow {
 			for g := 0; g < a.N; g += step {
 				xj = append(xj, distmat.Entry{Ind: g, Val: int64(g)})
 			}
-			sr := semiring.Select2ndMin
 			before := c.Stats().Work
-			m.LocalSpMSpVCSC(xj, sr)
+			m.LocalSpMSpVCSC(xj)
 			row.CSCWork = c.Stats().Work - before
 			before = c.Stats().Work
-			m.LocalSpMSpVCSRScan(csr, xj, sr)
+			m.LocalSpMSpVCSRScan(csr, xj)
 			row.CSRScanWork = c.Stats().Work - before
 		})
 		rows = append(rows, row)

@@ -95,9 +95,10 @@ type cgRank struct {
 	// rank must send to o (the mirror of o's ghostIdx for this rank).
 	ghostIdx [][]int
 	sendIdx  [][]int
-	// ghostPos maps a global ghost column to its slot in the received
-	// value buffer.
-	ghostPos map[int]int
+	// cols renumbers the block rows' column indices, in CSR order: block
+	// column j is j − lo, and a ghost is hi − lo plus its slot in the
+	// received value buffer.
+	cols []int
 
 	// Per-iteration halo scratch, sized once from the plan: sendBufs[o]
 	// is the reusable value buffer for owner o, ghostBuf receives the
@@ -110,7 +111,7 @@ type cgRank struct {
 func rowStart(n, procs, k int) int { return k * n / procs }
 
 func newCGRank(c *comm.Comm, a *spmat.CSR) *cgRank {
-	r := &cgRank{c: c, a: a, ghostPos: map[int]int{}}
+	r := &cgRank{c: c, a: a}
 	r.lo = rowStart(a.N, c.Size(), c.Rank())
 	r.hi = rowStart(a.N, c.Size(), c.Rank()+1)
 
@@ -171,12 +172,22 @@ func newCGRank(c *comm.Comm, a *spmat.CSR) *cgRank {
 		ghosts = append(ghosts, j)
 	}
 	sort.Ints(ghosts)
-	for pos, j := range ghosts {
+	for _, j := range ghosts {
 		o := owner(j)
 		r.ghostIdx[o] = append(r.ghostIdx[o], j)
-		r.ghostPos[j] = pos
 	}
 	c.Stats().AddWork(int64(len(ghosts)))
+	nloc := r.hi - r.lo
+	r.cols = make([]int, 0, a.RowPtr[r.hi]-a.RowPtr[r.lo])
+	for i := r.lo; i < r.hi; i++ {
+		for _, j := range a.Row(i) {
+			if j >= r.lo && j < r.hi {
+				r.cols = append(r.cols, j-r.lo)
+			} else {
+				r.cols = append(r.cols, nloc+sort.SearchInts(ghosts, j))
+			}
+		}
+	}
 
 	// Tell every owner which of its entries we need; the mirror lists
 	// are what we must send each iteration.
@@ -194,7 +205,7 @@ func newCGRank(c *comm.Comm, a *spmat.CSR) *cgRank {
 			r.sendBufs[o] = make([]float64, len(idx))
 		}
 	}
-	r.ghostBuf = make([]float64, 0, len(r.ghostPos))
+	r.ghostBuf = make([]float64, 0, len(ghosts))
 	r.counts = make([]int, c.Size())
 	return r
 }
@@ -204,18 +215,20 @@ func newCGRank(c *comm.Comm, a *spmat.CSR) *cgRank {
 func (r *cgRank) haloCounts() (words, owners int64) {
 	for _, idx := range r.ghostIdx {
 		if len(idx) > 0 {
+			words += int64(len(idx))
 			owners++
 		}
 	}
-	return int64(len(r.ghostPos)), owners
+	return words, owners
 }
 
 // haloExchange distributes the needed remote entries of p (local slice) and
-// returns the ghost value buffer aligned with ghostPos. The send buffers
-// and the receive buffer come from the rank's scratch, so the steady-state
-// iteration allocates nothing: owner buckets are disjoint sorted global
-// ranges and ghostIdx[o] is sorted within each owner, so the concatenated
-// receive buffer is already in ghostPos order.
+// returns the ghost value buffer in ascending global column order, the
+// order cols numbers the ghosts in. The send buffers and the receive buffer
+// come from the rank's scratch, so the steady-state iteration allocates
+// nothing: owner buckets are disjoint sorted global ranges and ghostIdx[o]
+// is sorted within each owner, so the concatenated receive buffer is
+// already in that order.
 func (r *cgRank) haloExchange(p []float64) []float64 {
 	work := 0
 	for o, idx := range r.sendIdx {
@@ -230,24 +243,24 @@ func (r *cgRank) haloExchange(p []float64) []float64 {
 	return r.ghostBuf
 }
 
-// localSpMV computes the block row times the full x (local + ghosts).
+// localSpMV computes the block row times the full x: p holds the block's
+// own entries and ghosts the halo, both indexed through cols.
 func (r *cgRank) localSpMV(p, ghosts, y []float64) {
-	work := 0
+	nloc := len(p)
+	base := r.a.RowPtr[r.lo]
 	for i := r.lo; i < r.hi; i++ {
 		s := 0.0
 		vals := r.a.RowVals(i)
-		row := r.a.Row(i)
-		work += len(row)
-		for k, j := range row {
-			if j >= r.lo && j < r.hi {
-				s += vals[k] * p[j-r.lo]
+		for k, c := range r.cols[r.a.RowPtr[i]-base : r.a.RowPtr[i+1]-base] {
+			if c < nloc {
+				s += vals[k] * p[c]
 			} else {
-				s += vals[k] * ghosts[r.ghostPos[j]]
+				s += vals[k] * ghosts[c-nloc]
 			}
 		}
 		y[i-r.lo] = s
 	}
-	r.c.Stats().AddWork(int64(work))
+	r.c.Stats().AddWork(int64(len(r.cols)))
 }
 
 func (r *cgRank) dot(x, y []float64) float64 {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/graphgen"
 	"repro/internal/spmat"
@@ -143,6 +144,33 @@ func TestModelDistributedCGFavoursRCMAtScale(t *testing.T) {
 	}
 	if solo.HaloWords != 0 || solo.HaloMsgs != 0 || solo.Breakdown.Words != 0 {
 		t.Errorf("p=1 has a halo: words=%d msgs=%d traffic=%d", solo.HaloWords, solo.HaloMsgs, solo.Breakdown.Words)
+	}
+}
+
+// TestLocalSpMVMatchesGlobalSpMV checks the renumbered block columns: each
+// rank's localSpMV over its slice of x and the halo it receives must equal
+// its rows of the global SpMV bit for bit, because both sum the same
+// products in the same order.
+func TestLocalSpMVMatchesGlobalSpMV(t *testing.T) {
+	a := graphgen.Thermal2(12) // scrambled grid: ghosts from many owners
+	x := randVec(a.N, 4)
+	want := make([]float64, a.N)
+	SpMV(a, x, want)
+	for _, p := range []int{2, 3, 5} {
+		got := make([]float64, a.N)
+		comm.Run(p, nil, func(c *comm.Comm) {
+			r := newCGRank(c, a)
+			if r.err != nil {
+				panic(r.err)
+			}
+			mine := x[r.lo:r.hi]
+			r.localSpMV(mine, r.haloExchange(mine), got[r.lo:r.hi])
+		})
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("p=%d: row %d = %v, global SpMV %v", p, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -63,7 +63,7 @@ func TestPanickingRankAbortsWorld(t *testing.T) {
 				if i == 5 && c.Rank() == bad {
 					panic(rankPanic{bad})
 				}
-				AllGatherv(c, []int{c.Rank(), i})
+				AllGathervConcat(c, []int{c.Rank(), i})
 				c.Barrier()
 			}
 		}},

@@ -59,20 +59,6 @@ func BenchmarkCollectiveSkew(b *testing.B) {
 	}
 }
 
-func BenchmarkAllGatherv(b *testing.B) {
-	for _, p := range benchSizes() {
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			payload := make([]int64, 64)
-			Run(p, nil, func(c *Comm) {
-				for i := 0; i < b.N; i++ {
-					AllGatherv(c, payload)
-				}
-			})
-		})
-	}
-}
-
 // BenchmarkAllGathervConcatInto measures the steady-state (scratch-reusing)
 // gather path of the SpMSpV pipeline; allocs/op should stay at zero.
 func BenchmarkAllGathervConcatInto(b *testing.B) {

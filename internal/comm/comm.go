@@ -308,30 +308,6 @@ func AllGather[T any](c *Comm, val T) []T {
 	return out
 }
 
-// AllGatherv gathers every rank's local slice; the result is indexed by rank.
-// The returned slices are fresh copies owned by the caller.
-func AllGatherv[T any](c *Comm, local []T) [][]T {
-	if c.size == 1 {
-		out := make([][]T, 1)
-		out[0] = append([]T(nil), local...)
-		return out
-	}
-	depositSlice(c, local)
-	sync := c.maxClock()
-	out := make([][]T, c.size)
-	var totalWords int64
-	for i := 0; i < c.size; i++ {
-		src := peek[T](c, i)
-		out[i] = append([]T(nil), src...)
-		totalWords += words[T](len(src))
-	}
-	cost := c.model.AllGatherCost(c.size, totalWords)
-	sent := words[T](len(local)) * int64(c.size-1)
-	c.stats.CommSync(sync, cost, int64(c.size-1), sent)
-	c.release()
-	return out
-}
-
 // AllGathervConcat gathers every rank's local slice and concatenates the
 // pieces in rank order.
 func AllGathervConcat[T any](c *Comm, local []T) []T {
@@ -494,32 +470,6 @@ func AllReduce[T any](c *Comm, val T, op func(a, b T) T) T {
 	return acc
 }
 
-// Reduce folds one value per rank with op, in rank order, delivering the
-// result at root only; other ranks receive their own val back unchanged (the
-// MPI_Reduce contract of "recvbuf significant only at root").
-func Reduce[T any](c *Comm, val T, op func(a, b T) T, root int) T {
-	if c.size == 1 {
-		return val
-	}
-	depositVal(c, val)
-	sync := c.maxClock()
-	out := val
-	if c.rank == root {
-		out = peekVal[T](c, 0)
-		for i := 1; i < c.size; i++ {
-			out = op(out, peekVal[T](c, i))
-		}
-	}
-	cost := c.model.AllReduceCost(c.size, words[T](1))
-	var msgs, sent int64
-	if c.rank != root {
-		msgs, sent = 1, words[T](1)
-	}
-	c.stats.CommSync(sync, cost, msgs, sent)
-	c.release()
-	return out
-}
-
 // AllReduceSliceInto element-wise folds equal-length slices across ranks with
 // op, in rank order, and returns the identical result slice on every rank
 // (into is reused when large enough; pass nil to allocate fresh). This is the
@@ -595,51 +545,6 @@ func ExScan[T Addable](c *Comm, val T) (prefix, total T) {
 	return prefix, total
 }
 
-// Bcast broadcasts root's value to every rank.
-func Bcast[T any](c *Comm, val T, root int) T {
-	if c.size == 1 {
-		return val
-	}
-	if c.rank == root {
-		depositVal(c, val)
-	} else {
-		c.deposit(nil, 0)
-	}
-	sync := c.maxClock()
-	out := peekVal[T](c, root)
-	cost := c.model.AllGatherCost(c.size, words[T](1))
-	var msgs, sent int64
-	if c.rank == root {
-		msgs, sent = int64(log2int(c.size)), words[T](1)
-	}
-	c.stats.CommSync(sync, cost, msgs, sent)
-	c.release()
-	return out
-}
-
-// BcastSlice broadcasts root's slice to every rank (fresh copies).
-func BcastSlice[T any](c *Comm, data []T, root int) []T {
-	if c.size == 1 {
-		return append([]T(nil), data...)
-	}
-	if c.rank == root {
-		depositSlice(c, data)
-	} else {
-		c.deposit(nil, 0)
-	}
-	sync := c.maxClock()
-	src := peek[T](c, root)
-	out := append([]T(nil), src...)
-	cost := c.model.AllGatherCost(c.size, words[T](len(src)))
-	var msgs, sent int64
-	if c.rank == root {
-		msgs, sent = int64(log2int(c.size)), words[T](len(src))
-	}
-	c.stats.CommSync(sync, cost, msgs, sent)
-	c.release()
-	return out
-}
-
 // Gatherv gathers every rank's slice at root; non-root ranks receive nil.
 // The concatenation is in rank order.
 func Gatherv[T any](c *Comm, local []T, root int) []T {
@@ -673,18 +578,14 @@ func Gatherv[T any](c *Comm, local []T, root int) []T {
 	return out
 }
 
-// Exchange swaps a slice with a partner rank (a point-to-point sendrecv,
-// used for the transpose exchange of the 2D SpMSpV). Both ranks of a pair
-// must call Exchange with each other's rank in the same collective step; all
-// other ranks of the communicator must call it too (possibly with
-// partner == own rank, which is a local copy). This keeps the operation
-// bulk-synchronous, matching how the CombBLAS vector transpose behaves
-// between two barriers.
-func Exchange[T any](c *Comm, partner int, data []T) []T {
-	return ExchangeInto(c, partner, data, nil)
-}
-
-// ExchangeInto is Exchange appending into into[:0] (grown as needed).
+// ExchangeInto swaps a slice with a partner rank (a point-to-point
+// sendrecv, used for the transpose exchange of the 2D SpMSpV), appending
+// what the partner sent into into[:0] (grown as needed; nil allocates
+// fresh). Both ranks of a pair must call ExchangeInto with each other's rank
+// in the same collective step; all other ranks of the communicator must call
+// it too (possibly with partner == own rank, which is a local copy). This
+// keeps the operation bulk-synchronous, matching how the CombBLAS vector
+// transpose behaves between two barriers.
 func ExchangeInto[T any](c *Comm, partner int, data []T, into []T) []T {
 	if partner == c.rank {
 		// Still participate in the collective step.

@@ -54,51 +54,6 @@ func TestRunOneRankPanicReachesCaller(t *testing.T) {
 	t.Fatal("Run returned after its rank panicked")
 }
 
-func TestAllGatherv(t *testing.T) {
-	p := 5
-	results := make([][][]int, p)
-	Run(p, nil, func(c *Comm) {
-		local := make([]int, c.Rank()+1)
-		for i := range local {
-			local[i] = c.Rank()*100 + i
-		}
-		results[c.Rank()] = AllGatherv(c, local)
-	})
-	for r := 0; r < p; r++ {
-		got := results[r]
-		if len(got) != p {
-			t.Fatalf("rank %d: %d pieces", r, len(got))
-		}
-		for src := 0; src < p; src++ {
-			if len(got[src]) != src+1 {
-				t.Errorf("rank %d piece %d: len %d, want %d", r, src, len(got[src]), src+1)
-			}
-			for i, v := range got[src] {
-				if v != src*100+i {
-					t.Errorf("rank %d piece %d[%d] = %d", r, src, i, v)
-				}
-			}
-		}
-	}
-}
-
-func TestAllGathervReturnsCopies(t *testing.T) {
-	p := 3
-	Run(p, nil, func(c *Comm) {
-		local := []int{c.Rank()}
-		got := AllGatherv(c, local)
-		// Mutating the result must not affect other ranks' data.
-		got[(c.Rank()+1)%p][0] = -999
-		c.Barrier()
-		again := AllGatherv(c, local)
-		for src := 0; src < p; src++ {
-			if again[src][0] != src {
-				t.Errorf("rank %d saw mutated value %d from %d", c.Rank(), again[src][0], src)
-			}
-		}
-	})
-}
-
 func TestAllGathervConcat(t *testing.T) {
 	p := 4
 	Run(p, nil, func(c *Comm) {
@@ -210,37 +165,6 @@ func TestExScan(t *testing.T) {
 	})
 }
 
-func TestBcast(t *testing.T) {
-	Run(4, nil, func(c *Comm) {
-		v := -1
-		if c.Rank() == 2 {
-			v = 77
-		}
-		got := Bcast(c, v, 2)
-		if got != 77 {
-			t.Errorf("rank %d got %d", c.Rank(), got)
-		}
-	})
-}
-
-func TestBcastSlice(t *testing.T) {
-	Run(3, nil, func(c *Comm) {
-		var data []int
-		if c.Rank() == 0 {
-			data = []int{1, 2, 3}
-		}
-		got := BcastSlice(c, data, 0)
-		if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-			t.Errorf("rank %d got %v", c.Rank(), got)
-		}
-		got[0] = -1 // must be a private copy
-		again := BcastSlice(c, data, 0)
-		if again[0] != 1 {
-			t.Errorf("rank %d saw mutation: %v", c.Rank(), again)
-		}
-	})
-}
-
 func TestGatherv(t *testing.T) {
 	p := 4
 	Run(p, nil, func(c *Comm) {
@@ -266,7 +190,7 @@ func TestExchangePairs(t *testing.T) {
 	partners := []int{0, 2, 1, 3}
 	Run(4, nil, func(c *Comm) {
 		data := []int{c.Rank() * 11}
-		got := Exchange(c, partners[c.Rank()], data)
+		got := ExchangeInto(c, partners[c.Rank()], data, nil)
 		want := partners[c.Rank()] * 11
 		if len(got) != 1 || got[0] != want {
 			t.Errorf("rank %d got %v, want [%d]", c.Rank(), got, want)
@@ -277,10 +201,10 @@ func TestExchangePairs(t *testing.T) {
 func TestExchangeSelfIsCopy(t *testing.T) {
 	Run(1, nil, func(c *Comm) {
 		data := []int{5}
-		got := Exchange(c, 0, data)
+		got := ExchangeInto(c, 0, data, nil)
 		got[0] = 9
 		if data[0] != 5 {
-			t.Error("Exchange with self aliased the input")
+			t.Error("ExchangeInto with self aliased the input")
 		}
 	})
 }
@@ -354,7 +278,7 @@ func TestClocksSynchronizeAtCollectives(t *testing.T) {
 
 func TestTrafficCountersCount(t *testing.T) {
 	stats := Run(4, nil, func(c *Comm) {
-		AllGatherv(c, []int64{1, 2, 3})
+		AllGathervConcat(c, []int64{1, 2, 3})
 	})
 	for r, s := range stats {
 		if s.Words != 9 { // 3 words to each of 3 peers

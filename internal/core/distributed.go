@@ -8,7 +8,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/distmat"
 	"repro/internal/grid"
-	"repro/internal/semiring"
 	"repro/internal/spmat"
 	"repro/internal/tally"
 )
@@ -265,7 +264,6 @@ type distSweeper struct {
 func (sw *distSweeper) Sweep(root, maxCand int) LevelStructure {
 	A, D, R, opt := sw.A, sw.D, sw.R, sw.opt
 	g := A.D.G
-	sr := semiring.Select2ndMin
 	g.World.Stats().SetPhase(tally.PeripheralOther)
 	g.World.Stats().AddSweep(maxCand > 1)
 	L := distmat.NewVec(A.D, -1)
@@ -307,10 +305,10 @@ func (sw *distSweeper) Sweep(root, maxCand int) LevelStructure {
 		var next *distmat.SpV
 		if bu {
 			//lint:ignore lockstep bu comes from the direction policy fed only rank-identical counts (collective results), so all ranks pick the same step
-			next = distmat.BottomUpStep(A, cur, L, sr, true, 0)
+			next = distmat.BottomUpStep(A, cur, L, true)
 		} else {
 			//lint:ignore lockstep bu comes from the direction policy fed only rank-identical counts (collective results), so all ranks pick the same step
-			next = distmat.SpMSpV(A, cur, sr)
+			next = distmat.SpMSpV(A, cur)
 		}
 		g.World.Stats().AddLevel(bu)
 		g.World.Stats().SetPhase(tally.PeripheralOther)
@@ -353,7 +351,6 @@ func (sw *distSweeper) Sweep(root, maxCand int) LevelStructure {
 // identical arithmetic on every rank.
 func distOrder(A *distmat.Mat, D *distmat.Vec, R *distmat.Vec, root int, nv int64, opt DistOptions, sortWS *distmat.SortWS, mu *int64) int64 {
 	g := A.D.G
-	sr := semiring.Select2ndMin
 	g.World.Stats().SetPhase(tally.OrderingOther)
 	if R.Owns(root) {
 		R.Set(root, nv)
@@ -376,10 +373,10 @@ func distOrder(A *distmat.Mat, D *distmat.Vec, R *distmat.Vec, root int, nv int6
 		var next *distmat.SpV
 		if bu {
 			//lint:ignore lockstep bu comes from the direction policy fed only rank-identical counts (collective results), so all ranks pick the same step
-			next = distmat.BottomUpStep(A, cur, R, sr, false, 0) // Lnext ← masked SpMV
+			next = distmat.BottomUpStep(A, cur, R, false) // Lnext ← masked SpMV
 		} else {
 			//lint:ignore lockstep bu comes from the direction policy fed only rank-identical counts (collective results), so all ranks pick the same step
-			next = distmat.SpMSpV(A, cur, sr) // Lnext ← SPMSPV(A, Lcur)
+			next = distmat.SpMSpV(A, cur) // Lnext ← SPMSPV(A, Lcur)
 		}
 		g.World.Stats().AddLevel(bu)
 		g.World.Stats().SetPhase(tally.OrderingOther)

@@ -2,7 +2,6 @@ package distmat
 
 import (
 	"repro/internal/comm"
-	"repro/internal/semiring"
 	"repro/internal/spmat"
 )
 
@@ -66,15 +65,15 @@ func (m *Mat) ensureBottomUp() {
 //     the processor row to their owners (the same routeRowPartials tail as
 //     SpMSpV).
 //
-// The output equals SpMSpV(m, x, sr) followed by SelectInPlace(vis, v < 0):
-// the entries are exactly the unvisited vertices adjacent to the frontier,
-// each carrying the semiring fold over all its frontier neighbours. vis is
-// the dense visited state (R or L; entries >= 0 are visited); fill is the
-// value emitted for discovered vertices when labelFree. Collective; requires
-// a square grid.
-func BottomUpStep(m *Mat, x *SpV, vis *Vec, sr semiring.Semiring, labelFree bool, fill int64) *SpV {
+// The output equals SpMSpV(m, x) followed by SelectInPlace(vis, v < 0): the
+// entries are exactly the unvisited vertices adjacent to the frontier, each
+// carrying the minimum value of its frontier neighbours, or 0 when
+// labelFree. vis is the dense visited state (R or L; entries >= 0 are
+// visited). Collective; requires a square grid.
+func BottomUpStep(m *Mat, x *SpV, vis *Vec, labelFree bool) *SpV {
 	g := m.D.G
 	if g.Pr != g.Pc {
+		//lint:ignore hotalloc cold caller-bug exit, and a constant string boxes without allocating
 		panic("distmat: BottomUpStep requires a square process grid")
 	}
 	m.ensureBottomUp()
@@ -128,9 +127,9 @@ func BottomUpStep(m *Mat, x *SpV, vis *Vec, sr semiring.Semiring, labelFree bool
 	// Step 4: local bottom-up kernel over the unvisited rows.
 	var work int64
 	if m.dcsc != nil {
-		bu.rv, work = spmat.BottomUpDCSC(m.rtDCSC, bu.rowBits, bu.colBits, bu.colLabel, sr, labelFree, fill, bu.rv[:0])
+		bu.rv, work = spmat.BottomUpDCSC(m.rtDCSC, bu.rowBits, bu.colBits, bu.colLabel, labelFree, bu.rv[:0])
 	} else {
-		bu.rv, work = spmat.BottomUpCSC(m.rt, bu.rowBits, bu.colBits, bu.colLabel, sr, labelFree, fill, bu.rv[:0])
+		bu.rv, work = spmat.BottomUpCSC(m.rt, bu.rowBits, bu.colBits, bu.colLabel, labelFree, bu.rv[:0])
 	}
 	stats.AddWork(work)
 
@@ -141,7 +140,7 @@ func BottomUpStep(m *Mat, x *SpV, vis *Vec, sr semiring.Semiring, labelFree bool
 		ents = append(ents, Entry{Ind: m.RowLo + rv.Row, Val: rv.Val})
 	}
 	bu.ents = ents
-	return routeRowPartials(m, ents, sr)
+	return routeRowPartials(m, ents)
 }
 
 // orWords is the bitwise-OR fold of the bitmap collectives.

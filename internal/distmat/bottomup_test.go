@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/grid"
-	"repro/internal/semiring"
 )
 
 // gatherSpV collects the full (index, value) content of a distributed sparse
@@ -24,7 +23,6 @@ func gatherSpV(x *SpV) ([]int, []int64) {
 // SELECT — same support, same values — across grid sizes and both block
 // storages, for the ordering fold and the label-free early-exit flavour.
 func TestBottomUpStepMatchesSpMSpV(t *testing.T) {
-	sr := semiring.Select2ndMin
 	for _, p := range []int{1, 4, 9} {
 		for _, hyper := range []bool{false, true} {
 			for trial := 0; trial < 4; trial++ {
@@ -72,12 +70,12 @@ func TestBottomUpStepMatchesSpMSpV(t *testing.T) {
 							return x
 						}
 						// Top-down reference: SpMSpV + SELECT.
-						ref := SpMSpV(m, mkFrontier(), sr)
+						ref := SpMSpV(m, mkFrontier())
 						ref.SelectInPlace(R, func(v int64) bool { return v == -1 })
 						// Bottom-up, ordering fold.
-						bu := BottomUpStep(m, mkFrontier(), R, sr, false, 0)
+						bu := BottomUpStep(m, mkFrontier(), R, false)
 						// Bottom-up, label-free early exit.
-						bl := BottomUpStep(m, mkFrontier(), R, sr, true, 7)
+						bl := BottomUpStep(m, mkFrontier(), R, true)
 						i1, v1 := gatherSpV(ref)
 						i2, v2 := gatherSpV(bu)
 						i3, v3 := gatherSpV(bl)
@@ -100,8 +98,8 @@ func TestBottomUpStepMatchesSpMSpV(t *testing.T) {
 						t.Fatalf("label-free support %d, top-down %d", len(bup.ind), len(td.ind))
 					}
 					for k := range td.ind {
-						if bup.ind[k] != td.ind[k] || bup.val[k] != 7 {
-							t.Fatalf("label-free[%d] = (%d,%d), want (%d,7)",
+						if bup.ind[k] != td.ind[k] || bup.val[k] != 0 {
+							t.Fatalf("label-free[%d] = (%d,%d), want (%d,0)",
 								k, bup.ind[k], bup.val[k], td.ind[k])
 						}
 					}

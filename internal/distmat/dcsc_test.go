@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/grid"
-	"repro/internal/semiring"
 )
 
 func TestLocalSpMSpVDCSCMatchesCSC(t *testing.T) {
@@ -22,11 +21,10 @@ func TestLocalSpMSpVDCSCMatchesCSC(t *testing.T) {
 			for g := m.ColLo; g < m.ColHi; g += 3 {
 				xj = append(xj, Entry{Ind: g, Val: int64(g * 2)})
 			}
-			sr := semiring.Select2ndMin
 			// Both kernels return the workspace's output buffer: copy the
 			// CSC result out before the DCSC call overwrites it.
-			want := append([]Entry(nil), m.LocalSpMSpVCSC(xj, sr)...)
-			got := m.LocalSpMSpVDCSC(dc, xj, sr)
+			want := append([]Entry(nil), m.LocalSpMSpVCSC(xj)...)
+			got := m.LocalSpMSpVDCSC(dc, xj)
 			if len(got) != len(want) {
 				t.Fatalf("p=%d: %d vs %d entries", p, len(got), len(want))
 			}

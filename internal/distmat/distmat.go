@@ -2,9 +2,9 @@
 // §IV: a sparse matrix decomposed into 2D blocks stored locally in CSC, and
 // distributed sparse/dense vectors in the canonical grid layout. On top of
 // these it provides the distributed versions of the Table I primitives —
-// SPMSPV over a semiring (the CombBLAS 2D algorithm), element-wise
-// SELECT/SET/IND (communication-free by construction), REDUCE (local fold +
-// all-reduce) and the distributed bucket SORTPERM of §IV-B.
+// SPMSPV over the (select2nd, min) semiring (the CombBLAS 2D algorithm),
+// element-wise SELECT/SET/IND (communication-free by construction), REDUCE
+// (local fold + all-reduce) and the distributed bucket SORTPERM of §IV-B.
 //
 // Every method is SPMD: all ranks of the grid call it collectively with
 // their own local pieces. Local work is reported to the rank's tally.Stats,
@@ -14,21 +14,20 @@
 // The hot-path primitives (SPMSPV, SORTPERM) run over per-rank scratch
 // workspaces: the Mat carries the SpMSpV exchange buffers and its sparse
 // accumulator, and SortWS carries the SORTPERM ones, so the per-BFS-level
-// steady state performs no allocations beyond the output vector. The
-// semiring is a plain value (semiring.Semiring) whose Add inlines into the
-// kernels' per-edge loops.
+// steady state performs no allocations beyond the output vector. Both RCM
+// traversals need only (select2nd, min), so the kernels fold with min
+// directly: the fold is a compare in the per-edge loop, not a parameter.
 package distmat
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/comm"
 	"repro/internal/grid"
 	"repro/internal/psort"
-	"repro/internal/semiring"
 	"repro/internal/spmat"
-	"repro/internal/spvec"
 )
 
 // Entry is a (global index, value) pair exchanged between ranks.
@@ -156,7 +155,9 @@ func NewVec(d *grid.Dist, fill int64) *Vec {
 	lo, hi := d.MyRange()
 	v := &Vec{D: d, Lo: lo, Hi: hi, Data: make([]int64, hi-lo)}
 	if fill != 0 {
-		spvec.Fill(v.Data, fill)
+		for i := range v.Data {
+			v.Data[i] = fill
+		}
 	}
 	return v
 }
@@ -182,7 +183,7 @@ func (v *Vec) Gather(root int) []int64 {
 type SpV struct {
 	D      *grid.Dist
 	Lo, Hi int
-	Loc    spvec.Sp // global indices
+	Loc    Sp // global indices
 }
 
 // NewSpV returns an empty distributed sparse vector.
@@ -293,8 +294,9 @@ func (x *SpV) ArgMinKBy(y *Vec, k int) []KeyedInd {
 }
 
 // SpMSpV multiplies the distributed matrix by the distributed sparse vector
-// over the semiring sr, returning a distributed sparse vector. This is the
-// 2D CombBLAS algorithm the paper builds on (§IV-B):
+// over (select2nd, min), returning a distributed sparse vector: each output
+// row carries the minimum value of its frontier neighbours. This is the 2D
+// CombBLAS algorithm the paper builds on (§IV-B):
 //
 //  1. transpose exchange: each rank sends its vector chunk to its transpose
 //     partner, aligning vector pieces with processor columns;
@@ -302,12 +304,12 @@ func (x *SpV) ArgMinKBy(y *Vec, k int) []KeyedInd {
 //     segment x_j needed by the column's matrix blocks;
 //  3. local CSC (or DCSC) SpMSpV into the Mat's sparse accumulator;
 //  4. AllToAllv along the processor row, routing output entries to their
-//     owners, merged with the semiring's addition in the same accumulator.
+//     owners, min-merged in the same accumulator.
 //
-// All intermediate buffers come from the Mat's per-rank workspace, and sr's
-// Add inlines into the per-edge loop; steady-state calls allocate only the
-// output vector. Collective; requires a square grid.
-func SpMSpV(m *Mat, x *SpV, sr semiring.Semiring) *SpV {
+// All intermediate buffers come from the Mat's per-rank workspace;
+// steady-state calls allocate only the output vector. Collective; requires
+// a square grid.
+func SpMSpV(m *Mat, x *SpV) *SpV {
 	g := m.D.G
 	if g.Pr != g.Pc {
 		//lint:ignore hotalloc cold caller-bug exit, and a constant string boxes without allocating
@@ -326,22 +328,21 @@ func SpMSpV(m *Mat, x *SpV, sr semiring.Semiring) *SpV {
 	// Step 3: local multiply with a sparse accumulator.
 	var touched []Entry
 	if m.dcsc != nil {
-		touched = m.LocalSpMSpVDCSC(m.dcsc, ws.xj, sr)
+		touched = m.LocalSpMSpVDCSC(m.dcsc, ws.xj)
 	} else {
-		touched = m.LocalSpMSpVCSC(ws.xj, sr)
+		touched = m.LocalSpMSpVCSC(ws.xj)
 	}
 
 	// Step 4: route outputs to their owners along the processor row.
-	return routeRowPartials(m, touched, sr)
+	return routeRowPartials(m, touched)
 }
 
 // routeRowPartials is the shared tail of SpMSpV and BottomUpStep: partial
 // (global row, value) results are routed to their vector-chunk owners along
-// the processor row and merged with the semiring's addition — the min-reduce
-// of partials for (select2nd, min). The input is index-sorted and the
+// the processor row and min-reduced. The input is index-sorted and the
 // destination sub-chunks are contiguous index ranges in rank order, so the
 // send lists are subslices of it — no per-destination copies.
-func routeRowPartials(m *Mat, touched []Entry, sr semiring.Semiring) *SpV {
+func routeRowPartials(m *Mat, touched []Entry) *SpV {
 	g := m.D.G
 	ws := &m.ws
 	if cap(ws.send) < g.Pc {
@@ -362,22 +363,21 @@ func routeRowPartials(m *Mat, touched []Entry, sr semiring.Semiring) *SpV {
 	}
 	ws.recv, ws.counts = comm.AllToAllvConcat(g.Row, send, ws.recv, ws.counts)
 	out := NewSpV(m.D)
-	out.Loc = foldPartials(&m.spa, ws.recv, out.Lo, out.Hi-out.Lo, sr)
+	out.Loc = foldPartials(&m.spa, ws.recv, out.Lo, out.Hi-out.Lo)
 	g.World.Stats().AddWork(int64(len(touched)) + int64(len(ws.recv)))
 	return out
 }
 
 // foldPartials merges the runs the row exchange received — each
 // index-sorted, concatenated in source order, every index in [lo, lo+n) —
-// into one index-sorted vector, combining duplicate indices with sr's
-// addition. The accumulator folds in arrival order, so duplicates fold in
-// source order, as a stable sort of the concatenation would.
-func foldPartials(spa *spmat.SPA, all []Entry, lo, n int, sr semiring.Semiring) spvec.Sp {
+// into one index-sorted vector, keeping the minimum value of duplicate
+// indices.
+func foldPartials(spa *spmat.SPA, all []Entry, lo, n int) Sp {
 	spa.Reset(n)
 	for _, e := range all {
-		spa.Fold(e.Ind-lo, e.Val, sr)
+		spa.Fold(e.Ind-lo, e.Val)
 	}
-	var out spvec.Sp
+	var out Sp
 	if idx := spa.Drain(); len(idx) > 0 {
 		out.Ind = make([]int, len(idx))
 		out.Val = make([]int64, len(idx))
@@ -395,13 +395,13 @@ func foldPartials(spa *spmat.SPA, all []Entry, lo, n int, sr semiring.Semiring) 
 // indices, in the workspace's output buffer (valid until the next kernel
 // call on this Mat). The format ablation compares it against
 // LocalSpMSpVCSRScan.
-func (m *Mat) LocalSpMSpVCSC(xj []Entry, sr semiring.Semiring) []Entry {
+func (m *Mat) LocalSpMSpVCSC(xj []Entry) []Entry {
 	m.spa.Reset(m.RowHi - m.RowLo)
 	work := int64(len(xj))
 	for _, e := range xj {
 		col := m.Block.Column(e.Ind - m.ColLo)
 		work += int64(len(col))
-		m.spa.FoldColumn(col, sr.Multiply(e.Val), sr)
+		m.spa.FoldColumn(col, e.Val)
 	}
 	return m.spaEmit(work)
 }
@@ -409,13 +409,13 @@ func (m *Mat) LocalSpMSpVCSC(xj []Entry, sr semiring.Semiring) []Entry {
 // LocalSpMSpVDCSC is the local kernel over a DCSC block: identical output
 // to LocalSpMSpVCSC, with per-column binary searches over the compressed
 // column list instead of direct column-pointer indexing.
-func (m *Mat) LocalSpMSpVDCSC(d *spmat.DCSC, xj []Entry, sr semiring.Semiring) []Entry {
+func (m *Mat) LocalSpMSpVDCSC(d *spmat.DCSC, xj []Entry) []Entry {
 	m.spa.Reset(m.RowHi - m.RowLo)
 	work := int64(len(xj))
 	for _, e := range xj {
 		col := d.Column(e.Ind - m.ColLo)
 		work += int64(len(col)) + 1 // +1 for the binary search probe
-		m.spa.FoldColumn(col, sr.Multiply(e.Val), sr)
+		m.spa.FoldColumn(col, e.Val)
 	}
 	return m.spaEmit(work)
 }
@@ -439,17 +439,17 @@ func (m *Mat) spaEmit(work int64) []Entry {
 // format ablation: it walks every local row and probes the frontier by
 // binary search, the natural CSR formulation. It is asymptotically worse for
 // very sparse frontiers — the reason the paper picked CSC (§IV-A).
-func (m *Mat) LocalSpMSpVCSRScan(csr *spmat.CSR, xj []Entry, sr semiring.Semiring) []Entry {
+func (m *Mat) LocalSpMSpVCSRScan(csr *spmat.CSR, xj []Entry) []Entry {
 	var out []Entry
 	work := int64(0)
 	for lrow := 0; lrow < csr.N; lrow++ {
 		row := csr.Row(lrow)
 		work += int64(len(row))
-		acc := sr.Identity()
+		acc := int64(math.MaxInt64)
 		hit := false
 		for _, lcol := range row {
 			if e, ok := findEntry(xj, m.ColLo+lcol); ok {
-				acc = sr.Add(acc, sr.Multiply(e.Val))
+				acc = min(acc, e.Val)
 				hit = true
 			}
 		}
@@ -479,7 +479,7 @@ func findEntry(xs []Entry, ind int) (Entry, bool) {
 
 // packEntriesInto flattens a sparse vector into (index, value) records,
 // appending into buf[:0].
-func packEntriesInto(s *spvec.Sp, buf []Entry) []Entry {
+func packEntriesInto(s *Sp, buf []Entry) []Entry {
 	out := buf[:0]
 	for k := range s.Ind {
 		out = append(out, Entry{Ind: s.Ind[k], Val: s.Val[k]})

@@ -9,9 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/graphgen"
 	"repro/internal/grid"
-	"repro/internal/semiring"
 	"repro/internal/spmat"
-	"repro/internal/spvec"
 )
 
 // randSym builds a random symmetric pattern matrix.
@@ -225,8 +223,9 @@ func TestArgMinByEmpty(t *testing.T) {
 	})
 }
 
-// seqSpMSpVRef computes A·x over sr with a dense reference loop.
-func seqSpMSpVRef(a *spmat.CSR, x map[int]int64, sr semiring.Semiring) map[int]int64 {
+// seqSpMSpVRef computes A·x over (select2nd, min) with a dense reference
+// loop.
+func seqSpMSpVRef(a *spmat.CSR, x map[int]int64) map[int]int64 {
 	out := map[int]int64{}
 	for j, xv := range x {
 		// Column j of A = row j for symmetric patterns; use transpose
@@ -235,11 +234,10 @@ func seqSpMSpVRef(a *spmat.CSR, x map[int]int64, sr semiring.Semiring) map[int]i
 			row := a.Row(i)
 			for _, c := range row {
 				if c == j {
-					prod := sr.Multiply(xv)
 					if acc, ok := out[i]; ok {
-						out[i] = sr.Add(acc, prod)
+						out[i] = min(acc, xv)
 					} else {
-						out[i] = sr.Add(sr.Identity(), prod)
+						out[i] = xv
 					}
 				}
 			}
@@ -250,40 +248,37 @@ func seqSpMSpVRef(a *spmat.CSR, x map[int]int64, sr semiring.Semiring) map[int]i
 
 func TestSpMSpVMatchesReference(t *testing.T) {
 	a := randSym(3, 30, 70)
-	srs := []semiring.Semiring{semiring.Select2ndMin, semiring.PlusTimes, semiring.Select2ndMax}
-	for _, sr := range srs {
-		// Sparse input: a few entries with distinct values.
-		in := map[int]int64{2: 10, 11: 4, 17: 25, 29: 7}
-		want := seqSpMSpVRef(a, in, sr)
-		for _, p := range []int{1, 4, 9, 25} {
-			got := map[int]int64{}
-			ch := make(chan Entry, a.N)
-			onGrid(t, p, a.N, func(d *grid.Dist) {
-				m := NewMat(d, a)
-				x := NewSpV(d)
-				for g := x.Lo; g < x.Hi; g++ {
-					if v, ok := in[g]; ok {
-						x.Loc.Append(g, v)
-					}
+	// Sparse input: a few entries with distinct values.
+	in := map[int]int64{2: 10, 11: 4, 17: 25, 29: 7}
+	want := seqSpMSpVRef(a, in)
+	for _, p := range []int{1, 4, 9, 25} {
+		got := map[int]int64{}
+		ch := make(chan Entry, a.N)
+		onGrid(t, p, a.N, func(d *grid.Dist) {
+			m := NewMat(d, a)
+			x := NewSpV(d)
+			for g := x.Lo; g < x.Hi; g++ {
+				if v, ok := in[g]; ok {
+					x.Loc.Append(g, v)
 				}
-				y := SpMSpV(m, x, sr)
-				if !y.Loc.IsSorted() {
-					t.Errorf("p=%d %s: output unsorted", p, sr.Name())
-				}
-				for k, i := range y.Loc.Ind {
-					ch <- Entry{Ind: i, Val: y.Loc.Val[k]}
-				}
-			})
-			close(ch)
-			for e := range ch {
-				if _, dup := got[e.Ind]; dup {
-					t.Errorf("p=%d %s: index %d produced twice", p, sr.Name(), e.Ind)
-				}
-				got[e.Ind] = e.Val
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("p=%d %s: SpMSpV mismatch\n got %v\nwant %v", p, sr.Name(), got, want)
+			y := SpMSpV(m, x)
+			if !y.Loc.IsSorted() {
+				t.Errorf("p=%d: output unsorted", p)
 			}
+			for k, i := range y.Loc.Ind {
+				ch <- Entry{Ind: i, Val: y.Loc.Val[k]}
+			}
+		})
+		close(ch)
+		for e := range ch {
+			if _, dup := got[e.Ind]; dup {
+				t.Errorf("p=%d: index %d produced twice", p, e.Ind)
+			}
+			got[e.Ind] = e.Val
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("p=%d: SpMSpV mismatch\n got %v\nwant %v", p, got, want)
 		}
 	}
 }
@@ -301,8 +296,7 @@ func TestQuickSpMSpVAnyGridMatchesSequential(t *testing.T) {
 		for k := 0; k < 1+rng.Intn(5); k++ {
 			in[rng.Intn(n)] = int64(rng.Intn(100))
 		}
-		sr := semiring.Select2ndMin
-		want := seqSpMSpVRef(a, in, sr)
+		want := seqSpMSpVRef(a, in)
 		p := []int{1, 4, 9}[rng.Intn(3)]
 		got := map[int]int64{}
 		ch := make(chan Entry, n*4)
@@ -315,7 +309,7 @@ func TestQuickSpMSpVAnyGridMatchesSequential(t *testing.T) {
 					x.Loc.Append(g, v)
 				}
 			}
-			y := SpMSpV(m, x, sr)
+			y := SpMSpV(m, x)
 			for k, i := range y.Loc.Ind {
 				ch <- Entry{Ind: i, Val: y.Loc.Val[k]}
 			}
@@ -335,7 +329,7 @@ func TestSpMSpVEmptyInput(t *testing.T) {
 	a := randSym(5, 20, 40)
 	onGrid(t, 4, a.N, func(d *grid.Dist) {
 		m := NewMat(d, a)
-		y := SpMSpV(m, NewSpV(d), semiring.Select2ndMin)
+		y := SpMSpV(m, NewSpV(d))
 		if y.Nnz() != 0 {
 			t.Errorf("empty input produced %d outputs", y.Nnz())
 		}
@@ -371,11 +365,11 @@ func TestSortPermMatchesSequentialSort(t *testing.T) {
 	for i := range degs {
 		degs[i] = int64(rng.Intn(6))
 	}
-	var tuples []spvec.Tuple
+	var tuples []Tuple
 	for v := 3; v <= 30; v++ {
-		tuples = append(tuples, spvec.Tuple{Parent: int64(v % 5), Degree: degs[v], Vertex: v})
+		tuples = append(tuples, Tuple{Parent: int64(v % 5), Degree: degs[v], Vertex: v})
 	}
-	spvec.SortTuplesWS(nil, tuples)
+	SortTuplesWS(nil, tuples)
 	nv := int64(100)
 	wantLabel := map[int]int64{}
 	for k, tu := range tuples {
@@ -527,13 +521,12 @@ func TestLocalSpMSpVCSRScanMatchesCSC(t *testing.T) {
 			dim = c
 		}
 		csr := spmat.FromCoords(dim, es, true)
-		sr := semiring.Select2ndMin
 		xj := []Entry{}
 		for g := m.ColLo; g < m.ColHi; g += 2 {
 			xj = append(xj, Entry{Ind: g, Val: int64(g + 1)})
 		}
-		want := m.LocalSpMSpVCSC(xj, sr)
-		got := m.LocalSpMSpVCSRScan(csr, xj, sr)
+		want := m.LocalSpMSpVCSC(xj)
+		got := m.LocalSpMSpVCSRScan(csr, xj)
 		if len(got) != len(want) {
 			t.Fatalf("kernel mismatch: %d vs %d entries", len(got), len(want))
 		}
@@ -558,7 +551,7 @@ func BenchmarkSpMSpV(b *testing.B) {
 			for g := x.Lo; g < x.Hi; g += 16 {
 				x.Loc.Append(g, int64(g))
 			}
-			SpMSpV(m, x, semiring.Select2ndMin)
+			SpMSpV(m, x)
 		})
 	}
 }

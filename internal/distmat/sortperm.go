@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/psort"
-	"repro/internal/spvec"
 )
 
 // SortWS is the per-rank scratch of the SORTPERM primitive: tuple and entry
@@ -13,11 +12,11 @@ import (
 // slots of the rank's vector chunk, reused across BFS levels so the steady
 // state allocates only the output vector. The zero value is ready to use.
 type SortWS struct {
-	tuples  []spvec.Tuple
-	sendBuf []spvec.Tuple
-	send    [][]spvec.Tuple
+	tuples  []Tuple
+	sendBuf []Tuple
+	send    [][]Tuple
 	bucket  []int
-	mine    []spvec.Tuple
+	mine    []Tuple
 	counts  []int
 	backBuf []Entry
 	back    [][]Entry
@@ -25,7 +24,7 @@ type SortWS struct {
 	ents    []Entry
 	entCnt  []int
 	labels  []int64
-	tupWS   psort.Scratch[spvec.Tuple]
+	tupWS   psort.Scratch[Tuple]
 }
 
 // zeroInts returns buf resized to n and zeroed.
@@ -70,11 +69,11 @@ func SortPermWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 
 	// Local tuples.
 	if cap(ws.tuples) < lnext.Loc.Len() {
-		ws.tuples = make([]spvec.Tuple, 0, lnext.Loc.Len())
+		ws.tuples = make([]Tuple, 0, lnext.Loc.Len())
 	}
 	tuples := ws.tuples[:0]
 	for k, i := range lnext.Loc.Ind {
-		tuples = append(tuples, spvec.Tuple{Parent: lnext.Loc.Val[k], Degree: deg.At(i), Vertex: i})
+		tuples = append(tuples, Tuple{Parent: lnext.Loc.Val[k], Degree: deg.At(i), Vertex: i})
 	}
 	ws.tuples = tuples
 	world.Stats().AddWork(int64(len(tuples)))
@@ -106,7 +105,7 @@ func SortPermWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 	// partition into one contiguous buffer whose per-destination subslices
 	// are the send lists.
 	span := maxP - minP + 1
-	bucketOf := func(t spvec.Tuple) int {
+	bucketOf := func(t Tuple) int {
 		if span <= 0 || maxP < minP {
 			return 0
 		}
@@ -121,11 +120,11 @@ func SortPermWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 		cnt[bucketOf(t)]++
 	}
 	if cap(ws.sendBuf) < len(tuples) {
-		ws.sendBuf = make([]spvec.Tuple, len(tuples))
+		ws.sendBuf = make([]Tuple, len(tuples))
 	}
 	buf := ws.sendBuf[:len(tuples)]
 	if cap(ws.send) < p {
-		ws.send = make([][]spvec.Tuple, p)
+		ws.send = make([][]Tuple, p)
 	}
 	send := ws.send[:p]
 	off := 0
@@ -141,7 +140,7 @@ func SortPermWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 	ws.mine, ws.counts = comm.AllToAllvConcat(world, send, ws.mine, ws.counts)
 	mine := ws.mine
 
-	spvec.SortTuplesWS(&ws.tupWS, mine)
+	SortTuplesWS(&ws.tupWS, mine)
 	world.Stats().AddWork(sortWork(len(mine)))
 
 	// Global positions: buckets are ordered by parent label, which matches
@@ -228,14 +227,14 @@ func labeled(lnext *SpV, labels []int64) *SpV {
 func SortPermLocalWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 	world := lnext.D.G.World
 	if cap(ws.tuples) < lnext.Loc.Len() {
-		ws.tuples = make([]spvec.Tuple, 0, lnext.Loc.Len())
+		ws.tuples = make([]Tuple, 0, lnext.Loc.Len())
 	}
 	tuples := ws.tuples[:0]
 	for k, i := range lnext.Loc.Ind {
-		tuples = append(tuples, spvec.Tuple{Parent: lnext.Loc.Val[k], Degree: deg.At(i), Vertex: i})
+		tuples = append(tuples, Tuple{Parent: lnext.Loc.Val[k], Degree: deg.At(i), Vertex: i})
 	}
 	ws.tuples = tuples
-	spvec.SortTuplesWS(&ws.tupWS, tuples)
+	SortTuplesWS(&ws.tupWS, tuples)
 	world.Stats().AddWork(int64(len(tuples)) + sortWork(len(tuples)))
 	offset, _ := comm.ExScan(world, int64(len(tuples)))
 	labels := ws.labelSlots(lnext)

@@ -1,8 +1,4 @@
-// Package spvec holds the local pieces of the distributed Table I kernels
-// of package distmat: the sparse vector a rank keeps for its share of the
-// BFS frontier, the SORTPERM record with its lexicographic order and keyed
-// sort, and the dense-vector fill.
-package spvec
+package distmat
 
 import "repro/internal/psort"
 
@@ -22,33 +18,12 @@ func (x *Sp) Append(ind int, val int64) {
 	x.Val = append(x.Val, val)
 }
 
-// IsSorted reports whether indices are strictly increasing.
-func (x *Sp) IsSorted() bool {
-	for i := 1; i < len(x.Ind); i++ {
-		if x.Ind[i] <= x.Ind[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // Tuple is one SORTPERM record: the (parent label, degree, vertex id) triple
 // whose lexicographic order defines the labels of the next frontier.
 type Tuple struct {
 	Parent int64
 	Degree int64
 	Vertex int
-}
-
-// TupleLess is the lexicographic (parent, degree, vertex) order.
-func TupleLess(a, b Tuple) bool {
-	if a.Parent != b.Parent {
-		return a.Parent < b.Parent
-	}
-	if a.Degree != b.Degree {
-		return a.Degree < b.Degree
-	}
-	return a.Vertex < b.Vertex
 }
 
 // SortTuplesWS sorts records lexicographically; the resulting positions are
@@ -61,11 +36,4 @@ func SortTuplesWS(ws *psort.Scratch[Tuple], ts []Tuple) {
 		func(t Tuple) uint64 { return uint64(t.Parent) },
 		func(t Tuple) uint64 { return uint64(t.Degree) },
 		func(t Tuple) uint64 { return uint64(t.Vertex) })
-}
-
-// Fill sets every entry of a dense vector to v.
-func Fill(y []int64, v int64) {
-	for i := range y {
-		y[i] = v
-	}
 }

@@ -1,4 +1,4 @@
-package spvec
+package distmat
 
 import (
 	"math/rand"
@@ -6,7 +6,30 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/grid"
 )
+
+// IsSorted reports whether indices are strictly increasing.
+func (x *Sp) IsSorted() bool {
+	for i := 1; i < len(x.Ind); i++ {
+		if x.Ind[i] <= x.Ind[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// TupleLess is the lexicographic (parent, degree, vertex) order.
+func TupleLess(a, b Tuple) bool {
+	if a.Parent != b.Parent {
+		return a.Parent < b.Parent
+	}
+	if a.Degree != b.Degree {
+		return a.Degree < b.Degree
+	}
+	return a.Vertex < b.Vertex
+}
 
 func TestSpBasics(t *testing.T) {
 	x := &Sp{}
@@ -82,10 +105,16 @@ func TestQuickSortTuplesMatchesLexicographic(t *testing.T) {
 	}
 }
 
+// TestFill checks that NewVec fills every local entry, on every rank.
 func TestFill(t *testing.T) {
-	y := make([]int64, 3)
-	Fill(y, 7)
-	if !reflect.DeepEqual(y, []int64{7, 7, 7}) {
-		t.Errorf("Fill = %v", y)
-	}
+	onGrid(t, 4, 10, func(d *grid.Dist) {
+		v := NewVec(d, 7)
+		want := make([]int64, v.Hi-v.Lo)
+		for i := range want {
+			want[i] = 7
+		}
+		if !reflect.DeepEqual(v.Data, want) {
+			t.Errorf("rank %d: NewVec(d, 7) = %v", d.G.World.Rank(), v.Data)
+		}
+	})
 }

@@ -10,20 +10,19 @@ import (
 	"repro/internal/comm"
 	"repro/internal/grid"
 	"repro/internal/psort"
-	"repro/internal/semiring"
 	"repro/internal/spmat"
-	"repro/internal/spvec"
 	"repro/internal/tally"
 )
 
 // The sort-free BFS tails — the accumulator behind SpMSpV's local kernels
 // and row-partial merge, and the return leg of SORTPERM — are pinned to the
-// sort-based code they replaced, kept below verbatim as test oracles.
+// sort-based code they replaced, kept below as test oracles (folding with min
+// like the kernels).
 
 // refMergeEntries is the merge routeRowPartials ran before the heap merge: one
-// stable keyed sort of the concatenated runs by index, then a fold of
-// duplicate indices in that order.
-func refMergeEntries(all []Entry, dst *spvec.Sp, sr semiring.Semiring, ws *psort.Scratch[Entry]) {
+// stable keyed sort of the concatenated runs by index, then a min-fold of
+// duplicate indices.
+func refMergeEntries(all []Entry, dst *Sp, ws *psort.Scratch[Entry]) {
 	if len(all) == 0 {
 		return
 	}
@@ -32,7 +31,7 @@ func refMergeEntries(all []Entry, dst *spvec.Sp, sr semiring.Semiring, ws *psort
 	dst.Val = make([]int64, 0, len(all))
 	for _, e := range all {
 		if n := dst.Len(); n > 0 && dst.Ind[n-1] == e.Ind {
-			dst.Val[n-1] = sr.Add(dst.Val[n-1], e.Val)
+			dst.Val[n-1] = min(dst.Val[n-1], e.Val)
 		} else {
 			dst.Append(e.Ind, e.Val)
 		}
@@ -50,10 +49,9 @@ type runHeap struct {
 // refMergeRuns is the merge routeRowPartials ran before the accumulator: the
 // index-sorted runs received from the row exchange — counts[s] entries from
 // source s, concatenated in source order — are merged into dst with a heap
-// of run heads, combining duplicate indices with the semiring's addition.
-// Breaking index ties by source folds duplicates in source order. The last
-// run standing drains without the heap.
-func refMergeRuns(all []Entry, counts []int, dst *spvec.Sp, sr semiring.Semiring, h *runHeap) {
+// of run heads, keeping the minimum value of duplicate indices. Index ties
+// break by source. The last run standing drains without the heap.
+func refMergeRuns(all []Entry, counts []int, dst *Sp, h *runHeap) {
 	if len(all) == 0 {
 		return
 	}
@@ -74,7 +72,7 @@ func refMergeRuns(all []Entry, counts []int, dst *spvec.Sp, sr semiring.Semiring
 	}
 	for len(h.heap) > 1 {
 		s := h.heap[0]
-		foldEntry(dst, all[h.pos[s]], sr)
+		foldEntry(dst, all[h.pos[s]])
 		if h.pos[s]++; h.pos[s] == h.end[s] {
 			last := len(h.heap) - 1
 			h.heap[0] = h.heap[last]
@@ -84,15 +82,15 @@ func refMergeRuns(all []Entry, counts []int, dst *spvec.Sp, sr semiring.Semiring
 	}
 	s := h.heap[0]
 	for _, e := range all[h.pos[s]:h.end[s]] {
-		foldEntry(dst, e, sr)
+		foldEntry(dst, e)
 	}
 }
 
-// foldEntry appends e to the index-sorted dst, or adds its value into the
-// last entry when the index repeats.
-func foldEntry(dst *spvec.Sp, e Entry, sr semiring.Semiring) {
+// foldEntry appends e to the index-sorted dst, or min-folds its value into
+// the last entry when the index repeats.
+func foldEntry(dst *Sp, e Entry) {
 	if n := dst.Len(); n > 0 && dst.Ind[n-1] == e.Ind {
-		dst.Val[n-1] = sr.Add(dst.Val[n-1], e.Val)
+		dst.Val[n-1] = min(dst.Val[n-1], e.Val)
 	} else {
 		dst.Append(e.Ind, e.Val)
 	}
@@ -137,7 +135,7 @@ type refSPA struct {
 // refLocalSpMSpV is the CSC/DCSC local kernel before the bitmap (column
 // looks up a block column; probe is the per-column charge of its lookup),
 // with its radix-sorted drain (the old spaEmit).
-func refLocalSpMSpV(m *Mat, s *refSPA, column func(int) []int32, probe int64, xj []Entry, sr semiring.Semiring) []Entry {
+func refLocalSpMSpV(m *Mat, s *refSPA, column func(int) []int32, probe int64, xj []Entry) []Entry {
 	if s.val == nil {
 		s.val = make([]int64, m.RowHi-m.RowLo)
 		s.mark = make([]bool, m.RowHi-m.RowLo)
@@ -147,15 +145,14 @@ func refLocalSpMSpV(m *Mat, s *refSPA, column func(int) []int32, probe int64, xj
 	for _, e := range xj {
 		col := column(e.Ind - m.ColLo)
 		work += int64(len(col)) + probe
-		prod := sr.Multiply(e.Val)
 		for _, r := range col {
 			lrow := int(r)
 			if !s.mark[lrow] {
 				s.mark[lrow] = true
-				s.val[lrow] = sr.Add(sr.Identity(), prod)
+				s.val[lrow] = e.Val
 				touchedRows = append(touchedRows, lrow)
 			} else {
-				s.val[lrow] = sr.Add(s.val[lrow], prod)
+				s.val[lrow] = min(s.val[lrow], e.Val)
 			}
 		}
 	}
@@ -174,7 +171,7 @@ func refLocalSpMSpV(m *Mat, s *refSPA, column func(int) []int32, probe int64, xj
 
 // refSpMSpV is SpMSpV before the accumulator: the same collectives around
 // refLocalSpMSpV and the heap merge of routeRowPartials.
-func refSpMSpV(m *Mat, x *SpV, sr semiring.Semiring, s *refSPA) *SpV {
+func refSpMSpV(m *Mat, x *SpV, s *refSPA) *SpV {
 	g := m.D.G
 	ws := &m.ws
 	ws.mine = packEntriesInto(&x.Loc, ws.mine)
@@ -182,9 +179,9 @@ func refSpMSpV(m *Mat, x *SpV, sr semiring.Semiring, s *refSPA) *SpV {
 	ws.xj = comm.AllGathervConcatInto(g.Col, ws.swapped, ws.xj)
 	var touched []Entry
 	if m.dcsc != nil {
-		touched = refLocalSpMSpV(m, s, m.dcsc.Column, 1, ws.xj, sr)
+		touched = refLocalSpMSpV(m, s, m.dcsc.Column, 1, ws.xj)
 	} else {
-		touched = refLocalSpMSpV(m, s, m.Block.Column, 0, ws.xj, sr)
+		touched = refLocalSpMSpV(m, s, m.Block.Column, 0, ws.xj)
 	}
 	if cap(ws.send) < g.Pc {
 		ws.send = make([][]Entry, g.Pc)
@@ -204,7 +201,7 @@ func refSpMSpV(m *Mat, x *SpV, sr semiring.Semiring, s *refSPA) *SpV {
 	}
 	ws.recv, ws.counts = comm.AllToAllvConcat(g.Row, send, ws.recv, ws.counts)
 	out := NewSpV(m.D)
-	refMergeRuns(ws.recv, ws.counts, &out.Loc, sr, &s.runs)
+	refMergeRuns(ws.recv, ws.counts, &out.Loc, &s.runs)
 	g.World.Stats().AddWork(int64(len(touched)) + int64(len(ws.recv)))
 	return out
 }
@@ -220,19 +217,13 @@ func sortedRun(rng *rand.Rand, maxLen int, pool []int) []Entry {
 	return run
 }
 
-// mergeSemirings are the folds the merge oracles run under: Select2ndAny
-// keeps the first value, so a merge that folds duplicates out of source
-// order shows in the result.
-var mergeSemirings = []semiring.Semiring{semiring.Select2ndAny, semiring.PlusTimes, semiring.Select2ndMin, semiring.Select2ndMax}
-
 // TestMergeRunsMatchesSortOracle pins the accumulator merge of
 // routeRowPartials to the heap merge and the stable-sort merge it replaced,
 // on 1–8 sources whose runs share indices (duplicates within and across
-// runs, empty runs), under order-insensitive and order-sensitive folds, with
-// one accumulator and one heap reused throughout. Even trials draw from
-// every index of a space of at most 80, so the drain scans the bitmap; odd
-// trials draw from at most 16 indices of a space of 100,000 or more, so it
-// sorts the touched list.
+// runs, empty runs), with one accumulator and one heap reused throughout.
+// Even trials draw from every index of a space of at most 80, so the drain
+// scans the bitmap; odd trials draw from at most 16 indices of a space of
+// 100,000 or more, so it sorts the touched list.
 func TestMergeRunsMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var spa spmat.SPA
@@ -260,15 +251,13 @@ func TestMergeRunsMatchesSortOracle(t *testing.T) {
 				counts[s] = len(run)
 				all = append(all, run...)
 			}
-			for _, sr := range mergeSemirings {
-				got := foldPartials(&spa, all, lo, n, sr)
-				var heap, sorted spvec.Sp
-				refMergeRuns(all, counts, &heap, sr, &h)
-				refMergeEntries(append([]Entry(nil), all...), &sorted, sr, &ws)
-				if !reflect.DeepEqual(got, heap) || !reflect.DeepEqual(got, sorted) {
-					t.Fatalf("sources=%d trial=%d %s: foldPartials = %v, heap merge %v, sort merge %v (counts %v)",
-						sources, trial, sr.Name(), got, heap, sorted, counts)
-				}
+			got := foldPartials(&spa, all, lo, n)
+			var heap, sorted Sp
+			refMergeRuns(all, counts, &heap, &h)
+			refMergeEntries(append([]Entry(nil), all...), &sorted, &ws)
+			if !reflect.DeepEqual(got, heap) || !reflect.DeepEqual(got, sorted) {
+				t.Fatalf("sources=%d trial=%d: foldPartials = %v, heap merge %v, sort merge %v (counts %v)",
+					sources, trial, got, heap, sorted, counts)
 			}
 		}
 	}
@@ -279,8 +268,8 @@ func TestMergeRunsMatchesSortOracle(t *testing.T) {
 // vertex), with one Mat per rank reused across them as the BFS does. It
 // returns each rank's output vectors per level together with the ranks'
 // modelled stats.
-func spmspvLevels(p int, a *spmat.CSR, densities []float64, dcsc bool, spmspv func(m *Mat, x *SpV) *SpV) ([][]spvec.Sp, []tally.Stats) {
-	out := make([][]spvec.Sp, p)
+func spmspvLevels(p int, a *spmat.CSR, densities []float64, dcsc bool, spmspv func(m *Mat, x *SpV) *SpV) ([][]Sp, []tally.Stats) {
+	out := make([][]Sp, p)
 	stats := comm.Run(p, nil, func(c *comm.Comm) {
 		d := grid.NewDist(grid.Square(c), a.N)
 		m := NewMat(d, a)
@@ -311,9 +300,9 @@ func spmspvLevels(p int, a *spmat.CSR, densities []float64, dcsc bool, spmspv fu
 // TestSpMSpVMatchesSortOracle pins SpMSpV — outputs level by level and
 // every modelled charge — to the kernels it replaced (marks plus a
 // radix-sorted drain, then the heap merge), at p = 1, 4, 9 and 16, over CSC
-// and DCSC blocks, under the RCM fold and an order-sensitive one. The small
-// matrix takes frontiers up to every vertex; the large one takes frontiers
-// sparse enough that the accumulator drains by sort as well as by scan.
+// and DCSC blocks. The small matrix takes frontiers up to every vertex; the
+// large one takes frontiers sparse enough that the accumulator drains by
+// sort as well as by scan.
 func TestSpMSpVMatchesSortOracle(t *testing.T) {
 	for _, p := range []int{1, 4, 9, 16} {
 		for _, tc := range []struct {
@@ -326,18 +315,16 @@ func TestSpMSpVMatchesSortOracle(t *testing.T) {
 			n := tc.n
 			a := randSym(int64(n+p), n, 3*n)
 			for _, dcsc := range []bool{false, true} {
-				for _, sr := range []semiring.Semiring{semiring.Select2ndMin, semiring.Select2ndAny} {
-					got, gotStats := spmspvLevels(p, a, tc.densities, dcsc, func(m *Mat, x *SpV) *SpV { return SpMSpV(m, x, sr) })
-					refs := make([]refSPA, p)
-					want, wantStats := spmspvLevels(p, a, tc.densities, dcsc, func(m *Mat, x *SpV) *SpV {
-						return refSpMSpV(m, x, sr, &refs[m.D.G.World.Rank()])
-					})
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("p=%d n=%d dcsc=%v %s: outputs differ from the sort-based oracle\n got %v\nwant %v", p, n, dcsc, sr.Name(), got, want)
-					}
-					if !reflect.DeepEqual(gotStats, wantStats) {
-						t.Errorf("p=%d n=%d dcsc=%v %s: modelled charges differ from the sort-based oracle", p, n, dcsc, sr.Name())
-					}
+				got, gotStats := spmspvLevels(p, a, tc.densities, dcsc, SpMSpV)
+				refs := make([]refSPA, p)
+				want, wantStats := spmspvLevels(p, a, tc.densities, dcsc, func(m *Mat, x *SpV) *SpV {
+					return refSpMSpV(m, x, &refs[m.D.G.World.Rank()])
+				})
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("p=%d n=%d dcsc=%v: outputs differ from the sort-based oracle\n got %v\nwant %v", p, n, dcsc, got, want)
+				}
+				if !reflect.DeepEqual(gotStats, wantStats) {
+					t.Errorf("p=%d n=%d dcsc=%v: modelled charges differ from the sort-based oracle", p, n, dcsc)
 				}
 			}
 		}
@@ -352,11 +339,11 @@ func refSortPermWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 	p := world.Size()
 
 	if cap(ws.tuples) < lnext.Loc.Len() {
-		ws.tuples = make([]spvec.Tuple, 0, lnext.Loc.Len())
+		ws.tuples = make([]Tuple, 0, lnext.Loc.Len())
 	}
 	tuples := ws.tuples[:0]
 	for k, i := range lnext.Loc.Ind {
-		tuples = append(tuples, spvec.Tuple{Parent: lnext.Loc.Val[k], Degree: deg.At(i), Vertex: i})
+		tuples = append(tuples, Tuple{Parent: lnext.Loc.Val[k], Degree: deg.At(i), Vertex: i})
 	}
 	ws.tuples = tuples
 	world.Stats().AddWork(int64(len(tuples)))
@@ -382,7 +369,7 @@ func refSortPermWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 	minP, maxP := mm.min, mm.max
 
 	span := maxP - minP + 1
-	bucketOf := func(t spvec.Tuple) int {
+	bucketOf := func(t Tuple) int {
 		if span <= 0 || maxP < minP {
 			return 0
 		}
@@ -397,11 +384,11 @@ func refSortPermWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 		cnt[bucketOf(t)]++
 	}
 	if cap(ws.sendBuf) < len(tuples) {
-		ws.sendBuf = make([]spvec.Tuple, len(tuples))
+		ws.sendBuf = make([]Tuple, len(tuples))
 	}
 	buf := ws.sendBuf[:len(tuples)]
 	if cap(ws.send) < p {
-		ws.send = make([][]spvec.Tuple, p)
+		ws.send = make([][]Tuple, p)
 	}
 	send := ws.send[:p]
 	off := 0
@@ -417,7 +404,7 @@ func refSortPermWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 	ws.mine, ws.counts = comm.AllToAllvConcat(world, send, ws.mine, ws.counts)
 	mine := ws.mine
 
-	spvec.SortTuplesWS(&ws.tupWS, mine)
+	SortTuplesWS(&ws.tupWS, mine)
 	world.Stats().AddWork(sortWork(len(mine)))
 
 	offset, _ := comm.ExScan(world, int64(len(mine)))
@@ -469,14 +456,14 @@ func refSortPermWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 func refSortPermLocalWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 	world := lnext.D.G.World
 	if cap(ws.tuples) < lnext.Loc.Len() {
-		ws.tuples = make([]spvec.Tuple, 0, lnext.Loc.Len())
+		ws.tuples = make([]Tuple, 0, lnext.Loc.Len())
 	}
 	tuples := ws.tuples[:0]
 	for k, i := range lnext.Loc.Ind {
-		tuples = append(tuples, spvec.Tuple{Parent: lnext.Loc.Val[k], Degree: deg.At(i), Vertex: i})
+		tuples = append(tuples, Tuple{Parent: lnext.Loc.Val[k], Degree: deg.At(i), Vertex: i})
 	}
 	ws.tuples = tuples
-	spvec.SortTuplesWS(&ws.tupWS, tuples)
+	SortTuplesWS(&ws.tupWS, tuples)
 	world.Stats().AddWork(int64(len(tuples)) + sortWork(len(tuples)))
 	offset, _ := comm.ExScan(world, int64(len(tuples)))
 	out := NewSpV(lnext.D)
@@ -504,9 +491,9 @@ func refSortPermLocalWS(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV {
 // per level together with the ranks' modelled stats. Levels alternate
 // between sparse and dense frontiers, and the parent labels of some levels
 // collapse to one value, so ranks and buckets go empty.
-func sortPermLevels(p, n int, label func(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV) ([][]spvec.Sp, []tally.Stats) {
+func sortPermLevels(p, n int, label func(ws *SortWS, lnext *SpV, deg *Vec, nv int64) *SpV) ([][]Sp, []tally.Stats) {
 	const levels = 6
-	out := make([][]spvec.Sp, p)
+	out := make([][]Sp, p)
 	stats := comm.Run(p, nil, func(c *comm.Comm) {
 		d := grid.NewDist(grid.Square(c), n)
 		ws := &SortWS{}

@@ -82,8 +82,10 @@ func DefaultConfig() *Config {
 				"CSR.FillProxy", "CSR.FillProxyPar",
 				"PatternDigest", "PatternHasher.WriteInts", "PatternHasher.SumHex",
 				// The sparse accumulator every SpMSpV folds into, per
-				// edge and per BFS level.
+				// edge and per BFS level, and the local kernels of every
+				// bottom-up level.
 				"SPA.Fold", "SPA.FoldColumn", "SPA.Drain",
+				"BottomUpCSC", "BottomUpDCSC",
 			},
 			// AMD pivot kernels: the per-round parallel phases — every
 			// allocation inside them multiplies by pivots × rounds, and fmt
@@ -96,12 +98,13 @@ func DefaultConfig() *Config {
 			// barriers (thousands per distributed order on a mesh), and
 			// every rank extracts its block once per order. SpMSpV — its
 			// local CSC/DCSC kernels, their drain, the row routing and the
-			// partial merge — and SORTPERM run once per BFS level, and
-			// radixPass under every keyed sort of the frontier pipeline.
+			// partial merge — or the bottom-up step, and SORTPERM run once
+			// per BFS level, and radixPass under every keyed sort of the
+			// frontier pipeline.
 			"internal/comm": {"barrier.wait"},
 			"internal/distmat": {
 				"NewMat", "SpMSpV", "Mat.LocalSpMSpVCSC", "Mat.LocalSpMSpVDCSC", "Mat.spaEmit",
-				"routeRowPartials", "foldPartials", "SortPermWS",
+				"BottomUpStep", "routeRowPartials", "foldPartials", "SortPermWS",
 			},
 			"internal/psort": {"radixPass"},
 			// The coalescing cache's lookup: every request at both tiers,

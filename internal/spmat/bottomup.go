@@ -1,9 +1,8 @@
 package spmat
 
 import (
+	"math"
 	"math/bits"
-
-	"repro/internal/semiring"
 )
 
 // RowVal is one (row, value) output pair of the bottom-up kernels.
@@ -20,24 +19,24 @@ type RowVal struct {
 //
 // The kernel visits every row whose visited bit is clear — whole words of
 // visited rows are skipped, which is where the bottom-up direction wins on the
-// fat middle levels — and folds, with the semiring, the labels of the row's
-// neighbours whose frontier bit is set. Rows with at least one frontier
-// neighbour append (row, fold) to out, in ascending row order (index-sorted by
+// fat middle levels — and keeps the minimum label of the row's neighbours
+// whose frontier bit is set. Rows with at least one frontier neighbour append
+// (row, minimum) to out, in ascending row order (index-sorted by
 // construction: no sparse accumulator, no output sort).
 //
-// earlyExit stops a row's scan at the first frontier neighbour and emits fill
-// instead of the fold. That is only valid when every frontier label is equal —
-// the label-free pseudo-peripheral BFS, where frontier values all carry the
-// current level — because then the semiring fold over any non-empty neighbour
-// subset is the same value. The ordering BFS must keep earlyExit false: its
-// (select2nd, min) fold has to see *all* frontier neighbours to attach the
-// vertex to its minimum-label parent, which is exactly what keeps the
-// bottom-up pass byte-identical to the top-down one. labels may be nil when
-// earlyExit is set.
+// earlyExit stops a row's scan at the first frontier neighbour and emits 0
+// instead of the minimum. That is only valid when every frontier label is
+// equal — the label-free pseudo-peripheral BFS, which overwrites the emitted
+// values with the level — because then the minimum over any non-empty
+// neighbour subset is the same value. The ordering BFS must keep earlyExit
+// false: its (select2nd, min) fold has to see *all* frontier neighbours to
+// attach the vertex to its minimum-label parent, which is exactly what keeps
+// the bottom-up pass byte-identical to the top-down one. labels may be nil
+// when earlyExit is set.
 //
 // The second return is the performed work in tally units: visited-mask words
 // scanned, edges traversed, and entries emitted.
-func BottomUpCSC(rt *CSC, visited, frontier Bitmap, labels []int64, sr semiring.Semiring, earlyExit bool, fill int64, out []RowVal) ([]RowVal, int64) {
+func BottomUpCSC(rt *CSC, visited, frontier Bitmap, labels []int64, earlyExit bool, out []RowVal) ([]RowVal, int64) {
 	n := rt.Cols
 	work := int64(len(visited))
 	for wi := range visited {
@@ -50,7 +49,7 @@ func BottomUpCSC(rt *CSC, visited, frontier Bitmap, labels []int64, sr semiring.
 			free &= free - 1
 			r := wi<<6 + b
 			col := rt.Column(r)
-			acc := sr.Identity()
+			acc := int64(math.MaxInt64)
 			hit := false
 			for _, c := range col {
 				work++
@@ -58,12 +57,12 @@ func BottomUpCSC(rt *CSC, visited, frontier Bitmap, labels []int64, sr semiring.
 					continue
 				}
 				if earlyExit {
-					out = append(out, RowVal{Row: r, Val: fill})
+					out = append(out, RowVal{Row: r})
 					work++
 					hit = false
 					break
 				}
-				acc = sr.Add(acc, sr.Multiply(labels[c]))
+				acc = min(acc, labels[c])
 				hit = true
 			}
 			if hit {
@@ -79,13 +78,13 @@ func BottomUpCSC(rt *CSC, visited, frontier Bitmap, labels []int64, sr semiring.
 // (the transpose of a hypersparse block in DCSC form): only the nonempty rows
 // are iterated, ascending, so the output stays index-sorted and the kernel
 // never touches the empty majority of a hypersparse block.
-func BottomUpDCSC(rt *DCSC, visited, frontier Bitmap, labels []int64, sr semiring.Semiring, earlyExit bool, fill int64, out []RowVal) ([]RowVal, int64) {
+func BottomUpDCSC(rt *DCSC, visited, frontier Bitmap, labels []int64, earlyExit bool, out []RowVal) ([]RowVal, int64) {
 	work := int64(len(rt.JC))
 	for k, r := range rt.JC {
 		if visited.Get(r) {
 			continue
 		}
-		acc := sr.Identity()
+		acc := int64(math.MaxInt64)
 		hit := false
 		for _, c := range rt.IR[rt.CP[k]:rt.CP[k+1]] {
 			work++
@@ -93,12 +92,12 @@ func BottomUpDCSC(rt *DCSC, visited, frontier Bitmap, labels []int64, sr semirin
 				continue
 			}
 			if earlyExit {
-				out = append(out, RowVal{Row: r, Val: fill})
+				out = append(out, RowVal{Row: r})
 				work++
 				hit = false
 				break
 			}
-			acc = sr.Add(acc, sr.Multiply(labels[c]))
+			acc = min(acc, labels[c])
 			hit = true
 		}
 		if hit {

@@ -1,10 +1,9 @@
 package spmat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/semiring"
 )
 
 func randCSC(rng *rand.Rand, rows, cols int, density float64) *CSC {
@@ -77,18 +76,18 @@ func TestBitmapOps(t *testing.T) {
 }
 
 // referenceBottomUp is the brute-force oracle: for every unvisited row, the
-// semiring fold over frontier neighbours.
-func referenceBottomUp(rt *CSC, visited, frontier Bitmap, labels []int64, sr semiring.Semiring) []RowVal {
+// minimum label over frontier neighbours.
+func referenceBottomUp(rt *CSC, visited, frontier Bitmap, labels []int64) []RowVal {
 	var out []RowVal
 	for r := 0; r < rt.Cols; r++ {
 		if visited.Get(r) {
 			continue
 		}
-		acc := sr.Identity()
+		acc := int64(math.MaxInt64)
 		hit := false
 		for _, c := range rt.Column(r) {
 			if frontier.Get(int(c)) {
-				acc = sr.Add(acc, sr.Multiply(labels[c]))
+				acc = min(acc, labels[c])
 				hit = true
 			}
 		}
@@ -101,7 +100,6 @@ func referenceBottomUp(rt *CSC, visited, frontier Bitmap, labels []int64, sr sem
 
 func TestBottomUpKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	sr := semiring.Select2ndMin
 	for trial := 0; trial < 50; trial++ {
 		rows := 1 + rng.Intn(150)
 		cols := 1 + rng.Intn(150)
@@ -121,9 +119,9 @@ func TestBottomUpKernelsMatchReference(t *testing.T) {
 				labels[j] = int64(rng.Intn(1000))
 			}
 		}
-		want := referenceBottomUp(rt, visited, frontier, labels, sr)
+		want := referenceBottomUp(rt, visited, frontier, labels)
 
-		got, _ := BottomUpCSC(rt, visited, frontier, labels, sr, false, 0, nil)
+		got, _ := BottomUpCSC(rt, visited, frontier, labels, false, nil)
 		if len(got) != len(want) {
 			t.Fatalf("CSC kernel emitted %d rows, want %d", len(got), len(want))
 		}
@@ -134,7 +132,7 @@ func TestBottomUpKernelsMatchReference(t *testing.T) {
 		}
 
 		d := DCSCFromCSC(rt)
-		gotD, _ := BottomUpDCSC(d, visited, frontier, labels, sr, false, 0, nil)
+		gotD, _ := BottomUpDCSC(d, visited, frontier, labels, false, nil)
 		if len(gotD) != len(want) {
 			t.Fatalf("DCSC kernel emitted %d rows, want %d", len(gotD), len(want))
 		}
@@ -144,17 +142,17 @@ func TestBottomUpKernelsMatchReference(t *testing.T) {
 			}
 		}
 
-		// Early exit (label-free): same row set, fill value.
-		gotE, _ := BottomUpCSC(rt, visited, frontier, nil, sr, true, 7, nil)
+		// Early exit (label-free): same row set, value 0.
+		gotE, _ := BottomUpCSC(rt, visited, frontier, nil, true, nil)
 		if len(gotE) != len(want) {
 			t.Fatalf("early-exit kernel emitted %d rows, want %d", len(gotE), len(want))
 		}
 		for k := range gotE {
-			if gotE[k].Row != want[k].Row || gotE[k].Val != 7 {
-				t.Fatalf("early-exit kernel[%d] = %+v, want row %d val 7", k, gotE[k], want[k].Row)
+			if gotE[k].Row != want[k].Row || gotE[k].Val != 0 {
+				t.Fatalf("early-exit kernel[%d] = %+v, want row %d val 0", k, gotE[k], want[k].Row)
 			}
 		}
-		gotED, _ := BottomUpDCSC(d, visited, frontier, nil, sr, true, 7, nil)
+		gotED, _ := BottomUpDCSC(d, visited, frontier, nil, true, nil)
 		if len(gotED) != len(gotE) {
 			t.Fatalf("early-exit DCSC emitted %d rows, want %d", len(gotED), len(gotE))
 		}

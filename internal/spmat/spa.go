@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"repro/internal/psort"
-	"repro/internal/semiring"
 )
 
 // SPA is the sparse accumulator every SpMSpV folds into: the distributed
@@ -12,8 +11,7 @@ import (
 // distributed SpMSpV. A dense value array holds the folds, and a bitmap
 // over the same index space is both the touched marker and the output
 // order: draining scans its words ascending, so no sort runs unless the
-// touched set is too sparse for the scan to pay. Entries fold in arrival
-// order, so duplicate indices fold in the order the caller supplies them.
+// touched set is too sparse for the scan to pay.
 //
 // A drained SPA has every bit clear, which is what lets Reset reuse it
 // without zeroing anything.
@@ -43,26 +41,27 @@ func (s *SPA) Reset(n int) {
 	s.touched = s.touched[:0]
 }
 
-// Fold adds v into index i with sr's addition; the first fold at i stores v,
-// which is Add(Identity, v) for every semiring. It stays within the inlining
-// budget (the rotate is 1<<(i%64) in one instruction), so the kernels' loops
-// run it without a call.
-func (s *SPA) Fold(i int, v int64, sr semiring.Semiring) {
+// Fold keeps the minimum of the values folded into index i: the addition
+// of the (select2nd, min) semiring, which attaches each discovered vertex to
+// its minimum-label parent. The first fold at i stores v. It stays within
+// the inlining budget (the rotate is 1<<(i%64) in one instruction), so the
+// kernels' loops run it without a call.
+func (s *SPA) Fold(i int, v int64) {
 	w, b := &s.bits[i>>6], bits.RotateLeft64(1, i)
 	if *w&b == 0 {
 		*w |= b
 		s.touched = append(s.touched, i)
 	} else {
-		v = sr.Add(s.val[i], v)
+		v = min(s.val[i], v)
 	}
 	s.val[i] = v
 }
 
 // FoldColumn folds v into every row of col, one column of a CSC or DCSC
 // block: the per-edge loop of the SpMSpV kernels.
-func (s *SPA) FoldColumn(col []int32, v int64, sr semiring.Semiring) {
+func (s *SPA) FoldColumn(col []int32, v int64) {
 	for _, r := range col {
-		s.Fold(int(r), v, sr)
+		s.Fold(int(r), v)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"repro/internal/semiring"
 )
 
 // TestSPAMatchesMapOracle folds random index multisets into one reused
@@ -17,14 +15,13 @@ func TestSPAMatchesMapOracle(t *testing.T) {
 	var s SPA
 	scans, sorts := 0, 0
 	for trial := 0; trial < 600; trial++ {
-		sr := []semiring.Semiring{semiring.Select2ndMin, semiring.Select2ndAny, semiring.PlusTimes, semiring.Select2ndMax}[trial%4]
 		n := 1 + rng.Intn(20000)
 		folds := rng.Intn(1 + n/[]int{1, 16, 512}[trial%3])
 		s.Reset(n)
 		want := map[int]int64{}
 		fold := func(i int, v int64) {
 			if old, ok := want[i]; ok {
-				want[i] = sr.Add(old, v)
+				want[i] = min(old, v)
 			} else {
 				want[i] = v
 			}
@@ -32,7 +29,7 @@ func TestSPAMatchesMapOracle(t *testing.T) {
 		for f := 0; f < folds; {
 			if trial%2 == 0 {
 				i, v := rng.Intn(n), int64(rng.Intn(1000))
-				s.Fold(i, v, sr)
+				s.Fold(i, v)
 				fold(i, v)
 				f++
 				continue
@@ -42,7 +39,7 @@ func TestSPAMatchesMapOracle(t *testing.T) {
 				col[k] = int32(rng.Intn(n))
 			}
 			v := int64(rng.Intn(1000))
-			s.FoldColumn(col, v, sr)
+			s.FoldColumn(col, v)
 			for _, r := range col {
 				fold(int(r), v)
 			}
@@ -60,14 +57,14 @@ func TestSPAMatchesMapOracle(t *testing.T) {
 		sort.Ints(keys)
 		got := s.Drain()
 		if len(got) != len(keys) {
-			t.Fatalf("trial %d (n=%d, %s): drained %d indices, want %d", trial, n, sr.Name(), len(got), len(keys))
+			t.Fatalf("trial %d (n=%d): drained %d indices, want %d", trial, n, len(got), len(keys))
 		}
 		for k, i := range got {
 			if i != keys[k] {
 				t.Fatalf("trial %d (n=%d): drain[%d] = %d, want %d", trial, n, k, i, keys[k])
 			}
 			if s.Value(i) != want[i] {
-				t.Fatalf("trial %d (n=%d, %s): value at %d = %d, want %d", trial, n, sr.Name(), i, s.Value(i), want[i])
+				t.Fatalf("trial %d (n=%d): value at %d = %d, want %d", trial, n, i, s.Value(i), want[i])
 			}
 		}
 		for w, word := range s.bits[:cap(s.bits)] {
