@@ -19,24 +19,23 @@ type bottomUpWS struct {
 	ents      []Entry
 }
 
-// ensureBottomUp lazily builds the row-major (transposed) view of the local
-// block the bottom-up kernel scans, so top-down-only runs never pay for it.
-// Hypersparse blocks keep only the doubly compressed transpose — the dense
-// ColPtr transpose is a build-time transient, not retained, preserving the
-// DCSC memory goal. Local operation; every rank builds its own on its first
-// bottom-up level.
+// ensureBottomUp readies the row-major view NewMat built for the bottom-up
+// kernel, on every rank's first bottom-up level. It charges the transpose
+// (and, for hypersparse blocks, the compression) the paper's code performs
+// there, so top-down-only runs are never charged for it; the host built the
+// view in NewMat and only compresses it here. Hypersparse blocks keep only
+// the doubly compressed view, dropping the dense ColPtr form, which
+// preserves the DCSC memory goal. Local operation.
 func (m *Mat) ensureBottomUp() {
-	if m.buBuilt {
+	if m.buCharged {
 		return
 	}
-	m.buBuilt = true
-	rt := spmat.TransposeCSC(m.Block)
+	m.buCharged = true
 	m.D.G.World.Stats().AddWork(int64(2*m.Block.NNZ() + m.Block.Rows + m.Block.Cols))
 	if m.dcsc != nil {
-		m.rtDCSC = spmat.DCSCFromCSC(rt)
-		m.D.G.World.Stats().AddWork(int64(rt.NNZ() + rt.Cols))
-	} else {
-		m.rt = rt
+		m.rtDCSC = spmat.DCSCFromCSC(m.rt)
+		m.D.G.World.Stats().AddWork(int64(m.rt.NNZ() + m.rt.Cols))
+		m.rt = nil
 	}
 }
 

@@ -22,7 +22,7 @@ package distmat
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/grid"
@@ -63,12 +63,17 @@ type Mat struct {
 	// dcsc, when non-nil, is the doubly compressed form of Block and the
 	// SpMSpV kernel runs over it instead (see EnableDCSC).
 	dcsc *spmat.DCSC
-	// rt is the row-major (transposed) view of Block scanned by the
-	// bottom-up kernel, built lazily on the first bottom-up level; for
-	// hypersparse blocks only the doubly compressed rtDCSC is retained.
-	buBuilt bool
-	rt      *spmat.CSC
-	rtDCSC  *spmat.DCSC
+	// rt is the row-major view of Block, the transpose the bottom-up kernel
+	// scans: rt.Column(r) lists local row r's columns. NewMat builds it
+	// first and Block from it. Hypersparse blocks compress it into rtDCSC
+	// at the first bottom-up level and drop the dense form; buCharged
+	// records that level's one-time charge.
+	rt        *spmat.CSC
+	rtDCSC    *spmat.DCSC
+	buCharged bool
+	// deg holds each local row's off-diagonal entry count, which
+	// DegreeVec reduce-scatters along the processor row.
+	deg []int64
 
 	// spa is the sparse accumulator of the local kernels and of the
 	// row-partial merge, reused across SpMSpV and bottom-up calls.
@@ -95,9 +100,12 @@ func (m *Mat) EnableDCSC() {
 // its block, which costs the same local scan.
 //
 // CSR rows are sorted and duplicate-free, so each row's entries inside the
-// block's column range form one window found by binary search. A count per
-// column, a prefix sum and a scatter of the windows in ascending row order
-// then leave every column sorted: no coordinate lists, no per-column sort.
+// block's column range form one window, found by one binary search pair per
+// row. The windows, copied in row order, are the row-major view rt that the
+// bottom-up kernel scans; the same loop counts each column's entries and
+// each row's off-diagonal ones (the degrees DegreeVec needs). A prefix sum
+// and one scatter of rt in ascending row order then leave every CSC column
+// sorted: no coordinate lists, no per-column sort, no transpose.
 func NewMat(d *grid.Dist, a *spmat.CSR) *Mat {
 	if a.N != d.N {
 		//lint:ignore hotalloc cold caller-bug exit: runs at most once, right before the panic
@@ -109,38 +117,54 @@ func NewMat(d *grid.Dist, a *spmat.CSR) *Mat {
 	rows, cols := m.RowHi-m.RowLo, m.ColHi-m.ColLo
 	spmat.CheckIndexDim(rows)
 	spmat.CheckIndexDim(cols)
+	// Window r is a.Col[start[r] : start[r]+len], its length prefix-summed
+	// into rt's pointers.
+	rtPtr := make([]int, rows+1)
+	start := make([]int, rows)
+	for r := range start {
+		row := a.Row(m.RowLo + r)
+		lo, _ := slices.BinarySearch(row, m.ColLo)
+		n, _ := slices.BinarySearch(row[lo:], m.ColHi)
+		start[r] = a.RowPtr[m.RowLo+r] + lo
+		rtPtr[r+1] = rtPtr[r] + n
+	}
+	var rtCol, rowIdx []int32
+	if nnz := rtPtr[rows]; nnz > 0 {
+		rtCol = make([]int32, nnz)
+		rowIdx = make([]int32, nnz)
+	}
 	ptr := make([]int, cols+1)
-	for i := m.RowLo; i < m.RowHi; i++ {
-		for _, j := range colWindow(a.Row(i), m.ColLo, m.ColHi) {
+	m.deg = make([]int64, rows)
+	for r := range start {
+		out := rtCol[rtPtr[r]:rtPtr[r+1]]
+		diag := m.RowLo + r
+		deg := int64(len(out))
+		for k, j := range a.Col[start[r] : start[r]+len(out)] {
+			if j == diag {
+				deg--
+			}
+			out[k] = int32(j - m.ColLo)
 			ptr[j-m.ColLo+1]++
 		}
+		m.deg[r] = deg
 	}
 	for j := 0; j < cols; j++ {
 		ptr[j+1] += ptr[j]
 	}
 	// Scatter with ptr[j] as column j's cursor; afterwards ptr[j] holds
 	// column j's end, and one shift restores the starts.
-	var rowIdx []int32
-	if nnz := ptr[cols]; nnz > 0 {
-		rowIdx = make([]int32, nnz)
-	}
-	for i := m.RowLo; i < m.RowHi; i++ {
-		for _, j := range colWindow(a.Row(i), m.ColLo, m.ColHi) {
-			rowIdx[ptr[j-m.ColLo]] = int32(i - m.RowLo)
-			ptr[j-m.ColLo]++
+	for r := 0; r < rows; r++ {
+		for _, j := range rtCol[rtPtr[r]:rtPtr[r+1]] {
+			rowIdx[ptr[j]] = int32(r)
+			ptr[j]++
 		}
 	}
 	copy(ptr[1:], ptr[:cols])
 	ptr[0] = 0
 	m.Block = &spmat.CSC{Rows: rows, Cols: cols, ColPtr: ptr, Row: rowIdx}
+	m.rt = &spmat.CSC{Rows: cols, Cols: rows, ColPtr: rtPtr, Row: rtCol}
 	d.G.World.Stats().AddWork(int64(a.RowPtr[m.RowHi] - a.RowPtr[m.RowLo]))
 	return m
-}
-
-// colWindow returns the entries of the sorted row that fall in [lo, hi).
-func colWindow(row []int, lo, hi int) []int {
-	s := sort.SearchInts(row, lo)
-	return row[s : s+sort.SearchInts(row[s:], hi)]
 }
 
 // Vec is one rank's chunk of a distributed dense vector.
@@ -200,14 +224,6 @@ func NewSpVSingle(d *grid.Dist, ind int, val int64) *SpV {
 		x.Loc.Append(ind, val)
 	}
 	return x
-}
-
-// LocalLen returns the number of locally stored entries.
-func (x *SpV) LocalLen() int { return x.Loc.Len() }
-
-// Nnz returns the global number of nonzeros (collective).
-func (x *SpV) Nnz() int64 {
-	return comm.AllReduceSum(x.D.G.World, int64(x.Loc.Len()))
 }
 
 // GatherDense replaces the values of x with the corresponding entries of the

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/graphgen"
 	"repro/internal/grid"
 	"repro/internal/spmat"
 	"repro/internal/tally"
@@ -162,6 +163,201 @@ func TestNewMatMatchesCoordsOracle(t *testing.T) {
 	for _, tc := range cases {
 		for _, p := range []int{1, 4, 9, 16} {
 			checkNewMatMatchesCoords(t, tc.name, tc.a, p)
+		}
+	}
+}
+
+// transposeCSC is the counting-sort transpose the bottom-up kernel's row
+// view was built with before NewMat built the view itself, kept as its
+// oracle. Rows within each output column come out ascending because the
+// input columns are visited in ascending order; an empty block keeps a nil
+// Row, as NewMat leaves it.
+func transposeCSC(a *spmat.CSC) *spmat.CSC {
+	ptr := make([]int, a.Rows+1)
+	for _, r := range a.Row {
+		ptr[r+1]++
+	}
+	for i := 0; i < a.Rows; i++ {
+		ptr[i+1] += ptr[i]
+	}
+	var rows []int32
+	if len(a.Row) > 0 {
+		rows = make([]int32, len(a.Row))
+	}
+	next := append([]int(nil), ptr...)
+	for j := 0; j < a.Cols; j++ {
+		for _, r := range a.Column(j) {
+			rows[next[r]] = int32(j)
+			next[r]++
+		}
+	}
+	return &spmat.CSC{Rows: a.Cols, Cols: a.Rows, ColPtr: ptr, Row: rows}
+}
+
+// walkDegrees is the block walk DegreeVec counted each local row's
+// off-diagonal entries with, kept as the oracle of NewMat's counts.
+func walkDegrees(m *Mat) []int64 {
+	local := make([]int64, m.RowHi-m.RowLo)
+	for lcol := 0; lcol < m.Block.Cols; lcol++ {
+		for _, lrow := range m.Block.Column(lcol) {
+			if m.RowLo+int(lrow) != m.ColLo+lcol {
+				local[lrow]++
+			}
+		}
+	}
+	return local
+}
+
+// refSetup replays the block build this package had before NewMat built
+// the row view and the degrees in one pass: the coordinate block and its
+// charge, DegreeVec's block walk, charge and reduce-scatter, and the
+// transpose with its charges that the first bottom-up level ran.
+// bottomUpReady is called right before that first level.
+func refSetup(d *grid.Dist, a *spmat.CSR, hyper bool) (m *Mat, deg *Vec, bottomUpReady func()) {
+	block, scanned := coordsBlock(d, a)
+	m = &Mat{D: d, Block: block}
+	m.RowLo, m.RowHi = d.MyRowRange()
+	m.ColLo, m.ColHi = d.MyColRange()
+	stats := d.G.World.Stats()
+	stats.AddWork(int64(scanned))
+	if hyper {
+		m.EnableDCSC()
+	}
+
+	local := walkDegrees(m)
+	stats.AddWork(int64(m.Block.NNZ()))
+	g := d.G
+	send := make([][]int64, g.Pc)
+	for j := 0; j < g.Pc; j++ {
+		lo := d.SubStart(g.MyRow, j) - m.RowLo
+		hi := len(local)
+		if j < g.Pc-1 {
+			hi = d.SubStart(g.MyRow, j+1) - m.RowLo
+		}
+		send[j] = local[lo:hi]
+	}
+	recv, counts := comm.AllToAllvConcat(g.Row, send, nil, nil)
+	deg = NewVec(d, 0)
+	pos := 0
+	for _, n := range counts {
+		for k := 0; k < n; k++ {
+			deg.Data[k] += recv[pos+k]
+		}
+		pos += n
+	}
+	stats.AddWork(int64(len(recv)))
+
+	bottomUpReady = func() {
+		rt := transposeCSC(m.Block)
+		stats.AddWork(int64(2*m.Block.NNZ() + m.Block.Rows + m.Block.Cols))
+		if hyper {
+			m.rtDCSC = spmat.DCSCFromCSC(rt)
+			stats.AddWork(int64(rt.NNZ() + rt.Cols))
+		} else {
+			m.rt = rt
+		}
+		m.buCharged = true
+	}
+	return m, deg, bottomUpReady
+}
+
+// setupRun is one distributed set-up followed by two bottom-up levels (the
+// second must not charge the view again), through NewMat and DegreeVec or
+// through the refSetup replay. It returns every rank's degree chunk and
+// level outputs, and its tally.Stats. On the NewMat path it also checks the
+// row view against the transpose oracle, the stored degrees against the
+// block walk, and what the first level keeps of the view.
+func setupRun(t *testing.T, name string, a *spmat.CSR, p int, hyper, ref bool) ([][]int64, [][]Sp, []tally.Stats) {
+	t.Helper()
+	degs := make([][]int64, p)
+	levels := make([][]Sp, p)
+	errs := make(chan string, 3*p)
+	stats := comm.Run(p, nil, func(c *comm.Comm) {
+		d := grid.NewDist(grid.Square(c), a.N)
+		c.Stats().SetPhase(tally.Setup)
+		var m *Mat
+		var D *Vec
+		ready := func() {}
+		if ref {
+			m, D, ready = refSetup(d, a, hyper)
+		} else {
+			m = NewMat(d, a)
+			if !reflect.DeepEqual(m.rt, transposeCSC(m.Block)) {
+				errs <- fmt.Sprintf("%s p=%d rank %d: row view differs from the transposed block", name, p, c.Rank())
+			}
+			if !reflect.DeepEqual(m.deg, walkDegrees(m)) {
+				errs <- fmt.Sprintf("%s p=%d rank %d: degrees %v, block walk %v", name, p, c.Rank(), m.deg, walkDegrees(m))
+			}
+			if hyper {
+				m.EnableDCSC()
+			}
+			D = DegreeVec(m)
+		}
+		degs[c.Rank()] = D.Data
+		vis := NewVec(d, -1)
+		x := NewSpV(d)
+		for v := x.Lo; v < x.Hi; v++ {
+			if v%5 == 0 {
+				x.Loc.Append(v, int64(v))
+				vis.Set(v, 0)
+			}
+		}
+		c.Stats().SetPhase(tally.OrderingSpMSpV)
+		ready()
+		for l := 0; l < 2; l++ {
+			levels[c.Rank()] = append(levels[c.Rank()], BottomUpStep(m, x, vis, false).Loc)
+		}
+		if !ref {
+			var want any = transposeCSC(m.Block)
+			var got any = m.rt
+			if hyper {
+				want, got = spmat.DCSCFromCSC(transposeCSC(m.Block)), m.rtDCSC
+				if m.rt != nil {
+					errs <- fmt.Sprintf("%s p=%d rank %d: hypersparse block kept its dense row view", name, p, c.Rank())
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				errs <- fmt.Sprintf("%s p=%d rank %d hyper=%v: bottom-up view differs from the oracle's", name, p, c.Rank(), hyper)
+			}
+		}
+	})
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	st := make([]tally.Stats, len(stats))
+	for k, s := range stats {
+		st[k] = *s
+	}
+	return degs, levels, st
+}
+
+// TestBlockBuildMatchesTransposeOracle pins the one-pass block build at
+// p = 1, 4, 9 and 16, with CSC and DCSC blocks, on suite analogs and a
+// component-heavy graph: NewMat's row view is the transposed block, its
+// degrees are the block walk's, and a set-up plus two bottom-up levels give
+// the degree vector, the level outputs and every rank's full tally.Stats of
+// the build it replaced.
+func TestBlockBuildMatchesTransposeOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a    *spmat.CSR
+	}{
+		{"ldoor", graphgen.SuiteByName("ldoor").Build(12)},
+		{"Nm7", graphgen.SuiteByName("Nm7").Build(8)},
+		{"multi-component", graphgen.MultiComponent(10, 40, 6, 3)},
+	} {
+		for _, p := range []int{1, 4, 9, 16} {
+			for _, hyper := range []bool{false, true} {
+				gotDeg, gotLevels, gotStats := setupRun(t, tc.name, tc.a, p, hyper, false)
+				wantDeg, wantLevels, wantStats := setupRun(t, tc.name, tc.a, p, hyper, true)
+				if !reflect.DeepEqual(gotDeg, wantDeg) || !reflect.DeepEqual(gotLevels, wantLevels) {
+					t.Errorf("%s p=%d hyper=%v: degrees or bottom-up outputs differ from the replay", tc.name, p, hyper)
+				}
+				if !reflect.DeepEqual(gotStats, wantStats) {
+					t.Errorf("%s p=%d hyper=%v: modelled charges differ from the replay", tc.name, p, hyper)
+				}
+			}
 		}
 	}
 }

@@ -259,20 +259,13 @@ func SortPermNone(lnext *SpV, nv int64) *SpV {
 }
 
 // DegreeVec computes the distributed degree vector D of the graph G(A):
-// every rank counts the off-diagonal entries of its block per local row and
-// the counts are reduce-scattered along the processor row so each rank ends
-// up with the degrees of its own vector chunk. Collective.
+// every rank's off-diagonal entry counts per local row of its block, which
+// NewMat took while copying the rows, are reduce-scattered along the
+// processor row so each rank ends up with the degrees of its own vector
+// chunk. The charge is still the block walk the paper's code counts them
+// with. Collective.
 func DegreeVec(m *Mat) *Vec {
 	g := m.D.G
-	local := make([]int64, m.RowHi-m.RowLo)
-	for lcol := 0; lcol < m.Block.Cols; lcol++ {
-		gcol := m.ColLo + lcol
-		for _, lrow := range m.Block.Column(lcol) {
-			if m.RowLo+int(lrow) != gcol {
-				local[lrow]++
-			}
-		}
-	}
 	g.World.Stats().AddWork(int64(m.Block.NNZ()))
 
 	// Reduce-scatter along the processor row: slice local counts by the
@@ -282,11 +275,11 @@ func DegreeVec(m *Mat) *Vec {
 	send := make([][]int64, g.Pc)
 	for j := 0; j < g.Pc; j++ {
 		lo := m.D.SubStart(g.MyRow, j) - m.RowLo
-		hi := len(local)
+		hi := len(m.deg)
 		if j < g.Pc-1 {
 			hi = m.D.SubStart(g.MyRow, j+1) - m.RowLo
 		}
-		send[j] = local[lo:hi]
+		send[j] = m.deg[lo:hi]
 	}
 	recv, counts := comm.AllToAllvConcat(g.Row, send, nil, nil)
 	out := NewVec(m.D, 0)

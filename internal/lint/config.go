@@ -71,11 +71,12 @@ func DefaultConfig() *Config {
 				"Read", "asciiFields",
 			},
 			// CSR assembly behind every Matrix Market decode; symmetry
-			// check, permute and stats kernels: paid on every ordering's
-			// input check and Before/After (the fused OrderStats pass).
+			// check (its row blocks included), permute and stats kernels:
+			// paid on every ordering's input check and Before/After (the
+			// fused OrderStats pass).
 			"internal/spmat": {
 				"FromCoords",
-				"CSR.IsSymmetricPattern",
+				"CSR.IsSymmetricPattern", "CSR.IsSymmetricPatternPar", "CSR.symmetricRows",
 				"CSR.Permute", "CSR.PermuteChecked", "CSR.PermutePar",
 				"CSR.OrderStats", "CSR.orderStatsRows",
 				"CSR.DegreesPar", "CSR.BandwidthPar", "CSR.ProfilePar", "CSR.WavefrontPar",
@@ -96,14 +97,15 @@ func DefaultConfig() *Config {
 			},
 			// The simulator's fixed costs: every collective waits at two
 			// barriers (thousands per distributed order on a mesh), and
-			// every rank extracts its block once per order. SpMSpV — its
+			// every rank extracts its block, row view and degrees once per
+			// order, and readies the view at its first bottom-up level. SpMSpV — its
 			// local CSC/DCSC kernels, their drain, the row routing and the
 			// partial merge — or the bottom-up step, and SORTPERM run once
 			// per BFS level, and radixPass under every keyed sort of the
 			// frontier pipeline.
 			"internal/comm": {"barrier.wait"},
 			"internal/distmat": {
-				"NewMat", "SpMSpV", "Mat.LocalSpMSpVCSC", "Mat.LocalSpMSpVDCSC", "Mat.spaEmit",
+				"NewMat", "Mat.ensureBottomUp", "DegreeVec", "SpMSpV", "Mat.LocalSpMSpVCSC", "Mat.LocalSpMSpVDCSC", "Mat.spaEmit",
 				"BottomUpStep", "routeRowPartials", "foldPartials", "SortPermWS",
 			},
 			"internal/psort": {"radixPass"},

@@ -31,8 +31,5 @@ func (b Bitmap) Reuse(n int) Bitmap {
 // Set sets bit i.
 func (b Bitmap) Set(i int) { b[i>>6] |= 1 << uint(i&63) }
 
-// Unset clears bit i.
-func (b Bitmap) Unset(i int) { b[i>>6] &^= 1 << uint(i&63) }
-
 // Get reports bit i.
 func (b Bitmap) Get(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }

@@ -14,8 +14,8 @@ type RowVal struct {
 // BottomUpCSC is the local bottom-up (masked SpMV) kernel of the
 // direction-optimized BFS. rt is the row-major view of the block: rt.Column(r)
 // lists the neighbour columns of row r, so for the distributed 2D blocks rt is
-// the transpose of the CSC block (TransposeCSC), and for a symmetric square
-// matrix the CSC itself serves.
+// the transpose of the CSC block (the row view distmat.NewMat builds beside
+// it), and for a symmetric square matrix the CSC itself serves.
 //
 // The kernel visits every row whose visited bit is clear — whole words of
 // visited rows are skipped, which is where the bottom-up direction wins on the

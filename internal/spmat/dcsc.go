@@ -37,9 +37,6 @@ func DCSCFromCSC(c *CSC) *DCSC {
 // NNZ returns the number of stored entries.
 func (d *DCSC) NNZ() int { return len(d.IR) }
 
-// NNZCols returns the number of nonempty columns.
-func (d *DCSC) NNZCols() int { return len(d.JC) }
-
 // Column returns the row indices of column j (empty if j has no entries),
 // via binary search over the compressed column list.
 func (d *DCSC) Column(j int) []int32 {

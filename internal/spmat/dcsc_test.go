@@ -13,8 +13,8 @@ func TestDCSCRoundtrip(t *testing.T) {
 	if d.NNZ() != c.NNZ() {
 		t.Fatalf("nnz %d vs %d", d.NNZ(), c.NNZ())
 	}
-	if d.NNZCols() != 3 {
-		t.Errorf("nnzcols = %d", d.NNZCols())
+	if len(d.JC) != 3 {
+		t.Errorf("nnzcols = %d", len(d.JC))
 	}
 	for j := 0; j < c.Cols; j++ {
 		want := c.Column(j)
@@ -30,7 +30,7 @@ func TestDCSCRoundtrip(t *testing.T) {
 
 func TestDCSCEmpty(t *testing.T) {
 	d := DCSCFromCSC(cscFromCoords(3, 3, nil, nil))
-	if d.NNZ() != 0 || d.NNZCols() != 0 {
+	if d.NNZ() != 0 || len(d.JC) != 0 {
 		t.Errorf("empty dcsc: %+v", d)
 	}
 	if d.Column(1) != nil {

@@ -3,7 +3,9 @@ package spmat
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -157,6 +159,121 @@ func TestSymmetryCheckMatchesReference(t *testing.T) {
 	}
 }
 
+// symmetricUnder runs the blocked check's kernel over the row blocks of
+// bounds one after another, each with its own cursors and stop flag: the
+// parallel path without the scheduler, so any split can be tried.
+func symmetricUnder(a *CSR, bounds []int) bool {
+	ok := true
+	for k := 0; k+1 < len(bounds); k++ {
+		ok = a.symmetricRows(bounds[k], bounds[k+1], make([]int, a.N), new(atomic.Bool)) && ok
+	}
+	return ok
+}
+
+// withThreads raises GOMAXPROCS to threads for the test, so the blocked
+// check's cap lets that many blocks run, and forces the parallel path on
+// small fixtures.
+func withThreads(t *testing.T, threads int) {
+	t.Helper()
+	forceParallel(t)
+	old := runtime.GOMAXPROCS(threads)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// TestBlockedSymmetryCheckMatchesMerge pins the blocked check to the serial
+// merge and the binary-search oracle on the whole corpus: at 1–5 threads,
+// at every two-way split, and at multi-way splits. The hub-row and banded
+// fixtures put block boundaries inside one row's run of mirrors.
+func TestBlockedSymmetryCheckMatchesMerge(t *testing.T) {
+	withThreads(t, 5)
+	var band []Coord
+	for i := 0; i < 50; i++ {
+		for j := max(i-4, 0); j <= min(i+4, 49); j++ {
+			band = append(band, Coord{i, j, 1})
+		}
+	}
+	banded := FromCoords(50, band, true)
+	fixtures := permFixtures()
+	for _, f := range fixtures {
+		if f.name == "hub-row" {
+			fixtures = append(fixtures, permFixture{"hub-mirror-deleted", withoutEntry(f.a, 90, 7), false})
+		}
+	}
+	fixtures = append(fixtures,
+		permFixture{"banded", banded, true},
+		permFixture{"banded-mirror-deleted", withoutEntry(banded, 30, 27), false})
+	rng := rand.New(rand.NewSource(3))
+	for _, f := range fixtures {
+		if got := refIsSymmetricPattern(f.a); got != f.sym {
+			t.Fatalf("%s: fixture symmetric = %v, want %v", f.name, got, f.sym)
+		}
+		if got := f.a.IsSymmetricPattern(); got != f.sym {
+			t.Errorf("%s: serial merge = %v, want %v", f.name, got, f.sym)
+		}
+		for threads := 1; threads <= 5; threads++ {
+			if got := f.a.IsSymmetricPatternPar(threads); got != f.sym {
+				t.Errorf("%s: %d threads = %v, want %v", f.name, threads, got, f.sym)
+			}
+		}
+		n := f.a.N
+		for r0 := 0; r0 <= n; r0++ {
+			if got := symmetricUnder(f.a, []int{0, r0, n}); got != f.sym {
+				t.Errorf("%s: split at row %d = %v, want %v", f.name, r0, got, f.sym)
+			}
+		}
+		for trial := 0; trial < 20; trial++ {
+			bounds := []int{0}
+			for k := rng.Intn(5); k > 0; k-- {
+				bounds = append(bounds, rng.Intn(n+1))
+			}
+			bounds = append(bounds, n)
+			sort.Ints(bounds)
+			if got := symmetricUnder(f.a, bounds); got != f.sym {
+				t.Errorf("%s: blocks %v = %v, want %v", f.name, bounds, got, f.sym)
+			}
+		}
+	}
+}
+
+// TestQuickBlockedSymmetryCheck sweeps random patterns — symmetric, with
+// about a tenth of the mirrors dropped, or unmirrored — at a random thread
+// count and a random split against the binary-search oracle.
+func TestQuickBlockedSymmetryCheck(t *testing.T) {
+	withThreads(t, 5)
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(80)
+		var coords []Coord
+		mode := r.Intn(3)
+		for e := r.Intn(4 * n); e > 0; e-- {
+			i, j := r.Intn(n), r.Intn(n)
+			coords = append(coords, Coord{i, j, 1})
+			if mode == 0 || mode == 1 && r.Intn(10) > 0 {
+				coords = append(coords, Coord{j, i, 1})
+			}
+		}
+		a := FromCoords(n, coords, true)
+		want := refIsSymmetricPattern(a)
+		split := []int{0, r.Intn(n + 1), n}
+		sort.Ints(split)
+		return a.IsSymmetricPattern() == want &&
+			a.IsSymmetricPatternPar(1+r.Intn(5)) == want &&
+			symmetricUnder(a, split) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(13))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSymmetryCheckAllocatesOnce pins the one-block path to its single
+// cursor array.
+func TestSymmetryCheckAllocatesOnce(t *testing.T) {
+	a := randPattern(rand.New(rand.NewSource(4)), 300, 900, true, false)
+	if got := testing.AllocsPerRun(20, func() { a.IsSymmetricPattern() }); got != 1 {
+		t.Errorf("IsSymmetricPattern allocates %v times per call, want 1", got)
+	}
+}
+
 // TestPermuteMatchesReference pins the counting-sort scatter byte for byte
 // (RowPtr, Col, Val, and nil-ness of Val) to the gather-and-sort oracle on
 // the whole corpus, under identity, reversal and random permutations.
@@ -173,6 +290,23 @@ func TestPermuteMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: Permute differs from the reference under %v", f.name, perm)
 			}
+		}
+	}
+}
+
+// TestPermuteCheckedTrustsCallerAnswer pins that PAPᵀ built from the
+// caller's symmetry answer equals the self-checking Permute on symmetric and
+// non-symmetric inputs.
+func TestPermuteCheckedTrustsCallerAnswer(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, f := range permFixtures() {
+		perm := rng.Perm(f.a.N)
+		got, err := f.a.PermuteChecked(perm, f.sym)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		if want := f.a.Permute(perm); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: PermuteChecked(perm, %v) differs from Permute", f.name, f.sym)
 		}
 	}
 }
@@ -200,7 +334,7 @@ func TestQuickPermuteMatchesReference(t *testing.T) {
 func TestPermuteCheckedReturnsDiagnosis(t *testing.T) {
 	a := tri(3, [2]int{0, 1}, [2]int{1, 0})
 	for _, perm := range [][]int{{0, 1}, {0, 1, 1}, {0, 3, 1}, {-1, 0, 1}} {
-		p, err := a.PermuteChecked(perm)
+		p, err := a.PermuteChecked(perm, true)
 		want := ValidatePerm(perm, a.N)
 		if p != nil || err == nil || want == nil || err.Error() != want.Error() {
 			t.Errorf("PermuteChecked(%v) = %v, %v; want nil, %v", perm, p, err, want)

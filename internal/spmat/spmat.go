@@ -11,7 +11,12 @@ package spmat
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
+	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // CSR is a square sparse matrix in compressed-sparse-row form. Column
@@ -227,19 +232,66 @@ func (a *CSR) Has(i, j int) bool {
 	return k < len(row) && row[k] == j
 }
 
-// IsSymmetricPattern reports whether the nonzero pattern is symmetric. It
-// is one merge pass with a cursor cur[j] into every row j: the rows i are
-// visited in ascending order, so the entries (i, j) of column j arrive in
-// the order row j lists its sorted columns, and each must meet its mirror
-// (j, i) at the cursor. Matching every entry to a distinct mirror this way
-// is exactly symmetry on sorted, deduplicated rows — no per-entry search.
-func (a *CSR) IsSymmetricPattern() bool {
-	cur := make([]int, a.N)
-	copy(cur, a.RowPtr)
-	for i := 0; i < a.N; i++ {
+// IsSymmetricPattern reports whether the nonzero pattern is symmetric: the
+// one-block IsSymmetricPatternPar, on the calling goroutine.
+func (a *CSR) IsSymmetricPattern() bool { return a.IsSymmetricPatternPar(1) }
+
+// IsSymmetricPatternPar reports whether the nonzero pattern is symmetric,
+// checking nnz-balanced row blocks in parallel. Block [r0, r1) is one merge
+// pass with a cursor cur[j] into every row j, placed at row j's first entry
+// whose column is ≥ r0 (RowPtr[j] for the first block, one binary search per
+// row for the others): the block's rows i are visited in ascending order, so
+// the entries (i, j) of column j arrive in the order row j lists its columns
+// in [r0, r1), and each must meet its mirror (j, i) at the cursor.
+//
+// Each block thus maps its rows' entries injectively onto entries whose
+// columns lie in [r0, r1). The blocks' column ranges partition the columns,
+// so together they map the entry set injectively, hence bijectively, onto
+// itself, sending (i, j) to (j, i): exactly symmetry on sorted, deduplicated
+// rows, with no per-entry search. The answer does not depend on the thread
+// count. threads == 1 (or a small matrix) runs one block on the calling
+// goroutine with a single allocation. Every further block costs a cursor
+// array of n and n binary searches, so the block count is capped at
+// GOMAXPROCS, which threads < 1 selects.
+func (a *CSR) IsSymmetricPatternPar(threads int) bool {
+	n := a.N
+	if procs := runtime.GOMAXPROCS(0); threads < 1 || threads > procs {
+		threads = procs
+	}
+	if threads == 1 || n < minParallelRows {
+		var stop atomic.Bool // does not escape: the one-block path allocates only cur
+		return a.symmetricRows(0, n, make([]int, n), &stop)
+	}
+	bounds := WeightedBlocks(a.RowPtr, threads)
+	cur := make([]int, (len(bounds)-1)*n)
+	stop := new(atomic.Bool)
+	par.Blocks(bounds, func(k, lo, hi int) {
+		a.symmetricRows(lo, hi, cur[k*n:(k+1)*n], stop)
+	})
+	return !stop.Load()
+}
+
+// symmetricRows is one block of IsSymmetricPatternPar: it places the
+// cursors of rows [r0, r1) in cur (len n) and merges the block's entries
+// against their mirrors. A block that finds a mismatch sets stop and
+// returns false; the others give up at their next row.
+func (a *CSR) symmetricRows(r0, r1 int, cur []int, stop *atomic.Bool) bool {
+	if r0 == 0 {
+		copy(cur, a.RowPtr)
+	} else {
+		for j := range cur {
+			k, _ := slices.BinarySearch(a.Row(j), r0)
+			cur[j] = a.RowPtr[j] + k
+		}
+	}
+	for i := r0; i < r1; i++ {
+		if stop.Load() {
+			return false
+		}
 		for _, j := range a.Row(i) {
 			k := cur[j]
 			if k == a.RowPtr[j+1] || a.Col[k] != i {
+				stop.Store(true)
 				return false
 			}
 			cur[j] = k + 1
@@ -326,7 +378,7 @@ func (a *CSR) FillProxy() int64 {
 // are supposed to have validated already — the public facade goes through
 // PermuteChecked, which returns the same diagnosis as an error instead.
 func (a *CSR) Permute(perm []int) *CSR {
-	p, err := a.PermuteChecked(perm)
+	p, err := a.PermuteChecked(perm, a.IsSymmetricPattern())
 	if err != nil {
 		//lint:ignore hotalloc cold abort: an invalid permutation never reaches the kernel loop, so this boxing runs zero times on the fast path
 		panic("spmat: " + err.Error())
@@ -347,14 +399,18 @@ func (a *CSR) Permute(perm []int) *CSR {
 // transpose first. Values follow in a second pass: a dense marker records
 // the slot of every column of output row r, and each value of old row
 // perm[r] drops into its slot.
-func (a *CSR) PermuteChecked(perm []int) (*CSR, error) {
+//
+// symmetric must be the caller's IsSymmetricPattern answer for a, which
+// callers that order a have already computed; PAPᵀ does not check it again.
+// Passing true for a pattern that is not symmetric corrupts the result.
+func (a *CSR) PermuteChecked(perm []int, symmetric bool) (*CSR, error) {
 	inv, err := InvertChecked(perm, a.N)
 	if err != nil {
 		return nil, err
 	}
 	n := a.N
 	colPtr, colRows := a.RowPtr, a.Col
-	if !a.IsSymmetricPattern() {
+	if !symmetric {
 		t := (&CSR{N: n, RowPtr: a.RowPtr, Col: a.Col}).Transpose()
 		colPtr, colRows = t.RowPtr, t.Col
 	}

@@ -376,27 +376,6 @@ func TestCSCFromCoords(t *testing.T) {
 	}
 }
 
-func TestToCSCRoundtrip(t *testing.T) {
-	a := tri(3, [2]int{0, 1}, [2]int{1, 0}, [2]int{2, 1}, [2]int{1, 2})
-	c := a.ToCSC()
-	if c.Rows != 3 || c.Cols != 3 {
-		t.Fatal("dims wrong")
-	}
-	for i := 0; i < 3; i++ {
-		for _, j := range a.Row(i) {
-			found := false
-			for _, r := range c.Column(j) {
-				if int(r) == i {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("entry (%d,%d) missing in CSC", i, j)
-			}
-		}
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	a := tri(4, [2]int{0, 1}, [2]int{1, 0}, [2]int{2, 3}, [2]int{3, 2})
 	info := Summarize("t", a)

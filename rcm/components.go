@@ -25,8 +25,9 @@ type Components struct {
 // pattern is treated as undirected (structurally non-symmetric matrices are
 // analyzed as A ∪ Aᵀ, matching Order's view of the graph; WithoutSymmetrize
 // is irrelevant here because connectivity is symmetric by definition).
-// WithThreads sets the worker count; the output is identical for every
-// worker count. An empty matrix has zero components.
+// WithThreads sets the worker count of the symmetry check and the
+// union-find; the output is identical for every worker count. An empty
+// matrix has zero components.
 func ConnectedComponents(a *Matrix, opts ...Option) (*Components, error) {
 	if a == nil || a.csr == nil {
 		return nil, fmt.Errorf("rcm: nil matrix")
@@ -36,10 +37,11 @@ func ConnectedComponents(a *Matrix, opts ...Option) (*Components, error) {
 		o(&c)
 	}
 	g := a.csr
-	if !g.IsSymmetricPattern() {
+	workers := c.poolWorkers()
+	if !g.IsSymmetricPatternPar(workers) {
 		g = g.Symmetrize()
 	}
-	label, count := g.ParallelComponents(c.poolWorkers())
+	label, count := g.ParallelComponents(workers)
 	return &Components{
 		Count: count,
 		Label: label,

@@ -80,16 +80,23 @@ func BenchmarkIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	// The symmetry check every Order runs on its input: one merge pass over
-	// the pattern, so the bytes swept are the pattern's.
-	b.Run("symcheck", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(8 * (a.NNZ() + a.N)))
-		for i := 0; i < b.N; i++ {
-			if !a.IsSymmetricPattern() {
-				b.Fatal("suite matrix reported asymmetric")
+	// the pattern, so the bytes swept are the pattern's. symcheck is the
+	// one-block merge; symcheck-parallel splits it into row blocks, as
+	// Order does under a distributed run's cores.
+	for _, mode := range []struct {
+		name    string
+		threads int
+	}{{"symcheck", 1}, {"symcheck-parallel", 0}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * (a.NNZ() + a.N)))
+			for i := 0; i < b.N; i++ {
+				if !a.IsSymmetricPatternPar(mode.threads) {
+					b.Fatal("suite matrix reported asymmetric")
+				}
 			}
-		}
-	})
+		})
+	}
 
 	perm := rand.New(rand.NewSource(1)).Perm(a.N)
 	// Bytes actually swept per iteration: the pattern once for the permute

@@ -107,7 +107,7 @@ func (m *Matrix) Degrees() []int { return m.csr.Degrees() }
 // entries — are rejected with a diagnosis naming the first offending
 // position, before any kernel touches them.
 func (m *Matrix) Permute(perm []int) (*Matrix, error) {
-	p, err := m.csr.PermuteChecked(perm)
+	p, err := m.csr.PermuteChecked(perm, m.csr.IsSymmetricPattern())
 	if err != nil {
 		return nil, fmt.Errorf("rcm: %v", err)
 	}

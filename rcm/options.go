@@ -365,10 +365,16 @@ func WithStartVertex(v int) Option { return func(c *config) { c.start = v } }
 // backend, the per-process OpenMP-style threads of the Distributed machine
 // model (cores = procs × threads), and the worker pool of the component
 // scheduler and ConnectedComponents (which otherwise default to GOMAXPROCS).
+// It is also the budget of the host passes Order makes over the input —
+// the symmetry check and the Before/After statistics — except under the
+// Distributed backend, where those use procs × threads, capped at
+// GOMAXPROCS. No output depends on it.
 func WithThreads(t int) Option { return func(c *config) { c.threads, c.threadsSet = t, true } }
 
 // WithProcs sets the number of simulated MPI processes for the Distributed
 // backend. Like the paper's implementation, it must be a perfect square.
+// A distributed RCM run's symmetry check and Before/After statistics run
+// on procs × threads host threads, capped at GOMAXPROCS.
 func WithProcs(p int) Option { return func(c *config) { c.procs = p } }
 
 // WithRandomPermSeed enables the random symmetric load-balancing

@@ -2,6 +2,7 @@ package rcm
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/amd"
 	"repro/internal/core"
@@ -102,9 +103,12 @@ func order(a *Matrix, wantMatrix bool, opts []Option) (*Result, *Matrix, error) 
 		o(&c)
 	}
 
-	// The graph the algorithms traverse: symmetric by construction.
+	// The graph the algorithms traverse: symmetric by construction. The
+	// check, like Before and After below, runs under the host budget.
+	h := c.hostThreads()
 	g := a.csr
-	if !g.IsSymmetricPattern() {
+	sym := g.IsSymmetricPatternPar(h)
+	if !sym {
 		if !c.symmetrize {
 			return nil, nil, fmt.Errorf("rcm: pattern is not symmetric (enable symmetrization or pre-apply Symmetrize)")
 		}
@@ -157,26 +161,39 @@ func order(a *Matrix, wantMatrix bool, opts []Option) (*Result, *Matrix, error) 
 		}
 	}
 
-	// Before and After are one fused statistics pass each, under the same
-	// thread budget as the ordering itself (WithThreads; 1 means serial).
-	// PAPᵀ is built only to be returned, and then After is read off its
-	// sorted rows; otherwise After runs over a's rows through the inverse
-	// of Perm, which the pass that validates Perm yields.
-	res.Before = newStats(a.csr.OrderStats(nil, c.threads))
+	// Before and After are one fused statistics pass each, under the host
+	// budget. PAPᵀ is built only to be returned, from the symmetry answer
+	// above, and then After is read off its sorted rows; otherwise After
+	// runs over a's rows through the inverse of Perm, which the pass that
+	// validates Perm yields.
+	res.Before = newStats(a.csr.OrderStats(nil, h))
 	if wantMatrix {
-		p, err := a.csr.PermuteChecked(res.Perm)
+		p, err := a.csr.PermuteChecked(res.Perm, sym)
 		if err != nil {
 			return nil, nil, fmt.Errorf("rcm: internal error: backend returned an invalid permutation: %w", err)
 		}
-		res.After = newStats(p.OrderStats(nil, c.threads))
+		res.After = newStats(p.OrderStats(nil, h))
 		return res, wrap(p), nil
 	}
 	inv, err := spmat.InvertChecked(res.Perm, a.csr.N)
 	if err != nil {
 		return nil, nil, fmt.Errorf("rcm: internal error: backend returned an invalid permutation: %w", err)
 	}
-	res.After = newStats(a.csr.OrderStats(inv, c.threads))
+	res.After = newStats(a.csr.OrderStats(inv, h))
 	return res, nil, nil
+}
+
+// hostThreads is the worker budget of the facade's own passes over the
+// input: the symmetry check and the Before/After statistics. It is
+// WithThreads, except for a distributed RCM run, which already occupies
+// procs × threads cores (its rank goroutines and their modelled threads):
+// there the passes use that many, capped at GOMAXPROCS. Every pass returns
+// the same answer at any budget, so the budget moves no output.
+func (c config) hostThreads() int {
+	if c.ordering == RCM && c.backend == Distributed {
+		return min(c.procs*c.threads, runtime.GOMAXPROCS(0))
+	}
+	return c.threads
 }
 
 // coreOptions is the facade's validation layer: it vets every resolved

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -177,6 +178,70 @@ func TestDistributedResultCarriesBreakdown(t *testing.T) {
 	}
 	if seq.Modeled != nil {
 		t.Error("sequential result has a modelled breakdown")
+	}
+}
+
+// TestDistributedHostBudgetMovesNoOutput pins that running the facade's
+// own passes — the symmetry check, Before/After and PAPᵀ — under the
+// distributed run's min(procs × threads, GOMAXPROCS) moves nothing: Order
+// and OrderMatrix with the Distributed backend at procs 4 and 16 return the
+// identical Result (Perm, Before, After, Modeled) and matrix under
+// GOMAXPROCS 1 and 2, on a symmetric input and on a non-symmetric one with
+// values, both large enough for the parallel passes.
+func TestDistributedHostBudgetMovesNoOutput(t *testing.T) {
+	entry, err := SuiteByName("Nm7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sym := entry.Build(4)
+	var edges []Edge
+	for i := 0; i < sym.N(); i++ {
+		for _, j := range sym.csr.Row(i) {
+			if j <= i || j%3 == 0 {
+				edges = append(edges, Edge{I: i, J: j, Val: float64(i - j)})
+			}
+		}
+	}
+	asym, err := FromEdges(sym.N(), edges, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if asym.IsSymmetricPattern() || asym.N() < 2048 {
+		t.Fatalf("fixture: symmetric %v, n = %d", asym.IsSymmetricPattern(), asym.N())
+	}
+	type run struct {
+		order, orderMatrix *Result
+		matrix             *Matrix
+	}
+	orderAt := func(m *Matrix, procs, maxprocs int) run {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(maxprocs))
+		opts := []Option{WithBackend(Distributed), WithProcs(procs)}
+		res, err := Order(m, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm, resM, err := OrderMatrix(m, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run{res, resM, pm}
+	}
+	for name, m := range map[string]*Matrix{"symmetric": sym, "non-symmetric": asym} {
+		for _, procs := range []int{4, 16} {
+			serial, parallel := orderAt(m, procs, 1), orderAt(m, procs, 2)
+			if !reflect.DeepEqual(serial.order, parallel.order) || !reflect.DeepEqual(serial.orderMatrix, parallel.orderMatrix) {
+				t.Errorf("%s procs=%d: Result differs between GOMAXPROCS 1 and 2", name, procs)
+			}
+			if !reflect.DeepEqual(serial.order, serial.orderMatrix) {
+				t.Errorf("%s procs=%d: Order and OrderMatrix disagree", name, procs)
+			}
+			if !reflect.DeepEqual(serial.matrix.csr, parallel.matrix.csr) {
+				t.Errorf("%s procs=%d: PAPᵀ differs between GOMAXPROCS 1 and 2", name, procs)
+			}
+			if want, _ := m.Permute(serial.order.Perm); !reflect.DeepEqual(parallel.matrix.csr, want.csr) {
+				t.Errorf("%s procs=%d: OrderMatrix's PAPᵀ differs from Permute's", name, procs)
+			}
+		}
 	}
 }
 
