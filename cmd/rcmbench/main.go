@@ -19,8 +19,6 @@
 //	rcmbench -exp ablation-components component scheduling on/off, shared engine
 //	rcmbench -exp ablation-ordering  RCM vs AMD vs Sloan: bandwidth, fill proxy, profile, RMS wavefront
 //	rcmbench -exp spy                before/after ASCII spy plots (Fig. 3 plots)
-//	rcmbench -exp service            ordering-service QPS vs cache hit ratio
-//	rcmbench -exp ingest             RCMB ingest strategies, one content digest
 //	rcmbench -exp fleet              sharded fleet QPS vs replica count
 //	rcmbench -exp all                everything above
 //
@@ -63,7 +61,7 @@ func main() {
 		heur       = flag.String("heuristic", "pseudo-peripheral", "start-vertex heuristic for every run (pseudo-peripheral|bi-criteria|min-degree|first-vertex)")
 		alpha      = flag.Float64("alpha", 0, "override model latency α in ns (0 = default)")
 		beta       = flag.Float64("beta", 0, "override model inverse bandwidth β in ns/word (0 = default)")
-		csvPath    = flag.String("csv", "", "also write machine-readable results here (fig1/fig4/fig5/service/ingest/fleet only)")
+		csvPath    = flag.String("csv", "", "also write machine-readable results here (fig1/fig4/fig5/fleet only)")
 	)
 	flag.Parse()
 

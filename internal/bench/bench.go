@@ -1,7 +1,6 @@
 // Package bench is the experiment harness: one runner per table and figure
-// of the paper's evaluation (§V), plus the ablations and the serving,
-// ingest and fleet experiments, each emitting the same rows/series the
-// paper reports. The runners return structured results (so the tests can
+// of the paper's evaluation (§V), plus the ablations and the fleet
+// experiment, each emitting the same rows/series the paper reports. The runners return structured results (so the tests can
 // assert on them) and render human-readable tables to a writer.
 // Experiments lists them by id for command rcmbench.
 //

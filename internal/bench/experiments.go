@@ -46,8 +46,6 @@ func Experiments(cfg Config) []Experiment {
 		experiment(cfg, "ablation-dcsc", RunAblationDCSC, nil),
 		experiment(cfg, "ablation-components", RunAblationComponents, nil),
 		{ID: "ablation-ordering", Run: func() (any, error) { return RunAblationOrdering(cfg) }},
-		experiment(cfg, "service", RunServiceThroughput, WriteServiceCSV),
-		experiment(cfg, "ingest", RunIngest, WriteIngestCSV),
 		experiment(cfg, "fleet", RunFleet, WriteFleetCSV),
 		{ID: "spy", Run: func() (any, error) { return nil, RunSpy(cfg) }},
 	}

@@ -206,15 +206,6 @@ func (bj *BlockJacobi) Apply(r, z []float64) {
 // Blocks returns the number of blocks.
 func (bj *BlockJacobi) Blocks() int { return len(bj.factors) }
 
-// FactorNNZ returns the total stored factor entries across blocks.
-func (bj *BlockJacobi) FactorNNZ() int {
-	t := 0
-	for _, f := range bj.factors {
-		t += f.NNZ()
-	}
-	return t
-}
-
 // Result reports a PCG solve.
 type Result struct {
 	// Iterations is the number of CG iterations performed.

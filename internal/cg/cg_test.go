@@ -128,8 +128,8 @@ func TestBlockJacobiBlockCountClamping(t *testing.T) {
 	if bj2.Blocks() != 1 {
 		t.Errorf("blocks = %d", bj2.Blocks())
 	}
-	if bj2.FactorNNZ() != a.NNZ() {
-		t.Errorf("single block factor nnz %d", bj2.FactorNNZ())
+	if got := bj2.factors[0].NNZ(); got != a.NNZ() {
+		t.Errorf("single block factor nnz %d", got)
 	}
 }
 

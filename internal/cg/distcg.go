@@ -191,12 +191,13 @@ func newCGRank(c *comm.Comm, a *spmat.CSR) *cgRank {
 
 	// Tell every owner which of its entries we need; the mirror lists
 	// are what we must send each iteration.
-	reqs := comm.AllToAllv(c, r.ghostIdx)
+	reqs, counts := comm.AllToAllvConcat(c, r.ghostIdx, nil, nil)
 	r.sendIdx = make([][]int, c.Size())
-	for o, rq := range reqs {
-		for _, g := range rq {
+	for o, n := range counts {
+		for _, g := range reqs[:n] {
 			r.sendIdx[o] = append(r.sendIdx[o], g-r.lo)
 		}
+		reqs = reqs[n:]
 	}
 	// Size the per-iteration halo scratch from the fixed plan.
 	r.sendBufs = make([][]float64, c.Size())

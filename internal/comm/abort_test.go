@@ -104,18 +104,24 @@ func TestPanickingRankAbortsWorld(t *testing.T) {
 }
 
 // TestLowestPanickingRankWins: when two ranks panic, Run re-panics with the
-// lower rank's value, even when the higher rank panics first.
+// lower rank's value, even when the higher rank panics first. The higher
+// rank waits until the lower one has left the first collective, so its
+// abort cannot unwind the lower rank inside that collective's barriers
+// before the lower rank raises its own value.
 func TestLowestPanickingRankWins(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		for _, p := range []int{4, 16} {
 			lo, hi := 1, p-1
 			for rep := 0; rep < 5; rep++ {
+				loOut := make(chan struct{})
 				runAborting(t, p, rankPanic{lo}, func(c *Comm) {
 					AllReduceSum(c, 1)
 					switch c.Rank() {
 					case hi:
+						<-loOut
 						panic(rankPanic{hi})
 					case lo:
+						close(loOut)
 						time.Sleep(lateSleep)
 						panic(rankPanic{lo})
 					}

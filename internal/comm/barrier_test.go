@@ -91,7 +91,7 @@ func TestBarrierParkPathDeposits(t *testing.T) {
 				for d := range send {
 					send[d] = []int64{tag(col.Rank(), round)*q + int64(d)}
 				}
-				for i, got := range AllToAllv(col, send) {
+				for i, got := range allToAllv(col, send) {
 					if len(got) != 1 || got[0] != tag(i, round)*q+int64(col.Rank()) {
 						t.Errorf("round %d col rank %d: from %d got %v", round, col.Rank(), i, got)
 					}

@@ -76,23 +76,6 @@ func BenchmarkAllGathervConcatInto(b *testing.B) {
 	}
 }
 
-func BenchmarkAllToAllv(b *testing.B) {
-	for _, p := range benchSizes() {
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			Run(p, nil, func(c *Comm) {
-				send := make([][]int64, c.Size())
-				for d := range send {
-					send[d] = make([]int64, 16)
-				}
-				for i := 0; i < b.N; i++ {
-					AllToAllv(c, send)
-				}
-			})
-		})
-	}
-}
-
 // BenchmarkAllToAllvConcat measures the steady-state personalized exchange
 // with scratch reuse; allocs/op should stay at zero.
 func BenchmarkAllToAllvConcat(b *testing.B) {

@@ -178,9 +178,6 @@ func (c *Comm) Size() int { return c.size }
 // communicators the rank belongs to).
 func (c *Comm) Stats() *tally.Stats { return c.stats }
 
-// Model returns the machine model of the run.
-func (c *Comm) Model() *tally.Model { return c.model }
-
 // Run executes f on p ranks and waits for all of them. It returns the
 // per-rank stats, whose virtual clocks and phase buckets describe the
 // modelled execution (see package tally).
@@ -372,36 +369,13 @@ func allToAllvCost[T any](c *Comm, sync float64, send [][]T, recvWords int64, ne
 	c.stats.CommSync(sync, cost, msgs, sentWords)
 }
 
-// AllToAllv performs a personalized exchange: send[i] goes to rank i, and
-// recv[i] holds what rank i sent to this rank. Fresh copies are returned.
-// len(send) must equal c.Size(); nil sub-slices are allowed.
-func AllToAllv[T any](c *Comm, send [][]T) [][]T {
-	if len(send) != c.size {
-		panic(fmt.Sprintf("comm: AllToAllv send has %d buffers for %d ranks", len(send), c.size))
-	}
-	if c.size == 1 {
-		return [][]T{append([]T(nil), send[0]...)}
-	}
-	depositSlice(c, send)
-	sync := c.maxClock()
-	recv := make([][]T, c.size)
-	var recvWords int64
-	for i := 0; i < c.size; i++ {
-		theirs := peek[[]T](c, i)
-		recv[i] = append([]T(nil), theirs[c.rank]...)
-		recvWords += words[T](len(theirs[c.rank]))
-	}
-	allToAllvCost(c, sync, send, recvWords, false)
-	c.release()
-	return recv
-}
-
-// AllToAllvConcat performs a personalized exchange and returns the received
-// pieces concatenated in source-rank order, together with the per-source
-// counts. into and counts are optional scratch buffers reused when large
-// enough, so steady-state callers can exchange without allocating; pass nil
-// to allocate fresh. The concatenation is the natural form for callers that
-// merge the pieces anyway (SpMSpV, SORTPERM).
+// AllToAllvConcat performs a personalized exchange, send[i] going to rank
+// i, and returns the received pieces concatenated in source-rank order,
+// together with the per-source counts. len(send) must equal c.Size(); nil
+// sub-slices are allowed. into and counts are optional scratch buffers
+// reused when large enough, so steady-state callers can exchange without
+// allocating; pass nil to allocate fresh. The concatenation is the natural
+// form for callers that merge the pieces anyway (SpMSpV, SORTPERM).
 func AllToAllvConcat[T any](c *Comm, send [][]T, into []T, counts []int) ([]T, []int) {
 	return allToAllvConcat(c, send, into, counts, false)
 }

@@ -70,6 +70,17 @@ func TestAllGathervConcat(t *testing.T) {
 	})
 }
 
+// allToAllv runs AllToAllvConcat and splits the concatenation by its
+// counts, so a test can index the received pieces by source rank.
+func allToAllv[T any](c *Comm, send [][]T) [][]T {
+	flat, counts := AllToAllvConcat(c, send, nil, nil)
+	recv := make([][]T, len(counts))
+	for i, n := range counts {
+		recv[i], flat = flat[:n:n], flat[n:]
+	}
+	return recv
+}
+
 func TestAllToAllv(t *testing.T) {
 	p := 4
 	Run(p, nil, func(c *Comm) {
@@ -80,7 +91,7 @@ func TestAllToAllv(t *testing.T) {
 				send[dst] = append(send[dst], c.Rank()*10+dst)
 			}
 		}
-		recv := AllToAllv(c, send)
+		recv := allToAllv(c, send)
 		if len(recv) != p {
 			t.Fatalf("recv has %d buffers", len(recv))
 		}
@@ -110,7 +121,7 @@ func TestAllToAllvWrongSizePanics(t *testing.T) {
 				t.Error("expected panic")
 			}
 		}()
-		AllToAllv(c, make([][]int, 1))
+		AllToAllvConcat(c, make([][]int, 1), nil, nil)
 	})
 }
 
@@ -299,7 +310,7 @@ func TestCollectivesAreDeterministic(t *testing.T) {
 			for i := range send {
 				send[i] = x
 			}
-			AllToAllv(c, send)
+			AllToAllvConcat(c, send, nil, nil)
 			AllReduceSum(c, 7)
 			c.Barrier()
 		})

@@ -35,7 +35,7 @@ func TestStressInterleavedSubcommunicators(t *testing.T) {
 						send[d] = append(send[d], int64(d+r))
 					}
 				}
-				recv := AllToAllv(col, send)
+				recv := allToAllv(col, send)
 				for _, buf := range recv {
 					for _, v := range buf {
 						acc += v

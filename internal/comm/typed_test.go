@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/tally"
 )
 
 // Table-driven tests of the typed collectives. Every case runs over the
@@ -118,7 +120,7 @@ func TestTableAllToAllv(t *testing.T) {
 				send[dst] = append(send[dst], sub.Rank()*100+dst)
 			}
 		}
-		recv := AllToAllv(sub, send)
+		recv := allToAllv(sub, send)
 		for src := 0; src < p; src++ {
 			want := (src+sub.Rank())%3 + 1
 			if len(recv[src]) != want {
@@ -147,7 +149,7 @@ func TestTableAllToAllvConcat(t *testing.T) {
 	}
 	forEachComm(t, func(t *testing.T, world, sub *Comm) {
 		p := sub.Size()
-		m := sub.Model()
+		m := tally.Edison() // the model Run uses when given nil
 		send := make([][]int, p)
 		for dst := 0; dst < p; dst++ {
 			if dst%2 == 1 {

@@ -55,8 +55,8 @@ type Options struct {
 	// seed into the BFS root; nil selects PeripheralPolicy (the paper's
 	// Algorithm 2/4). Ignored when SkipPeripheral is set.
 	Policy StartPolicy
-	// Reverse controls the final reversal; true (RCM) unless explicitly
-	// disabled to obtain the plain Cuthill-McKee order.
+	// NoReverse skips the final reversal, giving the plain Cuthill-McKee
+	// order instead of RCM (the default, false).
 	NoReverse bool
 	// Direction selects the traversal direction policy of the
 	// level-synchronous engines (DirAuto by default); see Direction.
@@ -88,8 +88,9 @@ func MinDegreeVertex(a *spmat.CSR) int {
 	return best
 }
 
-// reverseInPlace converts a CM labelling into RCM: position k gets the
-// vertex labelled n-1-k.
+// permFromLabels turns a CM labelling into a new→old permutation: position
+// k gets the vertex labelled k, or with reverse (RCM) the vertex labelled
+// n-1-k.
 func permFromLabels(labels []int64, reverse bool) []int {
 	n := len(labels)
 	perm := make([]int, n)

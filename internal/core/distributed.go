@@ -3,19 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/comm"
 	"repro/internal/distmat"
+	"repro/internal/graphgen"
 	"repro/internal/grid"
 	"repro/internal/spmat"
 	"repro/internal/tally"
 )
-
-// randPerm returns a seeded random permutation in new→old convention.
-func randPerm(n int, seed int64) []int {
-	return rand.New(rand.NewSource(seed)).Perm(n)
-}
 
 // SortMode selects how the next frontier is labeled, covering the paper's
 // §VI future-work alternatives to the full distributed sort.
@@ -104,9 +99,7 @@ func Distributed(a *spmat.CSR, opt DistOptions) *DistOrdering {
 	}
 	var scramble []int
 	if opt.RandomPermSeed != 0 {
-		var scrambled *spmat.CSR
-		scrambled, scramble = graphgenScramble(a, opt.RandomPermSeed)
-		a = scrambled
+		a, scramble = graphgen.Scramble(a, opt.RandomPermSeed)
 		if opt.Start >= 0 && len(scramble) > 0 {
 			// Start refers to the caller's vertex ids; translate.
 			inv := spmat.InvertPerm(scramble)
@@ -200,14 +193,6 @@ func Distributed(a *spmat.CSR, opt DistOptions) *DistOrdering {
 		}
 	}
 	return res
-}
-
-// graphgenScramble mirrors graphgen.Scramble without importing it (package
-// graphgen depends on spmat only; core stays below graphgen in the package
-// graph). It applies a seeded random symmetric permutation.
-func graphgenScramble(a *spmat.CSR, seed int64) (*spmat.CSR, []int) {
-	perm := randPerm(a.N, seed)
-	return a.Permute(perm), perm
 }
 
 // firstUnlabeled returns the smallest global index with R == -1, or -1 if

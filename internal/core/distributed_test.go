@@ -31,6 +31,44 @@ func TestRandomPermSeedPreservesQualityClass(t *testing.T) {
 	}
 }
 
+// TestRandomPermSeedMatchesScrambledSequential pins the §IV-A
+// load-balancing permutation to its definition: with a seed, Distributed
+// orders graphgen.Scramble's matrix from the translated start, as the
+// Sequential engine does, and maps that order back through the scramble.
+func TestRandomPermSeedMatchesScrambledSequential(t *testing.T) {
+	mats := []struct {
+		name string
+		a    *spmat.CSR
+	}{
+		{"grid", graphgen.Grid2D(12, 9)},
+		{"ldoor", graphgen.SuiteByName("ldoor").Build(8)},
+		{"disconnected", graphgen.Disconnected(graphgen.Path(7), graphgen.Grid2D(5, 4), graphgen.Star(6))},
+	}
+	for _, m := range mats {
+		for _, seed := range []int64{7, 99} {
+			scrambled, scramble := graphgen.Scramble(m.a, seed)
+			inv := spmat.InvertPerm(scramble)
+			for _, start := range []int{-1, m.a.N / 3} {
+				seqStart := start
+				if start >= 0 {
+					seqStart = inv[start]
+				}
+				seq := SequentialOpt(scrambled, Options{Start: seqStart})
+				want := make([]int, len(seq.Perm))
+				for k, v := range seq.Perm {
+					want[k] = scramble[v]
+				}
+				for _, p := range []int{1, 4, 9} {
+					got := Distributed(m.a, DistOptions{Procs: p, RandomPermSeed: seed, Options: Options{Start: start}})
+					if !reflect.DeepEqual(got.Perm, want) {
+						t.Errorf("%s seed=%d start=%d p=%d: permutation differs from the scrambled Sequential order", m.name, seed, start, p)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRandomPermSeedDeterministic(t *testing.T) {
 	a, _ := graphgen.Scramble(graphgen.Grid2D(10, 10), 53)
 	r1 := Distributed(a, DistOptions{Procs: 4, RandomPermSeed: 7})

@@ -4,7 +4,7 @@
 // randomized map iteration order would otherwise leak into rendered
 // output — Prometheus text, /v1/stats aggregation, fingerprints — and
 // break the repo's byte-identity contract. Code that genuinely needs to
-// walk a map calls Keys (or Values) and iterates the sorted result; this
+// walk a map calls Keys and iterates the sorted result; this
 // package itself is excluded from the mapiter configuration, so the one
 // raw map range below is the only one the suite permits.
 package detmap
@@ -24,13 +24,4 @@ func Keys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
 	}
 	slices.Sort(keys)
 	return keys
-}
-
-// Values returns m's values ordered by ascending key.
-func Values[M ~map[K]V, K cmp.Ordered, V any](m M) []V {
-	vals := make([]V, 0, len(m))
-	for _, k := range Keys(m) {
-		vals = append(vals, m[k])
-	}
-	return vals
 }

@@ -14,8 +14,8 @@ func TestLocalSpMSpVDCSCMatchesCSC(t *testing.T) {
 			d := grid.NewDist(grid.Square(c), a.N)
 			m := NewMat(d, a)
 			dc := m.DCSCBlock()
-			if dc.NNZ() != m.Block.NNZ() {
-				t.Errorf("p=%d: dcsc nnz %d vs csc %d", p, dc.NNZ(), m.Block.NNZ())
+			if len(dc.IR) != m.Block.NNZ() {
+				t.Errorf("p=%d: dcsc nnz %d vs csc %d", p, len(dc.IR), m.Block.NNZ())
 			}
 			var xj []Entry
 			for g := m.ColLo; g < m.ColHi; g += 3 {
@@ -45,8 +45,8 @@ func TestDCSCBlockHypersparseAtHighP(t *testing.T) {
 		dc := m.DCSCBlock()
 		// Every block is tiny; DCSC must never store more column
 		// pointers than it has entries (+1 sentinel per column list).
-		if len(dc.JC) > dc.NNZ() {
-			t.Errorf("dcsc stores %d columns for %d entries", len(dc.JC), dc.NNZ())
+		if len(dc.JC) > len(dc.IR) {
+			t.Errorf("dcsc stores %d columns for %d entries", len(dc.JC), len(dc.IR))
 		}
 	})
 }

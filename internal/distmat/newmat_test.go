@@ -90,13 +90,14 @@ func randPattern(seed int64, n, m int, sym bool) *spmat.CSR {
 func checkNewMatMatchesCoords(t *testing.T, name string, a *spmat.CSR, p int) {
 	t.Helper()
 	errs := make(chan string, p)
-	comm.Run(p, nil, func(c *comm.Comm) {
+	model := tally.Edison()
+	comm.Run(p, model, func(c *comm.Comm) {
 		d := grid.NewDist(grid.Square(c), a.N)
 		want, scanned := coordsBlock(d, a)
 		before := c.Stats().ClockNs()
 		m := NewMat(d, a)
 		charged := c.Stats().ClockNs() - before
-		ref := tally.NewStats(c.Model())
+		ref := tally.NewStats(model)
 		ref.AddWork(int64(scanned))
 		switch {
 		case !reflect.DeepEqual(m.Block, want):

@@ -70,16 +70,17 @@ func DefaultConfig() *Config {
 				"readBinaryBytes", "splitVarints", "decodeColBlock", "uvarintAt",
 				"Read", "asciiFields",
 			},
-			// CSR assembly behind every Matrix Market decode; symmetry
-			// check (its row blocks included), permute and stats kernels:
-			// paid on every ordering's input check and Before/After (the
-			// fused OrderStats pass).
+			// CSR assembly behind every Matrix Market decode; the symmetry
+			// check (its row blocks included) and the fused OrderStats
+			// pass, paid on every ordering's input check and Before/After;
+			// the permute behind every PAPᵀ a caller asks for; and the
+			// parallel kernels the benchmark's trace replay times.
 			"internal/spmat": {
 				"FromCoords",
 				"CSR.IsSymmetricPattern", "CSR.IsSymmetricPatternPar", "CSR.symmetricRows",
 				"CSR.Permute", "CSR.PermuteChecked", "CSR.PermutePar",
 				"CSR.OrderStats", "CSR.orderStatsRows",
-				"CSR.DegreesPar", "CSR.BandwidthPar", "CSR.ProfilePar", "CSR.WavefrontPar",
+				"CSR.BandwidthPar", "CSR.ProfilePar", "CSR.WavefrontPar",
 				"CSR.FillProxy", "CSR.FillProxyPar",
 				"PatternDigest", "PatternHasher.WriteInts", "PatternHasher.SumHex",
 				// The sparse accumulator every SpMSpV folds into, per

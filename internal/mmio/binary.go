@@ -92,30 +92,20 @@ func WriteBinary(w io.Writer, a *spmat.CSR) error {
 	return bw.Flush()
 }
 
-// ReadBinary decodes an RCMB stream into a CSR matrix. The decode is
-// streaming and single-buffered: bytes land directly in the final
-// RowPtr/Col/Val arrays, which grow with the data actually received —
-// every element costs at least one stream byte, so a malicious header
-// cannot force a large allocation the body never backs (the service
-// decodes untrusted uploads through this path). Malformed streams — bad
-// magic, out-of-range indices, non-ascending columns, truncation,
-// declared sizes that do not add up — are rejected with descriptive
-// errors, never panics.
-func ReadBinary(r io.Reader) (*spmat.CSR, error) {
-	a, _, err := readBinary(r, false)
-	return a, err
-}
-
-// ReadBinaryDigest is ReadBinary with the canonical pattern digest
-// (spmat.PatternDigest) fused into the decode: the row pointers and each
-// row's columns are hashed the moment they are decoded, so callers that need
-// the content address — the ordering service keys its cache on it — never
-// re-walk RowPtr/Col afterwards.
+// ReadBinaryDigest decodes an RCMB stream into a CSR matrix and its
+// canonical pattern digest (spmat.PatternDigest). The decode is streaming
+// and single-buffered: bytes land directly in the final RowPtr/Col/Val
+// arrays, which grow with the data actually received — every element costs
+// at least one stream byte, so a malicious header cannot force a large
+// allocation the body never backs. The digest is fused into the decode:
+// the row pointers and each row's columns are hashed the moment they are
+// decoded, so callers that need the content address never re-walk
+// RowPtr/Col afterwards. Malformed streams — bad magic, out-of-range
+// indices, non-ascending columns, truncation, declared sizes that do not
+// add up — are rejected with descriptive errors, never panics.
+// ReadBinaryBytes, which the service decodes RCMB uploads with, accepts and
+// rejects exactly the streams this reader does.
 func ReadBinaryDigest(r io.Reader) (*spmat.CSR, string, error) {
-	return readBinary(r, true)
-}
-
-func readBinary(r io.Reader, wantDigest bool) (*spmat.CSR, string, error) {
 	br := bufio.NewReader(r)
 	var hdr [6]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -144,11 +134,8 @@ func readBinary(r io.Reader, wantDigest bool) (*spmat.CSR, string, error) {
 	if a.RowPtr[n] != nnz {
 		return nil, "", fmt.Errorf("mmio: row lengths sum to %d, header declares %d entries", a.RowPtr[n], nnz)
 	}
-	var ph *spmat.PatternHasher
-	if wantDigest {
-		ph = spmat.NewPatternHasher(n, nnz)
-		ph.WriteInts(a.RowPtr)
-	}
+	ph := spmat.NewPatternHasher(n, nnz)
+	ph.WriteInts(a.RowPtr)
 	if nnz > 0 {
 		a.Col = make([]int, 0, boundedCap(nnz))
 	}
@@ -169,9 +156,7 @@ func readBinary(r io.Reader, wantDigest bool) (*spmat.CSR, string, error) {
 			a.Col = append(a.Col, j)
 			prev = j
 		}
-		if ph != nil {
-			ph.WriteInts(a.Col[a.RowPtr[i]:a.RowPtr[i+1]])
-		}
+		ph.WriteInts(a.Col[a.RowPtr[i]:a.RowPtr[i+1]])
 	}
 	if flags&binaryHasVals != 0 && nnz > 0 {
 		a.Val = make([]float64, 0, boundedCap(nnz))
@@ -183,11 +168,7 @@ func readBinary(r io.Reader, wantDigest bool) (*spmat.CSR, string, error) {
 			a.Val = append(a.Val, math.Float64frombits(binary.LittleEndian.Uint64(vb[:])))
 		}
 	}
-	digest := ""
-	if ph != nil {
-		digest = ph.SumHex()
-	}
-	return a, digest, nil
+	return a, ph.SumHex(), nil
 }
 
 // checkBinaryHeader validates the 6 fixed header bytes and returns the flag

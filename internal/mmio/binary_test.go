@@ -11,7 +11,7 @@ import (
 	"repro/internal/spmat"
 )
 
-// TestBinaryRoundTrip pins WriteBinary ∘ ReadBinary as the identity on
+// TestBinaryRoundTrip pins WriteBinary ∘ ReadBinaryDigest as the identity on
 // pattern and valued matrices, including empty and disconnected ones.
 func TestBinaryRoundTrip(t *testing.T) {
 	mats := map[string]*spmat.CSR{
@@ -30,7 +30,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err := WriteBinary(&buf, a); err != nil {
 			t.Fatalf("%s: write: %v", name, err)
 		}
-		got, err := ReadBinary(&buf)
+		got, _, err := ReadBinaryDigest(&buf)
 		if err != nil {
 			t.Fatalf("%s: read: %v", name, err)
 		}
@@ -76,7 +76,7 @@ func TestBinaryMalformed(t *testing.T) {
 		"truncated":   raw[:len(raw)-3],
 	}
 	for name, data := range cases {
-		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+		if _, _, err := ReadBinaryDigest(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: accepted", name)
 		} else if !strings.HasPrefix(err.Error(), "mmio:") {
 			t.Errorf("%s: undiagnosed error %v", name, err)
@@ -84,7 +84,7 @@ func TestBinaryMalformed(t *testing.T) {
 	}
 	// A stream whose row lengths disagree with the declared nnz.
 	bad := []byte{'R', 'C', 'M', 'B', 1, 0, 2, 3, 1, 1}
-	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
+	if _, _, err := ReadBinaryDigest(bytes.NewReader(bad)); err == nil {
 		t.Error("mismatched row lengths accepted")
 	}
 }
@@ -101,7 +101,7 @@ func TestBinaryGiantHeader(t *testing.T) {
 	hdr.Write(buf[:binary.PutUvarint(buf[:], 1<<30)])     // n = 2^30
 	hdr.Write(buf[:binary.PutUvarint(buf[:], 1<<59)])     // nnz ≈ n²/2
 	hdr.Write(buf[:binary.PutUvarint(buf[:], (1<<30)-1)]) // one row length, then EOF
-	if _, err := ReadBinary(bytes.NewReader(hdr.Bytes())); err == nil {
+	if _, _, err := ReadBinaryDigest(bytes.NewReader(hdr.Bytes())); err == nil {
 		t.Fatal("giant header with no data accepted")
 	}
 }

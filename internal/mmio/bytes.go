@@ -9,18 +9,18 @@ import (
 	"repro/internal/spmat"
 )
 
-// Zero-copy RCMB decode: the same format as ReadBinary, decoded straight
-// from a caller-owned byte slice (typically an mmap'd file — see OpenBinary)
-// instead of an io.Reader. Skipping the bufio layer removes one copy of the
-// whole stream, and having the full image in memory enables the trick the
-// reader path cannot do: a cheap first pass that splits the varint column
-// section into per-row-block byte extents (a varint ends at its first byte
-// below 0x80, so counting terminators locates block boundaries without
-// decoding), after which the column decode fans out across a worker pool
-// with each block writing a disjoint range of Col.
+// Zero-copy RCMB decode: the same format as ReadBinaryDigest, decoded
+// straight from a caller-owned byte slice (typically an mmap'd file — see
+// OpenBinary) instead of an io.Reader. Skipping the bufio layer removes one
+// copy of the whole stream, and having the full image in memory enables the
+// trick the reader path cannot do: a cheap first pass that splits the
+// varint column section into per-row-block byte extents (a varint ends at
+// its first byte below 0x80, so counting terminators locates block
+// boundaries without decoding), after which the column decode fans out
+// across a worker pool with each block writing a disjoint range of Col.
 //
-// Accept/reject behavior is identical to ReadBinary: the fuzz harness feeds
-// both decoders the same corpus and requires the same verdict and, on
+// Accept/reject behavior is identical to ReadBinaryDigest: the fuzz harness
+// feeds both decoders the same corpus and requires the same verdict and, on
 // accept, the same matrix.
 
 // minParallelDecode gates the decode fan-out: below this many stored

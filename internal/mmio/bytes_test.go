@@ -48,7 +48,7 @@ func TestReadBinaryBytesMatchesReader(t *testing.T) {
 		if err := WriteBinary(&buf, a); err != nil {
 			t.Fatalf("%s: write: %v", name, err)
 		}
-		want, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+		want, _, err := ReadBinaryDigest(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: reader: %v", name, err)
 		}
@@ -67,8 +67,8 @@ func TestReadBinaryBytesMatchesReader(t *testing.T) {
 	}
 }
 
-// TestReadBinaryDigestFused pins the streaming fused-digest reader: same
-// matrix as ReadBinary, digest equal to the canonical one.
+// TestReadBinaryDigestFused pins the streaming fused-digest reader: the
+// matrix written comes back, with the canonical digest.
 func TestReadBinaryDigestFused(t *testing.T) {
 	for name, a := range testMatrices() {
 		var buf bytes.Buffer
@@ -116,7 +116,7 @@ func TestReadBinaryBytesMalformed(t *testing.T) {
 			} else if !strings.HasPrefix(errB.Error(), "mmio:") {
 				t.Errorf("%s threads=%d: undiagnosed error %v", name, threads, errB)
 			}
-			if _, errR := ReadBinary(bytes.NewReader(data)); (errR == nil) != (errB == nil) {
+			if _, _, errR := ReadBinaryDigest(bytes.NewReader(data)); (errR == nil) != (errB == nil) {
 				t.Errorf("%s: decoders disagree: reader=%v bytes=%v", name, errR, errB)
 			}
 		}
@@ -125,7 +125,7 @@ func TestReadBinaryBytesMalformed(t *testing.T) {
 	if _, err := ReadBinaryBytes(overlong, 4); err != nil {
 		t.Errorf("trailing byte rejected: %v", err)
 	}
-	if _, err := ReadBinary(bytes.NewReader(overlong)); err != nil {
+	if _, _, err := ReadBinaryDigest(bytes.NewReader(overlong)); err != nil {
 		t.Errorf("reader rejected trailing byte: %v", err)
 	}
 }

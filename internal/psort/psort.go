@@ -1,5 +1,5 @@
 // Package psort provides the deterministic sorts of the frontier pipeline:
-// Keyed and Lex, stable linear-time sorts by unsigned integer keys —
+// KeyedWS and LexWS, stable linear-time sorts by unsigned integer keys —
 // counting sort when the key range is compact, LSD radix (8-bit digits,
 // uniform digits skipped) otherwise, with parallel histogram+scatter on
 // large inputs. The RCM frontier sorts are all keyed by small non-negative
@@ -57,15 +57,10 @@ func (s *Scratch[T]) countBuf(n int) []int {
 	return c
 }
 
-// Keyed sorts data ascending by key. It is stable, deterministic and runs
-// in linear time: a counting sort when the key range is compact, LSD radix
-// otherwise, parallelised over up to threads goroutines on large inputs.
-func Keyed[T any](data []T, key func(T) uint64, threads int) {
-	KeyedWS(nil, data, key, threads)
-}
-
-// KeyedWS is Keyed with an explicit scratch workspace (nil allocates
-// locally).
+// KeyedWS sorts data ascending by key. It is stable, deterministic and
+// runs in linear time: a counting sort when the key range is compact, LSD
+// radix otherwise, parallelised over up to threads goroutines on large
+// inputs. ws is the reusable scratch workspace; nil allocates locally.
 func KeyedWS[T any](ws *Scratch[T], data []T, key func(T) uint64, threads int) {
 	n := len(data)
 	if n < 2 {
@@ -102,14 +97,10 @@ func KeyedWS[T any](ws *Scratch[T], data []T, key func(T) uint64, threads int) {
 	radixSort(ws, data, lo, hi, key, threads)
 }
 
-// Lex sorts data lexicographically by keys (keys[0] is the primary key),
-// stable and linear: one stable Keyed pass per key, least-significant
-// first.
-func Lex[T any](data []T, threads int, keys ...func(T) uint64) {
-	LexWS(nil, data, threads, keys...)
-}
-
-// LexWS is Lex with an explicit scratch workspace (nil allocates locally).
+// LexWS sorts data lexicographically by keys (keys[0] is the primary key),
+// stable, deterministic and linear: one stable KeyedWS pass per key,
+// least-significant first. ws is the reusable scratch workspace; nil
+// allocates locally.
 func LexWS[T any](ws *Scratch[T], data []T, threads int, keys ...func(T) uint64) {
 	if len(data) < minKeyed {
 		// One stable insertion pass over the composite order beats one
@@ -137,7 +128,7 @@ func lexLess[T any](a, b T, keys []func(T) uint64) bool {
 	return false
 }
 
-// insertionLex is the stable small-slice fallback of Lex.
+// insertionLex is the stable small-slice fallback of LexWS.
 func insertionLex[T any](data []T, keys []func(T) uint64) {
 	for i := 1; i < len(data); i++ {
 		v := data[i]

@@ -8,14 +8,14 @@ import (
 )
 
 func TestKeyedSmallAndEdge(t *testing.T) {
-	Keyed([]int{}, func(v int) uint64 { return uint64(v) }, 4)
+	KeyedWS(nil, []int{}, func(v int) uint64 { return uint64(v) }, 4)
 	one := []int{7}
-	Keyed(one, func(v int) uint64 { return uint64(v) }, 4)
+	KeyedWS(nil, one, func(v int) uint64 { return uint64(v) }, 4)
 	if one[0] != 7 {
 		t.Error("singleton mangled")
 	}
 	data := []int{5, 2, 9, 1, 5, 6}
-	Keyed(data, func(v int) uint64 { return uint64(v) }, 4)
+	KeyedWS(nil, data, func(v int) uint64 { return uint64(v) }, 4)
 	if !sort.IntsAreSorted(data) {
 		t.Errorf("not sorted: %v", data)
 	}
@@ -59,7 +59,7 @@ func TestKeyedMatchesSortAcrossPaths(t *testing.T) {
 	for name, base := range keyedCases() {
 		for _, threads := range []int{1, 4} {
 			d := append([]uint64(nil), base...)
-			Keyed(d, func(v uint64) uint64 { return v }, threads)
+			KeyedWS(nil, d, func(v uint64) uint64 { return v }, threads)
 			ref := append([]uint64(nil), base...)
 			sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
 			for i := range ref {
@@ -98,7 +98,7 @@ func TestKeyedFullRangeKeys(t *testing.T) {
 	// Keys spanning the whole uint64 range (span computation overflows).
 	d := []uint64{^uint64(0), 0, 1, ^uint64(0) - 1, 1 << 63}
 	d = append(d, make([]uint64, 100)...)
-	Keyed(d, func(v uint64) uint64 { return v }, 2)
+	KeyedWS(nil, d, func(v uint64) uint64 { return v }, 2)
 	for i := 1; i < len(d); i++ {
 		if d[i-1] > d[i] {
 			t.Fatalf("not sorted at %d", i)
@@ -149,10 +149,10 @@ func TestKeyedDeterministicAcrossThreads(t *testing.T) {
 		base[i] = rec{key: rng.Intn(1 << 20), id: i}
 	}
 	first := append([]rec(nil), base...)
-	Keyed(first, func(r rec) uint64 { return uint64(r.key) }, 1)
+	KeyedWS(nil, first, func(r rec) uint64 { return uint64(r.key) }, 1)
 	for _, threads := range []int{2, 5, 8} {
 		d := append([]rec(nil), base...)
-		Keyed(d, func(r rec) uint64 { return uint64(r.key) }, threads)
+		KeyedWS(nil, d, func(r rec) uint64 { return uint64(r.key) }, threads)
 		for i := range first {
 			if d[i] != first[i] {
 				t.Fatalf("threads=%d: order differs at %d", threads, i)
@@ -165,7 +165,7 @@ func TestQuickKeyedSortsAnything(t *testing.T) {
 	f := func(data []uint32, threads uint8) bool {
 		th := int(threads%8) + 1
 		d := append([]uint32(nil), data...)
-		Keyed(d, func(v uint32) uint64 { return uint64(v) }, th)
+		KeyedWS(nil, d, func(v uint32) uint64 { return uint64(v) }, th)
 		for i := 1; i < len(d); i++ {
 			if d[i-1] > d[i] {
 				return false

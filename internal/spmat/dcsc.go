@@ -34,9 +34,6 @@ func DCSCFromCSC(c *CSC) *DCSC {
 	return d
 }
 
-// NNZ returns the number of stored entries.
-func (d *DCSC) NNZ() int { return len(d.IR) }
-
 // Column returns the row indices of column j (empty if j has no entries),
 // via binary search over the compressed column list.
 func (d *DCSC) Column(j int) []int32 {

@@ -10,8 +10,8 @@ import (
 func TestDCSCRoundtrip(t *testing.T) {
 	c := cscFromCoords(5, 6, []int{0, 2, 4, 1}, []int{0, 0, 3, 5})
 	d := DCSCFromCSC(c)
-	if d.NNZ() != c.NNZ() {
-		t.Fatalf("nnz %d vs %d", d.NNZ(), c.NNZ())
+	if len(d.IR) != c.NNZ() {
+		t.Fatalf("nnz %d vs %d", len(d.IR), c.NNZ())
 	}
 	if len(d.JC) != 3 {
 		t.Errorf("nnzcols = %d", len(d.JC))
@@ -30,7 +30,7 @@ func TestDCSCRoundtrip(t *testing.T) {
 
 func TestDCSCEmpty(t *testing.T) {
 	d := DCSCFromCSC(cscFromCoords(3, 3, nil, nil))
-	if d.NNZ() != 0 || len(d.JC) != 0 {
+	if len(d.IR) != 0 || len(d.JC) != 0 {
 		t.Errorf("empty dcsc: %+v", d)
 	}
 	if d.Column(1) != nil {
@@ -85,7 +85,7 @@ func TestQuickDCSCColumnsMatchCSC(t *testing.T) {
 		}
 		c := cscFromCoords(rows, cols, rr, cc)
 		d := DCSCFromCSC(c)
-		if d.NNZ() != c.NNZ() {
+		if len(d.IR) != c.NNZ() {
 			return false
 		}
 		for j := 0; j < cols; j++ {

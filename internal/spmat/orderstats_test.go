@@ -32,13 +32,13 @@ func TestOrderStatsMatchesSerial(t *testing.T) {
 		for k := range rev {
 			rev[k] = n - 1 - k
 		}
-		want := serialOrderStats(f.a, Identity(n))
+		want := serialOrderStats(f.a, identity(n))
 		for _, threads := range []int{1, 2, 3, 4} {
 			if got := f.a.OrderStats(nil, threads); got != want {
 				t.Errorf("%s threads=%d: OrderStats(nil) = %+v, want %+v", f.name, threads, got, want)
 			}
 		}
-		for _, perm := range [][]int{Identity(n), rev, rng.Perm(n), rng.Perm(n)} {
+		for _, perm := range [][]int{identity(n), rev, rng.Perm(n), rng.Perm(n)} {
 			want := serialOrderStats(f.a, perm)
 			inv := InvertPerm(perm)
 			for _, threads := range []int{1, 2, 3, 4} {
@@ -61,7 +61,7 @@ func TestQuickOrderStatsMatchesSerial(t *testing.T) {
 		perm := r.Perm(n)
 		threads := 1 + r.Intn(4)
 		return a.OrderStats(InvertPerm(perm), threads) == serialOrderStats(a, perm) &&
-			a.OrderStats(nil, threads) == serialOrderStats(a, Identity(n))
+			a.OrderStats(nil, threads) == serialOrderStats(a, identity(n))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(19))}); err != nil {
 		t.Error(err)

@@ -7,14 +7,15 @@ import (
 	"repro/internal/par"
 )
 
-// Parallel bulk kernels over row blocks. rcm.Order no longer calls them:
-// since its Before/After statistics became one OrderStats pass without
-// PAPᵀ, their callers are Summarize (DegreesPar, BandwidthPar, ProfilePar)
-// and the repo benchmark's trace replay. Each kernel partitions the rows
-// with Blocks/WeightedBlocks and either writes disjoint output ranges or
-// reduces per-block partials, so the results are byte-identical to the
-// serial methods at any thread count. threads == 1 runs the serial code
-// path directly; threads < 1 selects GOMAXPROCS.
+// Parallel bulk kernels over row blocks. No production path calls them:
+// rcm.Order's Before/After statistics and Summarize's bandwidth and profile
+// come from one OrderStats pass. Their callers are the repo benchmark's
+// trace replay and rcm's BenchmarkIngest/permute-stats, whose archived
+// series time them; they stay until those callers move to OrderStats. Each
+// kernel partitions the rows with Blocks/WeightedBlocks and either writes
+// disjoint output ranges or reduces per-block partials, so the results are
+// byte-identical to the serial methods at any thread count. threads == 1
+// runs the serial code path directly; threads < 1 selects GOMAXPROCS.
 
 // minParallelRows gates the goroutine fan-out: below this size the spawn
 // overhead exceeds the sweep itself. A variable so the equivalence tests can
@@ -27,26 +28,6 @@ var minParallelRows = 2048
 // callers written against the parallel kernels and ignored.
 func (a *CSR) PermutePar(perm []int, threads int) *CSR {
 	return a.Permute(perm)
-}
-
-// DegreesPar is Degrees over nnz-balanced row blocks.
-func (a *CSR) DegreesPar(threads int) []int {
-	if threads == 1 || a.N < minParallelRows {
-		return a.Degrees()
-	}
-	deg := make([]int, a.N)
-	par.Blocks(WeightedBlocks(a.RowPtr, threads), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d := 0
-			for _, j := range a.Row(i) {
-				if j != i {
-					d++
-				}
-			}
-			deg[i] = d
-		}
-	})
-	return deg
 }
 
 // BandwidthPar is Bandwidth over nnz-balanced row blocks with a max

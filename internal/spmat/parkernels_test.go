@@ -32,10 +32,10 @@ func forceParallel(t *testing.T) {
 }
 
 // TestParallelKernelsMatchSerial pins the contract of the ingest-and-permute
-// kernels: at every thread count, Permute/Bandwidth/Profile/Degrees/
-// Wavefront over row blocks produce the byte-identical result of the serial
-// methods, on patterns with and without values, dense stripes, empty rows
-// and the empty matrix.
+// kernels: at every thread count, Permute/Bandwidth/Profile/Wavefront over
+// row blocks produce the byte-identical result of the serial methods, on
+// patterns with and without values, dense stripes, empty rows and the empty
+// matrix.
 func TestParallelKernelsMatchSerial(t *testing.T) {
 	forceParallel(t)
 	mats := map[string]*CSR{
@@ -65,9 +65,6 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 			}
 			if got, want := a.ProfilePar(threads), a.Profile(); got != want {
 				t.Errorf("%s threads=%d: ProfilePar = %d, want %d", name, threads, got, want)
-			}
-			if got, want := a.DegreesPar(threads), a.Degrees(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s threads=%d: DegreesPar differs", name, threads)
 			}
 			if got, want := a.WavefrontPar(threads), a.Wavefront(); got != want {
 				t.Errorf("%s threads=%d: WavefrontPar = %+v, want %+v", name, threads, got, want)

@@ -285,7 +285,7 @@ func TestPermuteMatchesReference(t *testing.T) {
 		for k := range rev {
 			rev[k] = n - 1 - k
 		}
-		for _, perm := range [][]int{Identity(n), rev, rng.Perm(n), rng.Perm(n)} {
+		for _, perm := range [][]int{identity(n), rev, rng.Perm(n), rng.Perm(n)} {
 			got, want := f.a.Permute(perm), refPermute(f.a, perm)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: Permute differs from the reference under %v", f.name, perm)

@@ -551,12 +551,3 @@ func InvertPerm(p []int) []int {
 	}
 	return inv
 }
-
-// Identity returns the identity permutation of length n.
-func Identity(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
-}

@@ -18,6 +18,15 @@ func tri(n int, coords ...[2]int) *CSR {
 	return FromCoords(n, es, true)
 }
 
+// identity returns the identity permutation of length n.
+func identity(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return p
+}
+
 func TestFromCoordsSortsAndDedupes(t *testing.T) {
 	a := FromCoords(3, []Coord{
 		{2, 1, 5}, {0, 2, 1}, {0, 0, 2}, {0, 2, 3}, {2, 0, 1},
@@ -140,7 +149,7 @@ func TestBandwidthAndProfile(t *testing.T) {
 
 func TestPermuteIdentity(t *testing.T) {
 	a := tri(3, [2]int{0, 1}, [2]int{1, 0}, [2]int{2, 2})
-	p := a.Permute(Identity(3))
+	p := a.Permute(identity(3))
 	if !reflect.DeepEqual(p.Col, a.Col) || !reflect.DeepEqual(p.RowPtr, a.RowPtr) {
 		t.Error("identity permutation changed matrix")
 	}
@@ -376,14 +385,55 @@ func TestCSCFromCoords(t *testing.T) {
 	}
 }
 
+// SerialSummary is Summarize's oracle: every Info field from the serial
+// Degrees, Bandwidth, Profile and Components. It is exported for the
+// external test package, whose suite analogs pass the parallel gate.
+func SerialSummary(name string, a *CSR) Info {
+	maxd, sum := 0, 0
+	for _, d := range a.Degrees() {
+		maxd = max(maxd, d)
+		sum += d
+	}
+	avg := 0.0
+	if a.N > 0 {
+		avg = float64(sum) / float64(a.N)
+	}
+	_, ncomp := a.Components()
+	return Info{Name: name, N: a.N, NNZ: a.NNZ(), Bandwidth: a.Bandwidth(), Profile: a.Profile(),
+		Components: ncomp, MaxDegree: maxd, AvgDegree: avg}
+}
+
+// TestSummarize pins every Info field: on a hand-checked fixture, then
+// against SerialSummary with the parallel gate forced down.
 func TestSummarize(t *testing.T) {
 	a := tri(4, [2]int{0, 1}, [2]int{1, 0}, [2]int{2, 3}, [2]int{3, 2})
-	info := Summarize("t", a)
-	if info.N != 4 || info.NNZ != 4 || info.Components != 2 || info.MaxDegree != 1 {
-		t.Errorf("info = %+v", info)
+	want := Info{Name: "t", N: 4, NNZ: 4, Bandwidth: 1, Profile: 2, Components: 2, MaxDegree: 1, AvgDegree: 1}
+	if info := Summarize("t", a); info != want {
+		t.Errorf("info = %#v, want %#v", info, want)
 	}
-	if info.String() == "" {
+	if want.String() == "" {
 		t.Error("empty string rendering")
+	}
+	forceParallel(t)
+	var hub []Coord
+	for j := 0; j < 150; j++ {
+		hub = append(hub, Coord{0, j, 1}, Coord{j, 0, 1})
+	}
+	mats := []struct {
+		name string
+		a    *CSR
+	}{
+		{"random-pattern", randSymK(257, 900, false, 1)},
+		{"random-values", randSymK(180, 700, true, 2)},
+		{"sparse-components", randSymK(300, 120, false, 3)},
+		{"empty", &CSR{N: 0, RowPtr: []int{0}}},
+		{"isolated-rows", FromCoords(64, []Coord{{0, 63, 1}, {63, 0, 1}}, true)},
+		{"hub", FromCoords(150, hub, true)},
+	}
+	for _, m := range mats {
+		if got, want := Summarize(m.name, m.a), SerialSummary(m.name, m.a); got != want {
+			t.Errorf("%s: Summarize = %#v, serial kernels give %#v", m.name, got, want)
+		}
 	}
 }
 

@@ -18,19 +18,14 @@ type Info struct {
 	AvgDegree  float64
 }
 
-// Summarize computes the structural summary of a matrix. The component
-// labeling runs through the lock-free ParallelComponents pass and the
-// degree/bandwidth/profile sweeps through the row-block-parallel kernels;
-// one Degrees result feeds both the max and the average, so the pattern is
-// walked once per metric and the summary of a large matrix costs a handful
-// of parallel sweeps instead of four serial ones.
+// Summarize computes the structural summary of a matrix: bandwidth and
+// profile from one OrderStats pass, components from the lock-free
+// ParallelComponents pass, and one Degrees result for both the maximum and
+// the average degree.
 func Summarize(name string, a *CSR) Info {
-	deg := a.DegreesPar(0)
 	maxd, sum := 0, 0
-	for _, d := range deg {
-		if d > maxd {
-			maxd = d
-		}
+	for _, d := range a.Degrees() {
+		maxd = max(maxd, d)
 		sum += d
 	}
 	_, ncomp := a.ParallelComponents(0)
@@ -38,12 +33,13 @@ func Summarize(name string, a *CSR) Info {
 	if a.N > 0 {
 		avg = float64(sum) / float64(a.N)
 	}
+	st := a.OrderStats(nil, 0)
 	return Info{
 		Name:       name,
 		N:          a.N,
 		NNZ:        a.NNZ(),
-		Bandwidth:  a.BandwidthPar(0),
-		Profile:    a.ProfilePar(0),
+		Bandwidth:  st.Bandwidth,
+		Profile:    st.Profile,
 		Components: ncomp,
 		MaxDegree:  maxd,
 		AvgDegree:  avg,

@@ -227,14 +227,8 @@ func NewStats(m *Model) *Stats {
 	return &Stats{model: m, phase: Setup}
 }
 
-// Model returns the machine model the stats are bound to.
-func (s *Stats) Model() *Model { return s.model }
-
 // SetPhase switches the active breakdown bucket.
 func (s *Stats) SetPhase(p Phase) { s.phase = p }
-
-// Phase returns the active breakdown bucket.
-func (s *Stats) Phase() Phase { return s.phase }
 
 // ClockNs returns the rank's current virtual time.
 func (s *Stats) ClockNs() float64 { return s.clockNs }
@@ -285,24 +279,6 @@ func (s *Stats) CommSync(syncNs, costNs float64, msgs, words int64) {
 	s.CommNs[s.phase] += wait + costNs
 	s.Msgs += msgs
 	s.Words += words
-}
-
-// TotalCompNs returns the modelled local-computation time across all phases.
-func (s *Stats) TotalCompNs() float64 {
-	var t float64
-	for _, v := range s.CompNs {
-		t += v
-	}
-	return t
-}
-
-// TotalCommNs returns the modelled communication time across all phases.
-func (s *Stats) TotalCommNs() float64 {
-	var t float64
-	for _, v := range s.CommNs {
-		t += v
-	}
-	return t
 }
 
 // Breakdown aggregates the per-rank stats of one run into the quantities the
@@ -408,15 +384,6 @@ func (b *Breakdown) TotalNs() float64 {
 	var t float64
 	for p := Phase(0); p < NumPhases; p++ {
 		t += b.PhaseNs(p)
-	}
-	return t
-}
-
-// TotalCompNs returns the mean local-computation time summed over phases.
-func (b *Breakdown) TotalCompNs() float64 {
-	var t float64
-	for _, v := range b.CompNs {
-		t += v
 	}
 	return t
 }

@@ -127,11 +127,15 @@ func TestTotals(t *testing.T) {
 	s.SetPhase(OrderingSort)
 	s.AddWork(4)
 	s.CommSync(s.ClockNs(), 100, 1, 8)
-	if s.TotalCompNs() != 100 { // 4*25
-		t.Errorf("total comp = %f", s.TotalCompNs())
+	b := Collect([]*Stats{s})
+	if got := b.CompNs[OrderingSort]; got != 100 { // 4*25
+		t.Errorf("comp = %f", got)
 	}
-	if s.TotalCommNs() != 100 {
-		t.Errorf("total comm = %f", s.TotalCommNs())
+	if got := b.TotalCommNs(); got != 100 {
+		t.Errorf("total comm = %f", got)
+	}
+	if got := b.TotalNs(); got != 200 {
+		t.Errorf("total = %f", got)
 	}
 }
 

@@ -13,9 +13,11 @@ import (
 // BenchmarkIngest measures the raw-speed ingest-and-permute path in
 // isolation: RCMB decode from an in-memory image (the mmap'd-file case),
 // decode with the cache-key digest fused in, Matrix Market text decode of
-// the same matrix, the input symmetry check, and
-// the bulk permute+stats kernels that bracket every ordering — decode and
-// permute+stats each serial versus parallel.
+// the same matrix, the input symmetry check, the PAPᵀ build and the *Par
+// stats kernels over it (an archived series: Order has computed its
+// statistics with the fused OrderStats pass instead since it stopped
+// building PAPᵀ), and that OrderStats pass — decode, permute+stats and
+// order-stats each serial versus parallel.
 // b.SetBytes makes `go test -bench` report MB/s alongside ns/op, and
 // cmd/benchjson folds both into the BENCH_order.json artifact, so CI's
 // regression gate covers the ingest path too.
