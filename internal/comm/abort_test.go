@@ -30,8 +30,11 @@ func runAborting(t *testing.T, p int, want rankPanic, f func(c *Comm)) {
 		t.Fatalf("GOMAXPROCS=%d p=%d: Run still blocked after its rank %d panicked", runtime.GOMAXPROCS(0), p, want.rank)
 	}
 	pp, ok := v.(*par.Panic)
-	if !ok || pp.Value != want {
+	if !ok {
 		t.Fatalf("GOMAXPROCS=%d p=%d: Run re-panicked %#v, want a *par.Panic carrying %v", runtime.GOMAXPROCS(0), p, v, want)
+	}
+	if pp.Value != want {
+		t.Fatalf("GOMAXPROCS=%d p=%d: Run re-panicked a *par.Panic carrying %v, want %v\n%s", runtime.GOMAXPROCS(0), p, pp.Value, want, pp.Stack)
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
 		if time.Now().After(deadline) {
@@ -104,24 +107,22 @@ func TestPanickingRankAbortsWorld(t *testing.T) {
 }
 
 // TestLowestPanickingRankWins: when two ranks panic, Run re-panics with the
-// lower rank's value, even when the higher rank panics first. The higher
-// rank waits until the lower one has left the first collective, so its
-// abort cannot unwind the lower rank inside that collective's barriers
-// before the lower rank raises its own value.
+// lower rank's value, even when the higher rank panics first. Both leave
+// the first collective, whose round completed before either panic; the
+// higher rank panics at once, and the lower one after local work past the
+// spin budget, with no collective in between, so the abort never finds it
+// waiting.
 func TestLowestPanickingRankWins(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		for _, p := range []int{4, 16} {
 			lo, hi := 1, p-1
 			for rep := 0; rep < 5; rep++ {
-				loOut := make(chan struct{})
 				runAborting(t, p, rankPanic{lo}, func(c *Comm) {
 					AllReduceSum(c, 1)
 					switch c.Rank() {
 					case hi:
-						<-loOut
 						panic(rankPanic{hi})
 					case lo:
-						close(loOut)
 						time.Sleep(lateSleep)
 						panic(rankPanic{lo})
 					}
@@ -130,4 +131,29 @@ func TestLowestPanickingRankWins(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestAbortWakesParkedWorker: at p = 9 on two workers, which hold ranks
+// 0–3 and 4–8, a rank that panics once the other worker has parked still
+// aborts the ranks that worker holds, and Run leaves no goroutine behind.
+func TestAbortWakesParkedWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const p = 9
+	for _, bad := range []int{0, 3, 4, 8} {
+		t.Run(fmt.Sprintf("rank%d", bad), func(t *testing.T) {
+			runAborting(t, p, rankPanic{bad}, func(c *Comm) {
+				AllReduceSum(c, 1)
+				if c.Rank() == bad {
+					for deadline := time.Now().Add(5 * time.Second); c.bar.w.parked.Load() == 0; time.Sleep(lateSleep) {
+						if time.Now().After(deadline) {
+							t.Errorf("rank %d: the other worker never parked", bad)
+							break
+						}
+					}
+					panic(rankPanic{bad})
+				}
+				AllReduceSum(c, 1)
+			})
+		})
+	}
 }

@@ -2,8 +2,9 @@
 // bulk-synchronous message-passing runtime in pure Go that plays the role
 // MPI plays in the paper.
 //
-// Ranks are goroutines started by par.For (a one-rank world runs on the
-// caller's goroutine). Collectives move data by copying it through a shared
+// Ranks are coroutines (iter.Pull) driven by min(p, GOMAXPROCS) worker
+// goroutines started by par.For; a one-rank world runs on the caller's
+// goroutine. Collectives move data by copying it through a shared
 // exchange area guarded by generation barriers, so the data movement is real
 // (every word crosses the exchange exactly once per collective, like a
 // shared-memory MPI transport) and can be counted exactly. Every collective
@@ -21,10 +22,12 @@
 // every collective — the pooled exchange area. The pointer lives in the slot
 // only between the two barriers of a collective, and the barriers' atomic
 // arrival counter and generation establish the happens-before edges that
-// make the cross-goroutine reads safe (the race detector agrees; see the
-// -race CI jobs, one of which runs at GOMAXPROCS=1).
+// make the cross-worker reads safe (the race detector agrees; see the -race
+// CI job, whose steps also run at GOMAXPROCS=1 and 3).
 //
-// Barrier waiters yield before they park (see barrier). Wall time is not
+// A rank that waits at a barrier yields to its worker, which resumes the
+// next of its ranks whose barrier has advanced, and only a worker with no
+// runnable rank polls and then parks (see world.drive). Wall time is not
 // part of the model: how a rank waits changes how fast the simulation
 // runs, never a count, a clock or a result.
 //
@@ -46,6 +49,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"runtime"
 	"sort"
 	"sync"
@@ -67,17 +71,20 @@ type slotEntry struct {
 	clock float64
 }
 
-// spinBudget is how many times a barrier waiter polls the generation,
+// spinBudget is how many times an idle worker polls its ranks' barriers,
 // yielding its P between polls, before it parks. Chosen by a sweep of
 // 16/256/2048 on the dist-mesh benchmark (DESIGN.md, "Waiting at a
-// barrier"); 256 was best.
+// barrier"): 16 parked too early, and 2048 gained nothing over 256.
 const spinBudget = 256
 
 // world is the state every barrier of one Run shares, Split's included: the
 // abort flag a panicking rank sets, and the one lock and condition variable
-// parked waiters use, so one broadcast reaches them all.
+// idle workers park on, so one broadcast reaches them all. parked counts
+// the workers parked or about to park, so a round's last arriver takes the
+// lock only when one may be asleep.
 type world struct {
 	aborted atomic.Bool
+	parked  atomic.Int32
 	mu      sync.Mutex
 	cond    sync.Cond
 }
@@ -88,33 +95,116 @@ func newWorld() *world {
 	return w
 }
 
-// errAborted is what a waiter panics with once its world is aborted; Run
-// swallows it. Built once, so the abort path allocates nothing.
+// errAborted is what a waiting rank panics with once its world is aborted;
+// Run swallows it. Built once, so the abort path allocates nothing.
 var errAborted = errors.New("comm: world aborted by a panicking rank")
 
 // unwind is every rank's deferred exit. A waiter's errAborted is
-// swallowed; any other panic aborts the world (the flag is set, then parked
-// waiters are woken under the lock) and carries on to Run's join.
-func (w *world) unwind() {
+// swallowed; any other panic goes into slot as a *par.Panic with its stack
+// and aborts the world: the flag is set, then parked workers are woken
+// under the lock.
+func (w *world) unwind(slot **par.Panic) {
 	if v := recover(); v != nil && v != errAborted {
+		*slot = par.Wrap(v)
 		w.aborted.Store(true)
 		w.mu.Lock()
 		w.cond.Broadcast()
 		w.mu.Unlock()
-		panic(v)
 	}
+}
+
+// coro is one rank of a Run with p > 1, run as a coroutine by its worker.
+// A rank that waits records the barrier and the generation it waits on
+// and yields; bar is nil until the rank first waits.
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	bar   *barrier
+	gen   uint32
+}
+
+// drive is a worker's loop over its ranks. Each pass resumes, in rank
+// order, every rank that can run: one not yet started, or one whose
+// barrier has advanced; a resumed rank runs until it waits again or
+// returns. A pass that resumes none idles until one can run. Once the
+// world is aborted a pass stops every rank whose barrier has not advanced,
+// so its wait panics with errAborted and the rank unwinds; a rank whose
+// round completed still runs on to its next wait, as it would have had the
+// abort come a moment later.
+func (w *world) drive(live []*coro) {
+	for len(live) > 0 {
+		aborted := w.aborted.Load()
+		ran := false
+		for i := 0; i < len(live); {
+			co := live[i]
+			if co.bar != nil && co.bar.gen.Load() == co.gen {
+				if !aborted {
+					i++
+					continue
+				}
+				co.stop()
+				live = append(live[:i], live[i+1:]...)
+				continue
+			}
+			ran = true
+			if _, ok := co.next(); ok {
+				i++
+				continue
+			}
+			live = append(live[:i], live[i+1:]...)
+		}
+		if !ran && !aborted {
+			w.idle(live)
+		}
+	}
+}
+
+// idle waits until one of a worker's waiting ranks can run or the world is
+// aborted: spinBudget polls with runtime.Gosched between them, so the P
+// runs other workers instead of idling, then a park on the world's
+// condition variable. The parked count goes up before the last check under
+// the lock, so a last arriver that advances a generation after that check
+// sees the count and broadcasts under the same lock: no wake-up is lost.
+func (w *world) idle(live []*coro) {
+	for i := 0; i < spinBudget; i++ {
+		runtime.Gosched()
+		if w.ready(live) {
+			return
+		}
+	}
+	w.mu.Lock()
+	w.parked.Add(1)
+	for !w.ready(live) {
+		w.cond.Wait()
+	}
+	w.parked.Add(-1)
+	w.mu.Unlock()
+}
+
+// ready reports whether the world is aborted or a waiting rank's barrier
+// has advanced.
+func (w *world) ready(live []*coro) bool {
+	if w.aborted.Load() {
+		return true
+	}
+	for _, co := range live {
+		if co.bar.gen.Load() != co.gen {
+			return true
+		}
+	}
+	return false
 }
 
 // barrier is a reusable generation barrier. Arrivals count through an
 // atomic counter; the last arrival resets it and advances the generation,
-// which releases the round. A waiter first polls the generation, calling
-// runtime.Gosched between polls so its P runs another rank instead of
-// idling, and only after spinBudget polls parks on the world's condition
-// variable. Each poll, and each wake-up of a parked waiter, also checks the
-// world's abort flag. The atomics are the happens-before edges of the
-// exchange: every rank's slot write precedes its counter increment, the
-// last increment precedes the generation advance, and every waiter
-// observes that advance before it reads a peer's slot.
+// which releases the round, and wakes parked workers if the world counts
+// any. Every other arrival records where it waits and yields to its
+// worker (see world.drive). The atomics are the happens-before edges of
+// the exchange: every rank's slot write precedes its counter increment,
+// the last increment precedes the generation advance, and a waiting rank
+// is resumed only after its worker observed that advance, so it reads a
+// peer's slot after the peer wrote it.
 type barrier struct {
 	n     int32
 	count atomic.Int32
@@ -124,34 +214,26 @@ type barrier struct {
 
 func (w *world) newBarrier(n int) *barrier { return &barrier{n: int32(n), w: w} }
 
-func (b *barrier) wait() {
+// wait arrives at b as the rank co and returns when every member has
+// arrived. A wait whose rank is stopped (its world aborted before the
+// round completed) panics with errAborted.
+func (b *barrier) wait(co *coro) {
 	if b.n <= 1 {
 		return
 	}
 	g := b.gen.Load()
 	if b.count.Add(1) == b.n {
 		b.count.Store(0)
-		b.w.mu.Lock()
 		b.gen.Store(g + 1)
-		b.w.cond.Broadcast()
-		b.w.mu.Unlock()
+		if b.w.parked.Load() > 0 {
+			b.w.mu.Lock()
+			b.w.cond.Broadcast()
+			b.w.mu.Unlock()
+		}
 		return
 	}
-	for i := 0; i < spinBudget; i++ {
-		if b.gen.Load() != g {
-			return
-		}
-		if b.w.aborted.Load() {
-			panic(errAborted)
-		}
-		runtime.Gosched()
-	}
-	b.w.mu.Lock()
-	for b.gen.Load() == g && !b.w.aborted.Load() {
-		b.w.cond.Wait()
-	}
-	b.w.mu.Unlock()
-	if b.gen.Load() == g {
+	co.bar, co.gen = b, g
+	if !co.yield(struct{}{}) {
 		panic(errAborted)
 	}
 }
@@ -166,6 +248,7 @@ type Comm struct {
 	bar   *barrier
 	stats *tally.Stats
 	model *tally.Model
+	co    *coro
 }
 
 // Rank returns this rank's id within the communicator, in [0, Size).
@@ -182,9 +265,14 @@ func (c *Comm) Stats() *tally.Stats { return c.stats }
 // per-rank stats, whose virtual clocks and phase buckets describe the
 // modelled execution (see package tally).
 //
-// The ranks run through par.For: a one-rank world runs f on the caller's
-// goroutine, so a panic reaches the caller as the raw value. In a larger
-// world a panicking rank aborts the world, so no rank stays blocked in a
+// A one-rank world runs f on the caller's goroutine, so a panic reaches the
+// caller as the raw value. A larger world runs its ranks as coroutines on
+// min(p, GOMAXPROCS) workers started by par.For, each worker holding a
+// contiguous block of ranks; a rank that waits at a barrier yields its
+// worker to its next runnable rank. So a rank may block on its peers only
+// inside collectives: one that blocks any other way (a channel, a lock, a
+// WaitGroup a peer releases) blocks every rank its worker holds. A
+// panicking rank aborts the world, so no rank stays blocked in a
 // collective, and Run re-panics with a *par.Panic carrying the lowest
 // panicking rank's value and stack.
 func Run(p int, model *tally.Model, f func(c *Comm)) []*tally.Stats {
@@ -198,11 +286,26 @@ func Run(p int, model *tally.Model, f func(c *Comm)) []*tally.Stats {
 	slots := make([]slotEntry, p)
 	bar := w.newBarrier(p)
 	stats := make([]*tally.Stats, p)
-	par.For(p, func(r int) {
-		defer w.unwind()
-		stats[r] = tally.NewStats(model)
-		f(&Comm{rank: r, size: p, slots: slots, bar: bar, stats: stats[r], model: model})
-	})
+	if p == 1 {
+		stats[0] = tally.NewStats(model)
+		f(&Comm{rank: 0, size: 1, slots: slots, bar: bar, stats: stats[0], model: model})
+		return stats
+	}
+	caught := make([]*par.Panic, p)
+	live := make([]*coro, p)
+	for r := range live {
+		co := &coro{}
+		live[r] = co
+		co.next, co.stop = iter.Pull(func(yield func(struct{}) bool) {
+			co.yield = yield
+			defer w.unwind(&caught[r])
+			stats[r] = tally.NewStats(model)
+			f(&Comm{rank: r, size: p, slots: slots, bar: bar, stats: stats[r], model: model, co: co})
+		})
+	}
+	workers := min(p, runtime.GOMAXPROCS(0))
+	par.For(workers, func(k int) { w.drive(live[k*p/workers : (k+1)*p/workers]) })
+	par.Rethrow(caught)
 	return stats
 }
 
@@ -229,11 +332,11 @@ func words[T any](n int) int64 {
 // closure: a bound method value would allocate on every collective.)
 func (c *Comm) deposit(ptr unsafe.Pointer, n int) {
 	c.slots[c.rank] = slotEntry{ptr: ptr, n: n, clock: c.stats.ClockNs()}
-	c.bar.wait()
+	c.bar.wait(c.co)
 }
 
 // release is the second barrier of a collective, paired with deposit.
-func (c *Comm) release() { c.bar.wait() }
+func (c *Comm) release() { c.bar.wait(c.co) }
 
 // depositSlice publishes the backing array of a local slice (no copy, no
 // boxing).
@@ -633,7 +736,7 @@ func (c *Comm) Split(color, key int) *Comm {
 		c.deposit(nil, 0)
 	}
 	share := peekVal[splitShare](c, leader)
-	sub := &Comm{rank: newRank, size: len(group), slots: share.slots, bar: share.bar, stats: c.stats, model: c.model}
+	sub := &Comm{rank: newRank, size: len(group), slots: share.slots, bar: share.bar, stats: c.stats, model: c.model, co: c.co}
 	sync := c.maxClock()
 	c.stats.CommSync(sync, c.model.AllGatherCost(c.size, int64(c.size)), 1, 1)
 	c.release()

@@ -39,7 +39,7 @@ func TestRunInvalidSizePanics(t *testing.T) {
 
 // TestRunOneRankPanicReachesCaller pins that a one-rank world runs on the
 // caller's goroutine: a panic after a collective unwinds into the caller's
-// recover instead of crashing the process from a rank goroutine.
+// recover instead of crashing the process from a worker goroutine.
 func TestRunOneRankPanicReachesCaller(t *testing.T) {
 	type boom struct{}
 	defer func() {

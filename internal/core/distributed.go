@@ -85,6 +85,13 @@ type DistOrdering struct {
 // √p×√p process grid, and Algorithms 3 and 4 run as bulk-synchronous
 // compositions of the distributed Table I primitives.
 func Distributed(a *spmat.CSR, opt DistOptions) *DistOrdering {
+	res, _ := distributed(a, opt)
+	return res
+}
+
+// distributed is Distributed that also returns the per-rank stats its
+// Breakdown aggregates.
+func distributed(a *spmat.CSR, opt DistOptions) (*DistOrdering, []*tally.Stats) {
 	if opt.Procs < 1 {
 		opt.Procs = 1
 	}
@@ -192,7 +199,7 @@ func Distributed(a *spmat.CSR, opt DistOptions) *DistOrdering {
 			res.Perm[k] = scramble[v]
 		}
 	}
-	return res
+	return res, stats
 }
 
 // firstUnlabeled returns the smallest global index with R == -1, or -1 if
@@ -298,7 +305,7 @@ func (sw *distSweeper) Sweep(root, maxCand int) LevelStructure {
 		g.World.Stats().AddLevel(bu)
 		g.World.Stats().SetPhase(tally.PeripheralOther)
 		if !bu {
-			next.SelectInPlace(L, func(v int64) bool { return v == -1 })
+			next.SelectUnlabeled(L)
 		}
 		cnt, mf := next.CountWithDegree(D)
 		if cnt == 0 {
@@ -366,7 +373,7 @@ func distOrder(A *distmat.Mat, D *distmat.Vec, R *distmat.Vec, root int, nv int6
 		g.World.Stats().AddLevel(bu)
 		g.World.Stats().SetPhase(tally.OrderingOther)
 		if !bu {
-			next.SelectInPlace(R, func(v int64) bool { return v == -1 })
+			next.SelectUnlabeled(R)
 		}
 		cnt, mf := next.CountWithDegree(D)
 		if cnt == 0 {

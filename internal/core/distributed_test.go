@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/graphgen"
@@ -175,5 +177,47 @@ func TestDistributedIsolatedVertices(t *testing.T) {
 	}
 	if got.Components != 5 {
 		t.Errorf("components = %d", got.Components)
+	}
+}
+
+// TestDistributedSameOnAnyWorkerSplit: comm runs the ranks on
+// min(p, GOMAXPROCS) workers. At p = 4 and 9 under GOMAXPROCS 1, 2 and 3 —
+// one worker holding every rank, then even and uneven splits — the engine
+// returns the same permutation and the same per-rank stats: clocks, phase
+// buckets, messages, words, work and level counts, bottom-up levels on the
+// random graph included.
+func TestDistributedSameOnAnyWorkerSplit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	mats := []struct {
+		name string
+		a    *spmat.CSR
+	}{
+		{"ldoor", graphgen.SuiteByName("ldoor").Build(8)},
+		{"random-regular", graphgen.RandomRegular(600, 8, 5)},
+		{"disconnected", graphgen.Disconnected(graphgen.Path(7), graphgen.Grid2D(9, 8), graphgen.Star(6))},
+	}
+	for _, m := range mats {
+		for _, p := range []int{4, 9} {
+			t.Run(fmt.Sprintf("%s/p%d", m.name, p), func(t *testing.T) {
+				var want *DistOrdering
+				var wantStats []*tally.Stats
+				for _, procs := range []int{1, 2, 3} {
+					runtime.GOMAXPROCS(procs)
+					got, stats := distributed(m.a, DistOptions{Procs: p, Options: DefaultOptions()})
+					if want == nil {
+						want, wantStats = got, stats
+						continue
+					}
+					if !reflect.DeepEqual(got.Perm, want.Perm) {
+						t.Errorf("GOMAXPROCS=%d: permutation differs from GOMAXPROCS=1", procs)
+					}
+					for r := range stats {
+						if !reflect.DeepEqual(stats[r], wantStats[r]) {
+							t.Errorf("GOMAXPROCS=%d rank %d: stats %+v, want %+v", procs, r, *stats[r], *wantStats[r])
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -64,7 +64,7 @@ func (m *Mat) ensureBottomUp() {
 //     the processor row to their owners (the same routeRowPartials tail as
 //     SpMSpV).
 //
-// The output equals SpMSpV(m, x) followed by SelectInPlace(vis, v < 0): the
+// The output equals SpMSpV(m, x) followed by SelectUnlabeled(vis): the
 // entries are exactly the unvisited vertices adjacent to the frontier, each
 // carrying the minimum value of its frontier neighbours, or 0 when
 // labelFree. vis is the dense visited state (R or L; entries >= 0 are

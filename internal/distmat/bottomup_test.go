@@ -71,7 +71,7 @@ func TestBottomUpStepMatchesSpMSpV(t *testing.T) {
 						}
 						// Top-down reference: SpMSpV + SELECT.
 						ref := SpMSpV(m, mkFrontier())
-						ref.SelectInPlace(R, func(v int64) bool { return v == -1 })
+						ref.SelectUnlabeled(R)
 						// Bottom-up, ordering fold.
 						bu := BottomUpStep(m, mkFrontier(), R, false)
 						// Bottom-up, label-free early exit.

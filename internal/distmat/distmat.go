@@ -236,14 +236,15 @@ func (x *SpV) GatherDense(y *Vec) {
 	x.D.G.World.Stats().AddWork(int64(x.Loc.Len()))
 }
 
-// SelectInPlace filters x down to the entries whose dense value satisfies
-// pred, reusing x's storage: the distributed SELECT primitive, allocation
-// free on the BFS hot path. Local by construction.
-func (x *SpV) SelectInPlace(y *Vec, pred func(int64) bool) {
+// SelectUnlabeled filters x down to the entries whose dense value in y is
+// -1 (not yet labelled or visited), reusing x's storage: the distributed
+// SELECT primitive as both BFS engines use it, allocation free on the hot
+// path. Local by construction.
+func (x *SpV) SelectUnlabeled(y *Vec) {
 	n := x.Loc.Len()
 	w := 0
 	for k, i := range x.Loc.Ind {
-		if pred(y.At(i)) {
+		if y.At(i) == -1 {
 			x.Loc.Ind[w] = i
 			x.Loc.Val[w] = x.Loc.Val[k]
 			w++

@@ -161,7 +161,7 @@ func TestSpVSelectSetGather(t *testing.T) {
 				r.Set(g, 7)
 			}
 		}
-		x.SelectInPlace(r, func(v int64) bool { return v == -1 })
+		x.SelectUnlabeled(r)
 		for _, i := range x.Loc.Ind {
 			if i < 8 || i%2 != 0 {
 				t.Errorf("selected %d", i)

@@ -97,14 +97,15 @@ func DefaultConfig() *Config {
 				"solver.mergeVariables", "solver.updateDegrees",
 			},
 			// The simulator's fixed costs: every collective waits at two
-			// barriers (thousands per distributed order on a mesh), and
-			// every rank extracts its block, row view and degrees once per
-			// order, and readies the view at its first bottom-up level. SpMSpV — its
-			// local CSC/DCSC kernels, their drain, the row routing and the
-			// partial merge — or the bottom-up step, and SORTPERM run once
-			// per BFS level, and radixPass under every keyed sort of the
-			// frontier pipeline.
-			"internal/comm": {"barrier.wait"},
+			// barriers (thousands per distributed order on a mesh), and a
+			// waiting rank yields to its worker's loop, which resumes the
+			// next runnable rank or idles; every rank extracts its block,
+			// row view and degrees once per order, and readies the view at
+			// its first bottom-up level. SpMSpV — its local CSC/DCSC
+			// kernels, their drain, the row routing and the partial merge —
+			// or the bottom-up step, and SORTPERM run once per BFS level,
+			// and radixPass under every keyed sort of the frontier pipeline.
+			"internal/comm": {"barrier.wait", "world.drive", "world.idle", "world.ready"},
 			"internal/distmat": {
 				"NewMat", "Mat.ensureBottomUp", "DegreeVec", "SpMSpV", "Mat.LocalSpMSpVCSC", "Mat.LocalSpMSpVDCSC", "Mat.spaEmit",
 				"BottomUpStep", "routeRowPartials", "foldPartials", "SortPermWS",

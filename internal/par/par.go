@@ -42,7 +42,7 @@ func For(n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-	rethrow(caught)
+	Rethrow(caught)
 }
 
 // Blocks runs fn(k, bounds[k], bounds[k+1]) for every block of a boundary
@@ -67,25 +67,31 @@ func Queue(workers, n int, fn func(w, i int)) {
 			}()
 		}
 	})
-	rethrow(caught)
+	Rethrow(caught)
 }
 
 // catch is deferred around every goroutine and queue item: it stores a
-// recovered panic in slot, wrapped with the stack unless it is already a
-// *Panic.
+// recovered panic in slot as Wrap makes it.
 func catch(slot **Panic) {
-	v := recover()
-	if v == nil {
-		return
+	if v := recover(); v != nil {
+		*slot = Wrap(v)
 	}
-	p, ok := v.(*Panic)
-	if !ok {
-		p = &Panic{Value: v, Stack: debug.Stack()}
-	}
-	*slot = p
 }
 
-func rethrow(caught []*Panic) {
+// Wrap makes a recovered panic value a *Panic carrying the current stack,
+// which a deferred recover still shows down to the panic; a *Panic (a
+// nested join's) passes through unwrapped. comm's ranks, which recover on
+// their own coroutines, catch through it too.
+func Wrap(v any) *Panic {
+	if p, ok := v.(*Panic); ok {
+		return p
+	}
+	return &Panic{Value: v, Stack: debug.Stack()}
+}
+
+// Rethrow panics with the first non-nil entry of caught, the lowest
+// index's panic, and returns when there is none.
+func Rethrow(caught []*Panic) {
 	for _, p := range caught {
 		if p != nil {
 			panic(p)

@@ -189,7 +189,7 @@ func (m *Model) BarrierCost(q int) float64 {
 }
 
 // Stats accumulates the counters and the virtual clock of one rank. It is
-// owned by exactly one rank goroutine and must not be shared.
+// owned by exactly one rank and must not be shared.
 type Stats struct {
 	model *Model
 	phase Phase

@@ -185,10 +185,11 @@ func order(a *Matrix, wantMatrix bool, opts []Option) (*Result, *Matrix, error) 
 
 // hostThreads is the worker budget of the facade's own passes over the
 // input: the symmetry check and the Before/After statistics. It is
-// WithThreads, except for a distributed RCM run, which already occupies
-// procs × threads cores (its rank goroutines and their modelled threads):
-// there the passes use that many, capped at GOMAXPROCS. Every pass returns
-// the same answer at any budget, so the budget moves no output.
+// WithThreads, except for a distributed RCM run, which simulates procs ×
+// threads cores (its ranks, run on up to GOMAXPROCS worker goroutines, and
+// their modelled threads): there the passes use that many, capped at
+// GOMAXPROCS. Every pass returns the same answer at any budget, so the
+// budget moves no output.
 func (c config) hostThreads() int {
 	if c.ordering == RCM && c.backend == Distributed {
 		return min(c.procs*c.threads, runtime.GOMAXPROCS(0))
