@@ -64,21 +64,25 @@ func DefaultConfig() *Config {
 			// Cache-key derivation: the content-addressed routing key, and
 			// the body index's hash-and-resolve that learns its digest.
 			"rcm/service": {"OrderKey", "ComponentsKey", "BodyKey", "BodyIndex.resolve", "Service.resolve"},
-			// RCMB zero-copy decode and the Matrix Market reader with its
-			// field scanner: the service ingest paths, hit or miss.
+			// RCMB zero-copy decode (the word-at-a-time extent split and
+			// each block's column and value decode) and the Matrix Market
+			// reader with its field scanner: the service ingest paths, hit
+			// or miss.
 			"internal/mmio": {
-				"readBinaryBytes", "splitVarints", "decodeColBlock", "uvarintAt",
+				"readBinaryBytes", "splitVarints", "decodeColBlock", "decodeValBlock", "uvarintAt",
 				"Read", "asciiFields",
 			},
 			// CSR assembly behind every Matrix Market decode; the symmetry
 			// check (its row blocks included) and the fused OrderStats
 			// pass, paid on every ordering's input check and Before/After;
-			// the permute behind every PAPᵀ a caller asks for; and the
-			// parallel kernels the benchmark's trace replay times.
+			// the permute behind every PAPᵀ a caller asks for, with its band
+			// pass and its row blocks (OrderMatrix builds PAPᵀ under the
+			// host budget, the trace replay through PermutePar); and the
+			// parallel statistics kernels the trace replay times.
 			"internal/spmat": {
 				"FromCoords",
 				"CSR.IsSymmetricPattern", "CSR.IsSymmetricPatternPar", "CSR.symmetricRows",
-				"CSR.Permute", "CSR.PermuteChecked", "CSR.PermutePar",
+				"CSR.Permute", "CSR.PermuteChecked", "CSR.PermutePar", "CSR.permutedBand", "newPermuter", "permuter.rows",
 				"CSR.OrderStats", "CSR.orderStatsRows",
 				"CSR.BandwidthPar", "CSR.ProfilePar", "CSR.WavefrontPar",
 				"CSR.FillProxy", "CSR.FillProxyPar",

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/par"
 	"repro/internal/spmat"
@@ -97,7 +98,7 @@ func readBinaryBytes(buf []byte, threads int, wantDigest bool) (*spmat.CSR, stri
 	bounds := spmat.WeightedBlocks(a.RowPtr, threads)
 	nb := len(bounds) - 1
 	// First pass: locate each block's byte extent by counting varint
-	// terminators — no decode, one branch per byte.
+	// terminators, eight bytes at a time, with no decode.
 	cuts := make([]int, nb+1)
 	for k := 0; k <= nb; k++ {
 		cuts[k] = a.RowPtr[bounds[k]]
@@ -106,27 +107,29 @@ func readBinaryBytes(buf []byte, threads int, wantDigest bool) (*spmat.CSR, stri
 	if err != nil {
 		return nil, "", err
 	}
-	// Second pass: decode each block's columns into its disjoint range of
-	// Col. Errors are collected per block and reported lowest-block-first,
-	// so rejection is deterministic at any thread count.
+	// Second pass: each block decodes its columns into its disjoint range of
+	// Col and converts the same entries' values, which the section after the
+	// columns holds at fixed width. Errors are collected per block and
+	// reported lowest-block-first, then the values' truncation, so rejection
+	// is deterministic at any thread count and matches the streaming reader.
+	hasVals := flags&binaryHasVals != 0 && nnz > 0
+	if hasVals && len(buf)-end >= 8*nnz {
+		a.Val = make([]float64, nnz)
+	}
 	errs := make([]error, nb)
-	par.Blocks(bounds, func(k, lo, hi int) { errs[k] = decodeColBlock(buf, offs[k], a, lo, hi) })
+	par.Blocks(bounds, func(k, lo, hi int) {
+		errs[k] = decodeColBlock(buf, offs[k], a, lo, hi)
+		if a.Val != nil {
+			decodeValBlock(buf[end+8*cuts[k]:end+8*cuts[k+1]], a.Val[cuts[k]:cuts[k+1]])
+		}
+	})
 	for _, e := range errs {
 		if e != nil {
 			return nil, "", e
 		}
 	}
-	p = end
-
-	if flags&binaryHasVals != 0 && nnz > 0 {
-		if len(buf)-p < 8*nnz {
-			return nil, "", fmt.Errorf("mmio: truncated values: %d bytes left, want %d", len(buf)-p, 8*nnz)
-		}
-		a.Val = make([]float64, nnz)
-		vb := buf[p:]
-		for k := 0; k < nnz; k++ {
-			a.Val[k] = math.Float64frombits(binary.LittleEndian.Uint64(vb[k*8:]))
-		}
+	if hasVals && a.Val == nil {
+		return nil, "", fmt.Errorf("mmio: truncated values: %d bytes left, want %d", len(buf)-end, 8*nnz)
 	}
 
 	digest := ""
@@ -145,7 +148,13 @@ func readBinaryBytes(buf []byte, threads int, wantDigest bool) (*spmat.CSR, stri
 // count, so the last offset is the end of the section. Only terminator
 // bytes are inspected; malformed varints inside the stream are left for the
 // block decoders to diagnose.
+//
+// A varint ends at its first byte below 0x80, so the terminators in an
+// 8-byte word are the set high bits of ^w & 0x80…80, and a word that does
+// not reach the next cut is counted with one popcount. The word that does,
+// and the bytes after the last full word, are walked a byte at a time.
 func splitVarints(buf []byte, off int, cuts []int) ([]int, int, error) {
+	const high = 0x8080808080808080
 	offs := make([]int, len(cuts))
 	ci, cnt, p := 0, 0, off
 	for ci < len(cuts) && cuts[ci] == cnt {
@@ -153,21 +162,39 @@ func splitVarints(buf []byte, off int, cuts []int) ([]int, int, error) {
 		ci++
 	}
 	for ci < len(cuts) {
-		// Skip one varint: continuation bytes, then the terminator.
-		for p < len(buf) && buf[p] >= 0x80 {
-			p++
-		}
-		if p >= len(buf) {
+		stop := len(buf)
+		if p+8 <= len(buf) {
+			w := binary.LittleEndian.Uint64(buf[p:])
+			if t := bits.OnesCount64(^w & high); cnt+t < cuts[ci] {
+				cnt += t
+				p += 8
+				continue
+			}
+			stop = p + 8
+		} else if p >= len(buf) {
 			return nil, 0, fmt.Errorf("mmio: truncated column index: stream ends inside entry %d of %d", cnt, cuts[len(cuts)-1])
 		}
-		p++
-		cnt++
-		for ci < len(cuts) && cuts[ci] == cnt {
-			offs[ci] = p
-			ci++
+		// Byte at a time up to stop: the word holding the next cut, or the
+		// tail shorter than a word.
+		for ; p < stop && ci < len(cuts); p++ {
+			if buf[p] < 0x80 {
+				cnt++
+				for ci < len(cuts) && cuts[ci] == cnt {
+					offs[ci] = p + 1
+					ci++
+				}
+			}
 		}
 	}
 	return offs, offs[len(offs)-1], nil
+}
+
+// decodeValBlock converts the little-endian float64s of vb into val, one
+// per 8 bytes.
+func decodeValBlock(vb []byte, val []float64) {
+	for k := range val {
+		val[k] = math.Float64frombits(binary.LittleEndian.Uint64(vb[8*k:]))
+	}
 }
 
 // decodeColBlock delta-decodes the columns of rows [lo, hi) from buf

@@ -22,14 +22,6 @@ import (
 // force the parallel path on small fixtures.
 var minParallelRows = 2048
 
-// PermutePar is Permute at any thread count. The serial counting-sort
-// scatter is linear and sort-free, and outruns a row-block-parallel
-// gather-and-sort at two threads by about 2×, so threads is accepted for
-// callers written against the parallel kernels and ignored.
-func (a *CSR) PermutePar(perm []int, threads int) *CSR {
-	return a.Permute(perm)
-}
-
 // BandwidthPar is Bandwidth over nnz-balanced row blocks with a max
 // reduction of the per-block partials.
 func (a *CSR) BandwidthPar(threads int) int {

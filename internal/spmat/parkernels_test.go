@@ -3,6 +3,7 @@ package spmat
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -31,13 +32,37 @@ func forceParallel(t *testing.T) {
 	t.Cleanup(func() { minParallelRows = old })
 }
 
-// TestParallelKernelsMatchSerial pins the contract of the ingest-and-permute
-// kernels: at every thread count, Permute/Bandwidth/Profile/Wavefront over
-// row blocks produce the byte-identical result of the serial methods, on
-// patterns with and without values, dense stripes, empty rows and the empty
-// matrix.
-func TestParallelKernelsMatchSerial(t *testing.T) {
-	forceParallel(t)
+// bandPattern is the width-k band of an n×n matrix: every entry (i, j)
+// with |i−j| ≤ k, with random values when vals is set.
+func bandPattern(n, k int, vals bool, seed int64) *CSR {
+	rng := rand.New(rand.NewSource(seed))
+	var coords []Coord
+	for i := 0; i < n; i++ {
+		for j := max(i-k, 0); j <= min(i+k, n-1); j++ {
+			coords = append(coords, Coord{i, j, rng.Float64()})
+		}
+	}
+	return FromCoords(n, coords, !vals)
+}
+
+// localPerm is a permutation of 0..n-1 that moves no index by more than w:
+// a shuffle within each run of w+1 consecutive indices.
+func localPerm(n, w int, seed int64) []int {
+	rng := rand.New(rand.NewSource(seed))
+	p := identity(n)
+	for lo := 0; lo < n; lo += w + 1 {
+		run := p[lo:min(lo+w+1, n)]
+		rng.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
+	}
+	return p
+}
+
+// parallelFixtures is the corpus of the row-block sweeps: random patterns,
+// the structural edge cases, a hub row that the weighted partitioner gives
+// a block of its own, narrow bands whose block windows overlap only at
+// their edges, and non-symmetric patterns, which take the transpose path.
+// The hub, band and non-symmetric shapes come with and without values.
+func parallelFixtures() map[string]*CSR {
 	mats := map[string]*CSR{
 		"random-pattern": randSymK(257, 900, false, 1),
 		"random-values":  randSymK(180, 700, true, 2),
@@ -45,20 +70,49 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 		"diag-only":      FromCoords(5, []Coord{{0, 0, 1}, {1, 1, 1}, {2, 2, 1}, {3, 3, 1}, {4, 4, 1}}, true),
 		"isolated-rows":  FromCoords(64, []Coord{{0, 63, 1}, {63, 0, 1}}, true),
 	}
-	// A dense stripe: one hub row to stress the weighted partitioner.
 	var hub []Coord
 	for j := 0; j < 150; j++ {
-		hub = append(hub, Coord{0, j, 1}, Coord{j, 0, 1})
+		hub = append(hub, Coord{0, j, float64(j)}, Coord{j, 0, float64(-j)})
 	}
-	mats["hub"] = FromCoords(150, hub, true)
+	rng := rand.New(rand.NewSource(7))
+	for _, vals := range []bool{false, true} {
+		suffix := "-pattern"
+		if vals {
+			suffix = "-values"
+		}
+		mats["hub"+suffix] = FromCoords(150, hub, !vals)
+		mats["band3"+suffix] = bandPattern(211, 3, vals, 8)
+		mats["band1"+suffix] = bandPattern(64, 1, vals, 9)
+		mats["asym"+suffix] = randPattern(rng, 170, 600, false, vals)
+	}
+	return mats
+}
 
-	for name, a := range mats {
-		for _, threads := range []int{1, 2, 4, 9} {
-			perm := rand.New(rand.NewSource(int64(a.N))).Perm(a.N)
-			wantP := a.Permute(perm)
-			gotP := a.PermutePar(perm, threads)
-			if !reflect.DeepEqual(wantP, gotP) {
-				t.Errorf("%s threads=%d: PermutePar differs from Permute", name, threads)
+// TestParallelKernelsMatchSerial pins the contract of the row-block
+// kernels: at every block count, PermutePar equals the gather-and-sort
+// oracle byte for byte under the identity, the reversal, a permutation that
+// moves no index by more than 5, and a random one, and
+// Bandwidth/Profile/Wavefront over row blocks equal the serial methods.
+// GOMAXPROCS is raised to 9 so that no block count is capped.
+func TestParallelKernelsMatchSerial(t *testing.T) {
+	withThreads(t, 9)
+	for name, a := range parallelFixtures() {
+		n := a.N
+		rev := make([]int, n)
+		for k := range rev {
+			rev[k] = n - 1 - k
+		}
+		perms := map[string][]int{
+			"identity": identity(n),
+			"reversal": rev,
+			"local5":   localPerm(n, 5, int64(n)),
+			"random":   rand.New(rand.NewSource(int64(n))).Perm(n),
+		}
+		for _, threads := range []int{1, 2, 3, 4, 9} {
+			for pname, perm := range perms {
+				if got, want := a.PermutePar(perm, threads), refPermute(a, perm); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s threads=%d: PermutePar differs from the reference", name, pname, threads)
+				}
 			}
 			if got, want := a.BandwidthPar(threads), a.Bandwidth(); got != want {
 				t.Errorf("%s threads=%d: BandwidthPar = %d, want %d", name, threads, got, want)
@@ -71,6 +125,44 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPermuteRowsAnySplit runs the blocked kernel over arbitrary row
+// splits one block after another, the parallel path without the scheduler:
+// empty blocks, one-row blocks and splits inside the hub row's neighbours
+// must all give the reference.
+func TestPermuteRowsAnySplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for name, a := range parallelFixtures() {
+		n := a.N
+		for trial := 0; trial < 10; trial++ {
+			perm := localPerm(n, 1+rng.Intn(8), rng.Int63())
+			if trial%2 == 1 {
+				perm = rng.Perm(n)
+			}
+			bounds := []int{0}
+			for k := rng.Intn(6); k > 0; k-- {
+				bounds = append(bounds, rng.Intn(n+1))
+			}
+			bounds = append(bounds, n)
+			sort.Ints(bounds)
+			if got, want := permuteUnder(a, perm, bounds), refPermute(a, perm); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: blocks %v differ from the reference", name, bounds)
+			}
+		}
+	}
+}
+
+// permuteUnder is PermuteChecked with the block kernel run over the row
+// blocks of bounds in turn.
+func permuteUnder(a *CSR, perm, bounds []int) *CSR {
+	inv := InvertPerm(perm)
+	pm := newPermuter(a, perm, inv, refIsSymmetricPattern(a))
+	pm.band = a.permutedBand(inv, 1)
+	for k := 0; k+1 < len(bounds); k++ {
+		pm.rows(bounds[k], bounds[k+1])
+	}
+	return pm.out
 }
 
 // TestPermuteParValidates pins that the parallel path rejects malformed

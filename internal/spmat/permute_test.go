@@ -296,24 +296,30 @@ func TestPermuteMatchesReference(t *testing.T) {
 
 // TestPermuteCheckedTrustsCallerAnswer pins that PAPᵀ built from the
 // caller's symmetry answer equals the self-checking Permute on symmetric and
-// non-symmetric inputs.
+// non-symmetric inputs, at one and at three row blocks.
 func TestPermuteCheckedTrustsCallerAnswer(t *testing.T) {
+	withThreads(t, 3)
 	rng := rand.New(rand.NewSource(6))
 	for _, f := range permFixtures() {
 		perm := rng.Perm(f.a.N)
-		got, err := f.a.PermuteChecked(perm, f.sym)
-		if err != nil {
-			t.Fatalf("%s: %v", f.name, err)
-		}
-		if want := f.a.Permute(perm); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: PermuteChecked(perm, %v) differs from Permute", f.name, f.sym)
+		for _, threads := range []int{1, 3} {
+			got, err := f.a.PermuteChecked(perm, f.sym, threads)
+			if err != nil {
+				t.Fatalf("%s: %v", f.name, err)
+			}
+			if want := f.a.Permute(perm); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s threads=%d: PermuteChecked(perm, %v) differs from Permute", f.name, threads, f.sym)
+			}
 		}
 	}
 }
 
 // TestQuickPermuteMatchesReference extends the comparison to random
-// shapes: sizes, densities, symmetry and values all drawn per seed.
+// shapes: sizes, densities, symmetry and values all drawn per seed, under a
+// random permutation or one that moves no index far, at every block count
+// from one to nine.
 func TestQuickPermuteMatchesReference(t *testing.T) {
+	withThreads(t, 9)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(60)
@@ -322,7 +328,16 @@ func TestQuickPermuteMatchesReference(t *testing.T) {
 			return false
 		}
 		perm := r.Perm(n)
-		return reflect.DeepEqual(a.Permute(perm), refPermute(a, perm))
+		if r.Intn(2) == 0 {
+			perm = localPerm(n, 1+r.Intn(6), r.Int63())
+		}
+		want := refPermute(a, perm)
+		for _, threads := range []int{1, 2, 3, 4, 9} {
+			if !reflect.DeepEqual(a.PermutePar(perm, threads), want) {
+				return false
+			}
+		}
+		return reflect.DeepEqual(a.Permute(perm), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(9))}); err != nil {
 		t.Error(err)
@@ -334,7 +349,7 @@ func TestQuickPermuteMatchesReference(t *testing.T) {
 func TestPermuteCheckedReturnsDiagnosis(t *testing.T) {
 	a := tri(3, [2]int{0, 1}, [2]int{1, 0})
 	for _, perm := range [][]int{{0, 1}, {0, 1, 1}, {0, 3, 1}, {-1, 0, 1}} {
-		p, err := a.PermuteChecked(perm, true)
+		p, err := a.PermuteChecked(perm, true, 1)
 		want := ValidatePerm(perm, a.N)
 		if p != nil || err == nil || want == nil || err.Error() != want.Error() {
 			t.Errorf("PermuteChecked(%v) = %v, %v; want nil, %v", perm, p, err, want)

@@ -377,8 +377,13 @@ func (a *CSR) FillProxy() int64 {
 // matrix (duplicates) or index out of range mid-kernel, and internal callers
 // are supposed to have validated already — the public facade goes through
 // PermuteChecked, which returns the same diagnosis as an error instead.
-func (a *CSR) Permute(perm []int) *CSR {
-	p, err := a.PermuteChecked(perm, a.IsSymmetricPattern())
+// Permute runs one block on the calling goroutine; PermutePar splits it.
+func (a *CSR) Permute(perm []int) *CSR { return a.PermutePar(perm, 1) }
+
+// PermutePar is Permute over up to threads row blocks (PermuteChecked),
+// with its own symmetry check under the same budget.
+func (a *CSR) PermutePar(perm []int, threads int) *CSR {
+	p, err := a.PermuteChecked(perm, a.IsSymmetricPatternPar(threads), threads)
 	if err != nil {
 		//lint:ignore hotalloc cold abort: an invalid permutation never reaches the kernel loop, so this boxing runs zero times on the fast path
 		panic("spmat: " + err.Error())
@@ -386,8 +391,8 @@ func (a *CSR) Permute(perm []int) *CSR {
 	return p
 }
 
-// PermuteChecked is Permute for permutations from outside the program: a
-// malformed perm comes back as the ValidatePerm diagnosis instead of a
+// PermuteChecked is PermutePar for permutations from outside the program:
+// a malformed perm comes back as the ValidatePerm diagnosis instead of a
 // panic. The permutation is validated once, in the pass that inverts it.
 //
 // PAPᵀ is a counting-sort scatter, linear in n + nnz with no per-row sort.
@@ -400,48 +405,127 @@ func (a *CSR) Permute(perm []int) *CSR {
 // the slot of every column of output row r, and each value of old row
 // perm[r] drops into its slot.
 //
+// The output rows split into nnz-balanced blocks, each of which runs both
+// passes for its own rows (permuter.rows). A row r of PAPᵀ holds columns
+// within b of r, b being PAPᵀ's bandwidth, which one pass over A through
+// inv finds first, so block [r0, r1) scatters only the columns
+// [r0−b, r1+b). One block is the whole scatter on the calling goroutine,
+// with no band pass. threads < 1 selects GOMAXPROCS, and the block count
+// is capped there, because under a wide band every further block's marker
+// spans nearly n columns. The result does not depend on the thread count.
+//
 // symmetric must be the caller's IsSymmetricPattern answer for a, which
 // callers that order a have already computed; PAPᵀ does not check it again.
 // Passing true for a pattern that is not symmetric corrupts the result.
-func (a *CSR) PermuteChecked(perm []int, symmetric bool) (*CSR, error) {
+func (a *CSR) PermuteChecked(perm []int, symmetric bool, threads int) (*CSR, error) {
 	inv, err := InvertChecked(perm, a.N)
 	if err != nil {
 		return nil, err
 	}
+	pm := newPermuter(a, perm, inv, symmetric)
+	if procs := runtime.GOMAXPROCS(0); threads < 1 || threads > procs {
+		threads = procs
+	}
+	if threads == 1 || a.N < minParallelRows {
+		pm.rows(0, a.N)
+		return pm.out, nil
+	}
+	pm.band = a.permutedBand(inv, threads)
+	par.Blocks(WeightedBlocks(pm.out.RowPtr, threads), func(_, lo, hi int) { pm.rows(lo, hi) })
+	return pm.out, nil
+}
+
+// permutedBand is the bandwidth of PAPᵀ, the largest |inv[i] − inv[j]|
+// over the entries (i, j) of A, from nnz-balanced row blocks of A.
+func (a *CSR) permutedBand(inv []int, threads int) int {
+	bounds := WeightedBlocks(a.RowPtr, threads)
+	part := make([]int, len(bounds)-1)
+	par.Blocks(bounds, func(k, lo, hi int) {
+		b := 0
+		for i := lo; i < hi; i++ {
+			ri := inv[i]
+			for _, j := range a.Row(i) {
+				b = max(b, ri-inv[j], inv[j]-ri)
+			}
+		}
+		part[k] = b
+	})
+	return slices.Max(part)
+}
+
+// permuter is the shared state of one PAPᵀ build: the input, its
+// permutation both ways, the columns of A to scatter from, the result, the
+// scatter cursors (one per output row) and the band.
+type permuter struct {
+	a               *CSR
+	perm, inv       []int
+	colPtr, colRows []int
+	out             *CSR
+	next            []int
+	band            int
+}
+
+// newPermuter allocates PAPᵀ with its row pointers set, and the scatter
+// cursors at the start of every row. Its band is n, the bound of every
+// permutation, until the caller finds PAPᵀ's.
+func newPermuter(a *CSR, perm, inv []int, symmetric bool) *permuter {
 	n := a.N
-	colPtr, colRows := a.RowPtr, a.Col
+	pm := &permuter{a: a, perm: perm, inv: inv, colPtr: a.RowPtr, colRows: a.Col, band: n}
 	if !symmetric {
 		t := (&CSR{N: n, RowPtr: a.RowPtr, Col: a.Col}).Transpose()
-		colPtr, colRows = t.RowPtr, t.Col
+		pm.colPtr, pm.colRows = t.RowPtr, t.Col
 	}
 	rowPtr := make([]int, n+1)
 	for r, old := range perm {
 		rowPtr[r+1] = rowPtr[r] + (a.RowPtr[old+1] - a.RowPtr[old])
 	}
-	cols := make([]int, a.NNZ())
-	next := make([]int, n)
-	copy(next, rowPtr)
-	for c, old := range perm {
-		for _, j := range colRows[colPtr[old]:colPtr[old+1]] {
-			r := inv[j]
-			cols[next[r]] = c
-			next[r]++
-		}
-	}
-	var vals []float64
+	pm.out = &CSR{N: n, RowPtr: rowPtr, Col: make([]int, a.NNZ())}
 	if a.Val != nil {
-		vals = make([]float64, a.NNZ())
-		mark := next // the scatter cursors are spent; reuse them as the marker
-		for r, old := range perm {
-			for k := rowPtr[r]; k < rowPtr[r+1]; k++ {
-				mark[cols[k]] = k
-			}
-			for k := a.RowPtr[old]; k < a.RowPtr[old+1]; k++ {
-				vals[mark[inv[a.Col[k]]]] = a.Val[k]
+		pm.out.Val = make([]float64, a.NNZ())
+	}
+	pm.next = make([]int, n)
+	copy(pm.next, rowPtr)
+	return pm
+}
+
+// rows builds output rows [r0, r1): the scatter over the columns
+// [r0−band, r1+band), keeping the entries whose row falls in the block,
+// then the value pass over the block's rows. Blocks own disjoint rows, so
+// they write disjoint ranges of Col, Val and next. Neighbouring blocks'
+// column windows overlap, so each block's value marker is its own, indexed
+// within its window; a block that owns every row reuses its spent scatter
+// cursors instead.
+func (pm *permuter) rows(r0, r1 int) {
+	if r0 == r1 {
+		return
+	}
+	a, perm, inv, out, next := pm.a, pm.perm, pm.inv, pm.out, pm.next
+	c0, c1 := max(r0-pm.band, 0), min(r1+pm.band, a.N)
+	for c, old := range perm[c0:c1] {
+		for _, j := range pm.colRows[pm.colPtr[old]:pm.colPtr[old+1]] {
+			if r := inv[j]; uint(r-r0) < uint(r1-r0) {
+				out.Col[next[r]] = c0 + c
+				next[r]++
 			}
 		}
 	}
-	return &CSR{N: n, RowPtr: rowPtr, Col: cols, Val: vals}, nil
+	if out.Val == nil {
+		return
+	}
+	mark := next
+	if r1-r0 < a.N {
+		mark = make([]int, c1-c0)
+	}
+	for r, old := range perm[r0:r1] {
+		lo, hi := out.RowPtr[r0+r], out.RowPtr[r0+r+1]
+		for k, c := range out.Col[lo:hi] {
+			mark[c-c0] = lo + k
+		}
+		vals := a.Val[a.RowPtr[old]:a.RowPtr[old+1]]
+		for k, j := range a.Col[a.RowPtr[old]:a.RowPtr[old+1]] {
+			out.Val[mark[inv[j]-c0]] = vals[k]
+		}
+	}
 }
 
 // BFS performs a breadth-first search over G(A) from start, ignoring

@@ -13,11 +13,13 @@ import (
 // BenchmarkIngest measures the raw-speed ingest-and-permute path in
 // isolation: RCMB decode from an in-memory image (the mmap'd-file case),
 // decode with the cache-key digest fused in, Matrix Market text decode of
-// the same matrix, the input symmetry check, the PAPᵀ build and the *Par
-// stats kernels over it (an archived series: Order has computed its
-// statistics with the fused OrderStats pass instead since it stopped
-// building PAPᵀ), and that OrderStats pass — decode, permute+stats and
-// order-stats each serial versus parallel.
+// the same matrix, the input symmetry check, PAPᵀ under the matrix's own
+// RCM order (the narrow band OrderMatrix builds), PAPᵀ under a random
+// permutation (the widest band, every row block's window spanning nearly
+// every column) with the *Par stats kernels over it (an archived series:
+// Order has computed its statistics with the fused OrderStats pass instead
+// since it stopped building PAPᵀ), and that OrderStats pass: decode,
+// permute and stats each serial versus parallel.
 // b.SetBytes makes `go test -bench` report MB/s alongside ns/op, and
 // cmd/benchjson folds both into the BENCH_order.json artifact, so CI's
 // regression gate covers the ingest path too.
@@ -95,6 +97,26 @@ func BenchmarkIngest(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if !a.IsSymmetricPatternPar(mode.threads) {
 					b.Fatal("suite matrix reported asymmetric")
+				}
+			}
+		})
+	}
+
+	// PAPᵀ as OrderMatrix builds it: under the RCM order, from the
+	// symmetry answer the facade already has, values included. The
+	// scatter reads the pattern once and the value pass reads the pattern
+	// and the values once more.
+	res, err := rcm.Order(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range modes {
+		b.Run("permute-rcm/"+mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * (3*a.NNZ() + a.N)))
+			for i := 0; i < b.N; i++ {
+				if _, err := a.PermuteChecked(res.Perm, true, mode.threads); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/rcm"
@@ -67,9 +69,9 @@ func TestBinaryIngestDigestPreseed(t *testing.T) {
 }
 
 // TestOrderWithThreadsMatchesSerial pins that the thread count handed to
-// Order — which now also drives the parallel permute and before/after
-// statistics kernels — never changes what Order reports: permutation and
-// Stats are byte-identical at threads 1, 4 and 9.
+// Order, which also sets the budget of its symmetry check and its
+// Before/After statistics pass, never changes what Order reports:
+// permutation and Stats are byte-identical at threads 1, 4 and 9.
 func TestOrderWithThreadsMatchesSerial(t *testing.T) {
 	entry, err := rcm.SuiteByName("ldoor")
 	if err != nil {
@@ -93,6 +95,43 @@ func TestOrderWithThreadsMatchesSerial(t *testing.T) {
 		if res.Before != ref.Before || res.After != ref.After {
 			t.Errorf("threads=%d: stats differ: before %+v vs %+v, after %+v vs %+v",
 				threads, res.Before, ref.Before, res.After, ref.After)
+		}
+	}
+}
+
+// TestOrderMatrixWithThreadsMatchesPermute pins OrderMatrix's PAPᵀ, which
+// it builds in row blocks under the thread budget: on the scale-3 ldoor
+// analog (3,600 rows, past the 2,048-row gate of the blocked path), at
+// threads 1 to 4 with GOMAXPROCS raised so no block count is capped, the
+// permuted matrix, values included, equals Matrix.Permute's one-block
+// build, and After does not move.
+func TestOrderMatrixWithThreadsMatchesPermute(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	entry, err := rcm.SuiteByName("ldoor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := entry.Build(3)
+	if m.N() != 3600 || !m.HasValues() {
+		t.Fatalf("fixture: n = %d, values %v; want 3600 rows with values", m.N(), m.HasValues())
+	}
+	var ref *rcm.Result
+	for _, threads := range []int{1, 2, 3, 4} {
+		p, res, err := rcm.OrderMatrix(m, rcm.WithThreads(threads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.Permute(res.Perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, want) {
+			t.Errorf("threads=%d: OrderMatrix's PAPᵀ differs from Matrix.Permute's", threads)
+		}
+		if ref == nil {
+			ref = res
+		} else if res.After != ref.After {
+			t.Errorf("threads=%d: After = %+v, want %+v", threads, res.After, ref.After)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package rcm
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/spmat"
@@ -107,7 +108,7 @@ func (m *Matrix) Degrees() []int { return m.csr.Degrees() }
 // entries — are rejected with a diagnosis naming the first offending
 // position, before any kernel touches them.
 func (m *Matrix) Permute(perm []int) (*Matrix, error) {
-	p, err := m.csr.PermuteChecked(perm, m.csr.IsSymmetricPattern())
+	p, err := m.csr.PermuteChecked(perm, m.csr.IsSymmetricPattern(), 1)
 	if err != nil {
 		return nil, fmt.Errorf("rcm: %v", err)
 	}
@@ -115,7 +116,8 @@ func (m *Matrix) Permute(perm []int) (*Matrix, error) {
 }
 
 // Equal reports whether two matrices have the identical pattern (and, when
-// both carry values, identical values).
+// both carry values, identical values, a NaN matching any NaN, so a matrix
+// always equals itself).
 func (m *Matrix) Equal(o *Matrix) bool {
 	a, b := m.csr, o.csr
 	if a.N != b.N || a.NNZ() != b.NNZ() {
@@ -132,8 +134,8 @@ func (m *Matrix) Equal(o *Matrix) bool {
 		}
 	}
 	if a.HasValues() && b.HasValues() {
-		for k := range a.Val {
-			if a.Val[k] != b.Val[k] {
+		for k, x := range a.Val {
+			if y := b.Val[k]; x != y && !(math.IsNaN(x) && math.IsNaN(y)) {
 				return false
 			}
 		}

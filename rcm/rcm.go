@@ -162,13 +162,14 @@ func order(a *Matrix, wantMatrix bool, opts []Option) (*Result, *Matrix, error) 
 	}
 
 	// Before and After are one fused statistics pass each, under the host
-	// budget. PAPᵀ is built only to be returned, from the symmetry answer
-	// above, and then After is read off its sorted rows; otherwise After
+	// budget. PAPᵀ is built only to be returned, in row blocks under the
+	// same budget and from the symmetry answer above, and then After is
+	// read off its sorted rows; otherwise After
 	// runs over a's rows through the inverse of Perm, which the pass that
 	// validates Perm yields.
 	res.Before = newStats(a.csr.OrderStats(nil, h))
 	if wantMatrix {
-		p, err := a.csr.PermuteChecked(res.Perm, sym)
+		p, err := a.csr.PermuteChecked(res.Perm, sym, h)
 		if err != nil {
 			return nil, nil, fmt.Errorf("rcm: internal error: backend returned an invalid permutation: %w", err)
 		}
@@ -184,7 +185,8 @@ func order(a *Matrix, wantMatrix bool, opts []Option) (*Result, *Matrix, error) 
 }
 
 // hostThreads is the worker budget of the facade's own passes over the
-// input: the symmetry check and the Before/After statistics. It is
+// input: the symmetry check, the Before/After statistics and the PAPᵀ
+// OrderMatrix returns. It is
 // WithThreads, except for a distributed RCM run, which simulates procs ×
 // threads cores (its ranks, run on up to GOMAXPROCS worker goroutines, and
 // their modelled threads): there the passes use that many, capped at
