@@ -49,15 +49,12 @@ const (
 )
 
 // Order computes the AMD permutation of the symmetric pattern a using
-// threads workers (values < 1 select GOMAXPROCS). Perm[k] is the vertex
-// eliminated at step k, in the symrcm convention of the rcm facade. The
-// permutation is byte-identical at every thread count; the diagonal is
-// ignored and isolated vertices are eliminated first among the degree-0
-// candidates of their round.
+// threads workers (values < 1 select GOMAXPROCS, and larger values are
+// capped there). Perm[k] is the vertex eliminated at step k, in the symrcm
+// convention of the rcm facade. The permutation is byte-identical at every
+// thread count; the diagonal is ignored and isolated vertices are
+// eliminated first among the degree-0 candidates of their round.
 func Order(a *spmat.CSR, threads int) []int {
-	if threads < 1 {
-		threads = runtime.GOMAXPROCS(0)
-	}
 	s := newSolver(a, threads)
 	for !s.done() {
 		s.round()
@@ -118,7 +115,13 @@ type memberKey struct {
 	id   int
 }
 
+// newSolver builds the quotient graph of a and one scratch set per worker.
+// A scratch set is four n-int arrays, and no more than GOMAXPROCS workers
+// run at once, so the worker count is capped there; threads < 1 selects it.
 func newSolver(a *spmat.CSR, threads int) *solver {
+	if procs := runtime.GOMAXPROCS(0); threads < 1 || threads > procs {
+		threads = procs
+	}
 	n := a.N
 	s := &solver{
 		n:       n,
@@ -152,11 +155,7 @@ func newSolver(a *spmat.CSR, threads int) *solver {
 		s.mass[i] = 1
 		s.repr[i] = i
 	}
-	w := threads
-	if w < 1 {
-		w = 1
-	}
-	s.scratch = make([]*workerScratch, w)
+	s.scratch = make([]*workerScratch, threads)
 	for k := range s.scratch {
 		s.scratch[k] = &workerScratch{
 			lMark: make([]int, n),

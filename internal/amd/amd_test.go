@@ -2,6 +2,7 @@ package amd
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/graphgen"
@@ -87,8 +88,10 @@ func TestSerialEquivalence(t *testing.T) {
 }
 
 // TestThreadInvariance asserts byte-identical permutations at thread counts
-// 1, 2, 4 and 9 — the cross-family determinism contract.
+// 1, 2, 4 and 9 — the cross-family determinism contract — with GOMAXPROCS
+// raised to 9 so that no worker count is capped.
 func TestThreadInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(9))
 	graphs := testGraphs()
 	for _, name := range graphNames() {
 		a := graphs[name]
@@ -100,6 +103,20 @@ func TestThreadInvariance(t *testing.T) {
 			if got := Order(a, threads); !equalInts(got, ref) {
 				t.Errorf("%s: Order(threads=%d) differs from Order(threads=1)\n got %v\nwant %v", name, threads, got, ref)
 			}
+		}
+	}
+}
+
+// TestSolverScratchCappedAtGOMAXPROCS: a worker's scratch set is four
+// n-int arrays and no more than GOMAXPROCS workers run at once, so newSolver
+// keeps one set per worker up to GOMAXPROCS, whatever threads asks for.
+func TestSolverScratchCappedAtGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	a := graphgen.Grid2D(6, 5)
+	for threads, want := range map[int]int{-1: 3, 0: 3, 1: 1, 2: 2, 3: 3, 4: 3, 64: 3, 10000: 3} {
+		s := newSolver(a, threads)
+		if len(s.scratch) != want || s.threads != want {
+			t.Errorf("threads=%d: %d scratch sets, %d workers; want %d", threads, len(s.scratch), s.threads, want)
 		}
 	}
 }

@@ -69,7 +69,7 @@ func DefaultConfig() *Config {
 			// reader with its field scanner: the service ingest paths, hit
 			// or miss.
 			"internal/mmio": {
-				"readBinaryBytes", "splitVarints", "decodeColBlock", "decodeValBlock", "uvarintAt",
+				"ReadBinaryBytes", "splitVarints", "decodeColBlock", "decodeValBlock", "uvarintAt",
 				"Read", "asciiFields",
 			},
 			// CSR assembly behind every Matrix Market decode; the symmetry
@@ -86,7 +86,7 @@ func DefaultConfig() *Config {
 				"CSR.OrderStats", "CSR.orderStatsRows",
 				"CSR.BandwidthPar", "CSR.ProfilePar", "CSR.WavefrontPar",
 				"CSR.FillProxy", "CSR.FillProxyPar",
-				"PatternDigest", "PatternHasher.WriteInts", "PatternHasher.SumHex",
+				"PatternDigest",
 				// The sparse accumulator every SpMSpV folds into, per
 				// edge and per BFS level, and the local kernels of every
 				// bottom-up level.

@@ -12,9 +12,8 @@ import (
 
 // The RCMB compact binary matrix format, the upload format of the ordering
 // service for matrices too large to ship as Matrix Market text. It is a
-// serialized CSR, so the reader decodes a stream straight into the final
-// RowPtr/Col/Val arrays — no coordinate list is ever materialized and large
-// matrices never double-buffer:
+// serialized CSR, so ReadBinaryBytes decodes an image straight into the
+// final RowPtr/Col/Val arrays — no coordinate list is ever materialized:
 //
 //	magic   "RCMB"           4 bytes
 //	version 1                1 byte
@@ -92,85 +91,6 @@ func WriteBinary(w io.Writer, a *spmat.CSR) error {
 	return bw.Flush()
 }
 
-// ReadBinaryDigest decodes an RCMB stream into a CSR matrix and its
-// canonical pattern digest (spmat.PatternDigest). The decode is streaming
-// and single-buffered: bytes land directly in the final RowPtr/Col/Val
-// arrays, which grow with the data actually received — every element costs
-// at least one stream byte, so a malicious header cannot force a large
-// allocation the body never backs. The digest is fused into the decode:
-// the row pointers and each row's columns are hashed the moment they are
-// decoded, so callers that need the content address never re-walk
-// RowPtr/Col afterwards. Malformed streams — bad magic, out-of-range
-// indices, non-ascending columns, truncation, declared sizes that do not
-// add up — are rejected with descriptive errors, never panics.
-// ReadBinaryBytes, which the service decodes RCMB uploads with, accepts and
-// rejects exactly the streams this reader does.
-func ReadBinaryDigest(r io.Reader) (*spmat.CSR, string, error) {
-	br := bufio.NewReader(r)
-	var hdr [6]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, "", fmt.Errorf("mmio: short binary header: %w", err)
-	}
-	flags, err := checkBinaryHeader(hdr)
-	if err != nil {
-		return nil, "", err
-	}
-	n, err := readUvarint(br, "dimension", math.MaxInt32)
-	if err != nil {
-		return nil, "", err
-	}
-	nnz, err := readUvarint(br, "entry count", uint64(n)*uint64(n))
-	if err != nil {
-		return nil, "", err
-	}
-	a := &spmat.CSR{N: n, RowPtr: append(make([]int, 0, boundedCap(n+1)), 0)}
-	for i := 0; i < n; i++ {
-		cnt, err := readUvarint(br, "row length", uint64(n))
-		if err != nil {
-			return nil, "", err
-		}
-		a.RowPtr = append(a.RowPtr, a.RowPtr[i]+cnt)
-	}
-	if a.RowPtr[n] != nnz {
-		return nil, "", fmt.Errorf("mmio: row lengths sum to %d, header declares %d entries", a.RowPtr[n], nnz)
-	}
-	ph := spmat.NewPatternHasher(n, nnz)
-	ph.WriteInts(a.RowPtr)
-	if nnz > 0 {
-		a.Col = make([]int, 0, boundedCap(nnz))
-	}
-	for i := 0; i < n; i++ {
-		prev := -1
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			d, err := readUvarint(br, "column index", uint64(n))
-			if err != nil {
-				return nil, "", err
-			}
-			j := d
-			if prev >= 0 {
-				j = prev + 1 + d
-			}
-			if j >= n {
-				return nil, "", fmt.Errorf("mmio: column %d of row %d outside 0..%d", j, i, n-1)
-			}
-			a.Col = append(a.Col, j)
-			prev = j
-		}
-		ph.WriteInts(a.Col[a.RowPtr[i]:a.RowPtr[i+1]])
-	}
-	if flags&binaryHasVals != 0 && nnz > 0 {
-		a.Val = make([]float64, 0, boundedCap(nnz))
-		var vb [8]byte
-		for k := 0; k < nnz; k++ {
-			if _, err := io.ReadFull(br, vb[:]); err != nil {
-				return nil, "", fmt.Errorf("mmio: truncated values: %w", err)
-			}
-			a.Val = append(a.Val, math.Float64frombits(binary.LittleEndian.Uint64(vb[:])))
-		}
-	}
-	return a, ph.SumHex(), nil
-}
-
 // checkBinaryHeader validates the 6 fixed header bytes and returns the flag
 // byte.
 func checkBinaryHeader(hdr [6]byte) (byte, error) {
@@ -196,16 +116,4 @@ func boundedCap(want int) int {
 		return max
 	}
 	return want
-}
-
-// readUvarint decodes one bounded uvarint, naming the field on failure.
-func readUvarint(br *bufio.Reader, what string, max uint64) (int, error) {
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, fmt.Errorf("mmio: truncated %s: %w", what, err)
-	}
-	if v > max {
-		return 0, fmt.Errorf("mmio: %s %d exceeds bound %d", what, v, max)
-	}
-	return int(v), nil
 }

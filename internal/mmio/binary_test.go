@@ -11,7 +11,7 @@ import (
 	"repro/internal/spmat"
 )
 
-// TestBinaryRoundTrip pins WriteBinary ∘ ReadBinaryDigest as the identity on
+// TestBinaryRoundTrip pins WriteBinary ∘ ReadBinaryBytes as the identity on
 // pattern and valued matrices, including empty and disconnected ones.
 func TestBinaryRoundTrip(t *testing.T) {
 	mats := map[string]*spmat.CSR{
@@ -30,7 +30,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err := WriteBinary(&buf, a); err != nil {
 			t.Fatalf("%s: write: %v", name, err)
 		}
-		got, _, err := ReadBinaryDigest(&buf)
+		got, err := ReadBinaryBytes(buf.Bytes(), 1)
 		if err != nil {
 			t.Fatalf("%s: read: %v", name, err)
 		}
@@ -60,7 +60,7 @@ func TestBinaryCompact(t *testing.T) {
 	}
 }
 
-// TestBinaryMalformed feeds truncations and corruptions to the reader and
+// TestBinaryMalformed feeds truncations and corruptions to the decoder and
 // requires descriptive errors, never a panic or a silent success.
 func TestBinaryMalformed(t *testing.T) {
 	var good bytes.Buffer
@@ -76,7 +76,7 @@ func TestBinaryMalformed(t *testing.T) {
 		"truncated":   raw[:len(raw)-3],
 	}
 	for name, data := range cases {
-		if _, _, err := ReadBinaryDigest(bytes.NewReader(data)); err == nil {
+		if _, err := ReadBinaryBytes(data, 1); err == nil {
 			t.Errorf("%s: accepted", name)
 		} else if !strings.HasPrefix(err.Error(), "mmio:") {
 			t.Errorf("%s: undiagnosed error %v", name, err)
@@ -84,15 +84,15 @@ func TestBinaryMalformed(t *testing.T) {
 	}
 	// A stream whose row lengths disagree with the declared nnz.
 	bad := []byte{'R', 'C', 'M', 'B', 1, 0, 2, 3, 1, 1}
-	if _, _, err := ReadBinaryDigest(bytes.NewReader(bad)); err == nil {
+	if _, err := ReadBinaryBytes(bad, 1); err == nil {
 		t.Error("mismatched row lengths accepted")
 	}
 }
 
-// TestBinaryGiantHeader: a tiny stream declaring a huge matrix must fail
-// on the missing data, not balloon memory first — allocation is driven by
-// received bytes, so this returns quickly and cheaply (the service decodes
-// untrusted uploads through this reader).
+// TestBinaryGiantHeader: a tiny image declaring a huge matrix must fail
+// on the missing data, not balloon memory first — every allocation is
+// bounded by the image's length, so this returns quickly and cheaply (the
+// service decodes untrusted uploads through this decoder).
 func TestBinaryGiantHeader(t *testing.T) {
 	var hdr bytes.Buffer
 	hdr.WriteString("RCMB")
@@ -101,7 +101,7 @@ func TestBinaryGiantHeader(t *testing.T) {
 	hdr.Write(buf[:binary.PutUvarint(buf[:], 1<<30)])     // n = 2^30
 	hdr.Write(buf[:binary.PutUvarint(buf[:], 1<<59)])     // nnz ≈ n²/2
 	hdr.Write(buf[:binary.PutUvarint(buf[:], (1<<30)-1)]) // one row length, then EOF
-	if _, _, err := ReadBinaryDigest(bytes.NewReader(hdr.Bytes())); err == nil {
+	if _, err := ReadBinaryBytes(hdr.Bytes(), 1); err == nil {
 		t.Fatal("giant header with no data accepted")
 	}
 }

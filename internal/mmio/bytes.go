@@ -10,19 +10,18 @@ import (
 	"repro/internal/spmat"
 )
 
-// Zero-copy RCMB decode: the same format as ReadBinaryDigest, decoded
-// straight from a caller-owned byte slice (typically an mmap'd file — see
-// OpenBinary) instead of an io.Reader. Skipping the bufio layer removes one
-// copy of the whole stream, and having the full image in memory enables the
-// trick the reader path cannot do: a cheap first pass that splits the
-// varint column section into per-row-block byte extents (a varint ends at
-// its first byte below 0x80, so counting terminators locates block
-// boundaries without decoding), after which the column decode fans out
-// across a worker pool with each block writing a disjoint range of Col.
+// Zero-copy RCMB decode: an image is decoded straight from a caller-owned
+// byte slice (an mmap'd file — see OpenBinary — or a buffered upload body)
+// with no read buffer between. Having the full image in memory enables a
+// cheap first pass that splits the varint column section into per-row-block
+// byte extents (a varint ends at its first byte below 0x80, so counting
+// terminators locates block boundaries without decoding), after which the
+// column decode fans out across a worker pool with each block writing a
+// disjoint range of Col.
 //
-// Accept/reject behavior is identical to ReadBinaryDigest: the fuzz harness
-// feeds both decoders the same corpus and requires the same verdict and, on
-// accept, the same matrix.
+// FuzzReadBinaryBytes holds the decoder, at every block split, to the
+// streaming reader it replaced, kept in the tests as refReadBinary: the
+// same verdict on every input and, on accept, the same matrix and digest.
 
 // minParallelDecode gates the decode fan-out: below this many stored
 // entries the goroutine spawn outweighs the decode itself. A variable so
@@ -30,63 +29,52 @@ import (
 var minParallelDecode = 1 << 15
 
 // ReadBinaryBytes decodes an RCMB image from buf. threads == 1 decodes
-// serially; threads < 1 selects GOMAXPROCS. The returned matrix owns its
-// arrays — nothing references buf afterwards, so an mmap backing it can be
-// unmapped as soon as the call returns.
+// serially; threads < 1 selects GOMAXPROCS. Malformed images — bad magic,
+// out-of-range indices, truncation, declared sizes that do not add up — are
+// rejected with descriptive errors, never panics, and whatever the thread
+// count; bytes after a complete image are ignored. Every allocation is
+// bounded by len(buf). The returned matrix owns its arrays — nothing
+// references buf afterwards, so an mmap backing it can be unmapped as soon
+// as the call returns.
 func ReadBinaryBytes(buf []byte, threads int) (*spmat.CSR, error) {
-	a, _, err := readBinaryBytes(buf, threads, false)
-	return a, err
-}
-
-// ReadBinaryBytesDigest is ReadBinaryBytes followed by the canonical
-// pattern digest (spmat.PatternDigest) of the decoded arrays, in one call.
-// The hash is sequential — digest bytes must arrive in canonical order —
-// and runs over arrays the parallel decode has already filled, so it costs
-// what hashing the decoded matrix later would; rcm.ReadBinaryBytes leaves
-// it to Matrix.Digest for that reason.
-func ReadBinaryBytesDigest(buf []byte, threads int) (*spmat.CSR, string, error) {
-	return readBinaryBytes(buf, threads, true)
-}
-
-func readBinaryBytes(buf []byte, threads int, wantDigest bool) (*spmat.CSR, string, error) {
 	if len(buf) < 6 {
-		return nil, "", fmt.Errorf("mmio: short binary header: %d bytes", len(buf))
+		return nil, fmt.Errorf("mmio: short binary header: %d bytes", len(buf))
 	}
 	var hdr [6]byte
 	copy(hdr[:], buf)
 	flags, err := checkBinaryHeader(hdr)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	p := 6
 	n, p, err := uvarintAt(buf, p, "dimension", math.MaxInt32)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	nnz, p, err := uvarintAt(buf, p, "entry count", uint64(n)*uint64(n))
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	// Every row length costs at least one byte, so a header whose n the
 	// remaining buffer cannot back is truncated; checking up front bounds
 	// the RowPtr allocation by the buffer size.
 	if len(buf)-p < n {
-		return nil, "", fmt.Errorf("mmio: truncated row length: %d rows, %d bytes left", n, len(buf)-p)
+		return nil, fmt.Errorf("mmio: truncated row length: %d rows, %d bytes left", n, len(buf)-p)
 	}
 	a := &spmat.CSR{N: n, RowPtr: make([]int, n+1)}
 	for i := 0; i < n; i++ {
 		var cnt int
 		cnt, p, err = uvarintAt(buf, p, "row length", uint64(n))
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 		a.RowPtr[i+1] = a.RowPtr[i] + cnt
 	}
 	if a.RowPtr[n] != nnz {
-		return nil, "", fmt.Errorf("mmio: row lengths sum to %d, header declares %d entries", a.RowPtr[n], nnz)
+		return nil, fmt.Errorf("mmio: row lengths sum to %d, header declares %d entries", a.RowPtr[n], nnz)
 	}
 	if len(buf)-p < nnz {
-		return nil, "", fmt.Errorf("mmio: truncated column index: %d entries, %d bytes left", nnz, len(buf)-p)
+		return nil, fmt.Errorf("mmio: truncated column index: %d entries, %d bytes left", nnz, len(buf)-p)
 	}
 	if nnz > 0 {
 		a.Col = make([]int, nnz)
@@ -105,13 +93,13 @@ func readBinaryBytes(buf []byte, threads int, wantDigest bool) (*spmat.CSR, stri
 	}
 	offs, end, err := splitVarints(buf, p, cuts)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	// Second pass: each block decodes its columns into its disjoint range of
 	// Col and converts the same entries' values, which the section after the
 	// columns holds at fixed width. Errors are collected per block and
 	// reported lowest-block-first, then the values' truncation, so rejection
-	// is deterministic at any thread count and matches the streaming reader.
+	// is deterministic at any thread count.
 	hasVals := flags&binaryHasVals != 0 && nnz > 0
 	if hasVals && len(buf)-end >= 8*nnz {
 		a.Val = make([]float64, nnz)
@@ -125,21 +113,26 @@ func readBinaryBytes(buf []byte, threads int, wantDigest bool) (*spmat.CSR, stri
 	})
 	for _, e := range errs {
 		if e != nil {
-			return nil, "", e
+			return nil, e
 		}
 	}
 	if hasVals && a.Val == nil {
-		return nil, "", fmt.Errorf("mmio: truncated values: %d bytes left, want %d", len(buf)-end, 8*nnz)
+		return nil, fmt.Errorf("mmio: truncated values: %d bytes left, want %d", len(buf)-end, 8*nnz)
 	}
+	return a, nil
+}
 
-	digest := ""
-	if wantDigest {
-		ph := spmat.NewPatternHasher(n, nnz)
-		ph.WriteInts(a.RowPtr)
-		ph.WriteInts(a.Col)
-		digest = ph.SumHex()
+// ReadBinaryBytesDigest is ReadBinaryBytes followed by the canonical
+// pattern digest (spmat.PatternDigest) of the decoded arrays, in one call.
+// The hash is sequential — digest bytes must arrive in canonical order — so
+// it costs what hashing the decoded matrix later would; rcm.ReadBinaryBytes
+// leaves it to Matrix.Digest for that reason.
+func ReadBinaryBytesDigest(buf []byte, threads int) (*spmat.CSR, string, error) {
+	a, err := ReadBinaryBytes(buf, threads)
+	if err != nil {
+		return nil, "", err
 	}
-	return a, digest, nil
+	return a, spmat.PatternDigest(a), nil
 }
 
 // splitVarints walks the varint stream starting at off and returns, for
@@ -224,7 +217,7 @@ func decodeColBlock(buf []byte, p int, a *spmat.CSR, lo, hi int) error {
 }
 
 // uvarintAt decodes one bounded uvarint from buf at off, returning the
-// value and the offset past it — the slice analogue of readUvarint.
+// value and the offset past it, and names the field on failure.
 func uvarintAt(buf []byte, off int, what string, max uint64) (int, int, error) {
 	v, k := binary.Uvarint(buf[off:])
 	if k == 0 {

@@ -18,7 +18,7 @@ import (
 
 // forceParallelDecode lowers the fan-out gate so small fixtures exercise
 // the extent splitter and the worker-pool decode, restoring it afterwards.
-func forceParallelDecode(t *testing.T) {
+func forceParallelDecode(t testing.TB) {
 	t.Helper()
 	old := minParallelDecode
 	minParallelDecode = 1
@@ -58,9 +58,9 @@ func withoutValues(a *spmat.CSR) *spmat.CSR {
 }
 
 // TestReadBinaryBytesMatchesReader pins the zero-copy decoder against the
-// streaming reader: identical matrices at every thread count, on every
-// image with and without values, and the fused digest identical to the
-// canonical one-shot spmat.PatternDigest.
+// streaming oracle refReadBinary: identical matrices at every thread count,
+// on every image with and without values, and ReadBinaryBytesDigest's
+// digest identical to the canonical spmat.PatternDigest.
 func TestReadBinaryBytesMatchesReader(t *testing.T) {
 	forceParallelDecode(t)
 	for name, m := range testMatrices() {
@@ -69,9 +69,9 @@ func TestReadBinaryBytesMatchesReader(t *testing.T) {
 			if err := WriteBinary(&buf, a); err != nil {
 				t.Fatalf("%s %s: write: %v", name, form, err)
 			}
-			want, _, err := ReadBinaryDigest(bytes.NewReader(buf.Bytes()))
+			want, _, err := refReadBinary(bytes.NewReader(buf.Bytes()))
 			if err != nil {
-				t.Fatalf("%s %s: reader: %v", name, form, err)
+				t.Fatalf("%s %s: oracle: %v", name, form, err)
 			}
 			for _, threads := range []int{1, 2, 3, 4, 9} {
 				got, digest, err := ReadBinaryBytesDigest(buf.Bytes(), threads)
@@ -79,10 +79,10 @@ func TestReadBinaryBytesMatchesReader(t *testing.T) {
 					t.Fatalf("%s %s threads=%d: bytes: %v", name, form, threads, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s %s threads=%d: bytes decode differs from reader", name, form, threads)
+					t.Errorf("%s %s threads=%d: bytes decode differs from oracle", name, form, threads)
 				}
 				if canon := spmat.PatternDigest(want); digest != canon {
-					t.Errorf("%s %s threads=%d: fused digest %s != canonical %s", name, form, threads, digest, canon)
+					t.Errorf("%s %s threads=%d: digest %s != canonical %s", name, form, threads, digest, canon)
 				}
 			}
 		}
@@ -181,29 +181,29 @@ func TestQuickSplitVarints(t *testing.T) {
 	}
 }
 
-// TestReadBinaryDigestFused pins the streaming fused-digest reader: the
-// matrix written comes back, with the canonical digest.
-func TestReadBinaryDigestFused(t *testing.T) {
+// TestRefReadBinaryRoundTrip pins the oracle itself: the matrix written
+// comes back, with the canonical digest.
+func TestRefReadBinaryRoundTrip(t *testing.T) {
 	for name, a := range testMatrices() {
 		var buf bytes.Buffer
 		if err := WriteBinary(&buf, a); err != nil {
 			t.Fatalf("%s: write: %v", name, err)
 		}
-		got, digest, err := ReadBinaryDigest(bytes.NewReader(buf.Bytes()))
+		got, digest, err := refReadBinary(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, a) {
-			t.Errorf("%s: fused reader changed the matrix", name)
+			t.Errorf("%s: oracle changed the matrix", name)
 		}
 		if canon := spmat.PatternDigest(a); digest != canon {
-			t.Errorf("%s: fused digest %s != canonical %s", name, digest, canon)
+			t.Errorf("%s: oracle digest %s != canonical %s", name, digest, canon)
 		}
 	}
 }
 
 // TestReadBinaryBytesMalformed requires the bytes decoder to reject exactly
-// what the streaming reader rejects, with mmio-diagnosed errors and no
+// what the streaming oracle rejects, with mmio-diagnosed errors and no
 // panic — including corruption inside the parallel column section.
 func TestReadBinaryBytesMalformed(t *testing.T) {
 	forceParallelDecode(t)
@@ -230,8 +230,8 @@ func TestReadBinaryBytesMalformed(t *testing.T) {
 			} else if !strings.HasPrefix(errB.Error(), "mmio:") {
 				t.Errorf("%s threads=%d: undiagnosed error %v", name, threads, errB)
 			}
-			if _, _, errR := ReadBinaryDigest(bytes.NewReader(data)); (errR == nil) != (errB == nil) {
-				t.Errorf("%s: decoders disagree: reader=%v bytes=%v", name, errR, errB)
+			if _, _, errR := refReadBinary(bytes.NewReader(data)); (errR == nil) != (errB == nil) {
+				t.Errorf("%s: decoders disagree: oracle=%v bytes=%v", name, errR, errB)
 			}
 		}
 	}
@@ -239,8 +239,8 @@ func TestReadBinaryBytesMalformed(t *testing.T) {
 	if _, err := ReadBinaryBytes(overlong, 4); err != nil {
 		t.Errorf("trailing byte rejected: %v", err)
 	}
-	if _, _, err := ReadBinaryDigest(bytes.NewReader(overlong)); err != nil {
-		t.Errorf("reader rejected trailing byte: %v", err)
+	if _, _, err := refReadBinary(bytes.NewReader(overlong)); err != nil {
+		t.Errorf("oracle rejected trailing byte: %v", err)
 	}
 }
 

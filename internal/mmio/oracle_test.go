@@ -3,6 +3,7 @@ package mmio
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -292,4 +293,131 @@ func TestReadLineLimitMatchesOracle(t *testing.T) {
 			t.Errorf("%d-byte line: err = %v, want too long = %v", c.length, err, c.tooLong)
 		}
 	}
+}
+
+// refReadBinary is the streaming RCMB reader ReadBinaryBytes replaced in
+// production, kept as its differential oracle. It decodes through a
+// bufio.Reader one uvarint at a time into arrays that grow with the bytes
+// actually received — every element costs at least one stream byte, so a
+// malicious header cannot force a large allocation the body never backs —
+// and returns the canonical pattern digest of what it decoded. It has no
+// block split, so its verdict cannot depend on one.
+func refReadBinary(r io.Reader) (*spmat.CSR, string, error) {
+	br := bufio.NewReader(r)
+	var hdr [6]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, "", fmt.Errorf("mmio: short binary header: %w", err)
+	}
+	flags, err := checkBinaryHeader(hdr)
+	if err != nil {
+		return nil, "", err
+	}
+	n, err := readUvarint(br, "dimension", math.MaxInt32)
+	if err != nil {
+		return nil, "", err
+	}
+	nnz, err := readUvarint(br, "entry count", uint64(n)*uint64(n))
+	if err != nil {
+		return nil, "", err
+	}
+	a := &spmat.CSR{N: n, RowPtr: append(make([]int, 0, boundedCap(n+1)), 0)}
+	for i := 0; i < n; i++ {
+		cnt, err := readUvarint(br, "row length", uint64(n))
+		if err != nil {
+			return nil, "", err
+		}
+		a.RowPtr = append(a.RowPtr, a.RowPtr[i]+cnt)
+	}
+	if a.RowPtr[n] != nnz {
+		return nil, "", fmt.Errorf("mmio: row lengths sum to %d, header declares %d entries", a.RowPtr[n], nnz)
+	}
+	if nnz > 0 {
+		a.Col = make([]int, 0, boundedCap(nnz))
+	}
+	for i := 0; i < n; i++ {
+		prev := -1
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			d, err := readUvarint(br, "column index", uint64(n))
+			if err != nil {
+				return nil, "", err
+			}
+			j := d
+			if prev >= 0 {
+				j = prev + 1 + d
+			}
+			if j >= n {
+				return nil, "", fmt.Errorf("mmio: column %d of row %d outside 0..%d", j, i, n-1)
+			}
+			a.Col = append(a.Col, j)
+			prev = j
+		}
+	}
+	if flags&binaryHasVals != 0 && nnz > 0 {
+		a.Val = make([]float64, 0, boundedCap(nnz))
+		var vb [8]byte
+		for k := 0; k < nnz; k++ {
+			if _, err := io.ReadFull(br, vb[:]); err != nil {
+				return nil, "", fmt.Errorf("mmio: truncated values: %w", err)
+			}
+			a.Val = append(a.Val, math.Float64frombits(binary.LittleEndian.Uint64(vb[:])))
+		}
+	}
+	return a, spmat.PatternDigest(a), nil
+}
+
+// readUvarint decodes one bounded uvarint, naming the field on failure.
+func readUvarint(br *bufio.Reader, what string, max uint64) (int, error) {
+	v, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, fmt.Errorf("mmio: truncated %s: %w", what, err)
+	}
+	if v > max {
+		return 0, fmt.Errorf("mmio: %s %d exceeds bound %d", what, v, max)
+	}
+	return int(v), nil
+}
+
+// FuzzReadBinaryBytes holds the bytes decoder to refReadBinary with the
+// fan-out gate forced to one entry, so every input with two or more stored
+// entries reaches the varint split, the per-block value conversion and the
+// lowest-block-first error order: at threads 1 to 4, ReadBinaryBytesDigest
+// must give the oracle's verdict on every input and, on accept, its arrays,
+// values bit for bit (DeepEqual would call two NaNs different), and digest.
+func FuzzReadBinaryBytes(f *testing.F) {
+	forceParallelDecode(f)
+	for _, m := range testMatrices() {
+		for _, a := range []*spmat.CSR{withoutValues(m), withValues(m, int64(m.N))} {
+			var buf bytes.Buffer
+			if err := WriteBinary(&buf, a); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantDigest, wantErr := refReadBinary(bytes.NewReader(data))
+		for threads := 1; threads <= 4; threads++ {
+			a, digest, err := ReadBinaryBytesDigest(data, threads)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("threads=%d: verdicts differ: bytes err=%v, oracle err=%v", threads, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if a.N != want.N || !reflect.DeepEqual(a.RowPtr, want.RowPtr) || !reflect.DeepEqual(a.Col, want.Col) {
+				t.Fatalf("threads=%d: patterns differ:\n  bytes  %+v\n  oracle %+v", threads, a, want)
+			}
+			if (a.Val == nil) != (want.Val == nil) || len(a.Val) != len(want.Val) {
+				t.Fatalf("threads=%d: values differ in shape: bytes %v, oracle %v", threads, a.Val, want.Val)
+			}
+			for k := range a.Val {
+				if math.Float64bits(a.Val[k]) != math.Float64bits(want.Val[k]) {
+					t.Fatalf("threads=%d: value %d differs: bytes %v, oracle %v", threads, k, a.Val[k], want.Val[k])
+				}
+			}
+			if digest != wantDigest {
+				t.Fatalf("threads=%d: digest %s, oracle %s", threads, digest, wantDigest)
+			}
+		}
+	})
 }

@@ -2,11 +2,13 @@ package spmat
 
 import "runtime"
 
-// Row-block partitioning shared by every parallel bulk kernel (Permute,
-// Bandwidth, Profile, Degrees, Wavefront, the binary-decode workers). A
-// partition is a boundary slice b with b[0] = 0 and b[len(b)-1] = n: block k
-// covers rows [b[k], b[k+1]). All kernels write disjoint ranges derived from
-// these boundaries, so their output is byte-identical at any thread count.
+// Row-block partitioning shared by every parallel bulk kernel (the symmetry
+// check, PAPᵀ and its band pass, OrderStats, ParallelComponents, the *Par
+// statistics kernels, the RCMB decode workers and the Shared engine's
+// frontier sweeps). A partition is a boundary slice b with b[0] = 0 and
+// b[len(b)-1] = n: block k covers rows [b[k], b[k+1]). All kernels write
+// disjoint ranges derived from these boundaries, so their output is
+// byte-identical at any thread count.
 
 // Blocks splits [0, n) into at most `threads` contiguous equal-size blocks.
 // threads < 1 selects GOMAXPROCS; the block count never exceeds n, so no

@@ -2,6 +2,7 @@ package spmat
 
 import (
 	"math"
+	"runtime"
 	"sort"
 
 	"repro/internal/par"
@@ -37,11 +38,15 @@ type OrderStats struct {
 // swept in nnz-balanced blocks with per-block partials, so the result is
 // byte-identical to Permute followed by the serial kernels at any thread
 // count. threads == 1 (or a small matrix) sweeps on the calling goroutine;
-// threads < 1 selects GOMAXPROCS.
+// threads < 1 selects GOMAXPROCS, and the block count is capped there,
+// because every block is a goroutine.
 func (a *CSR) OrderStats(inv []int, threads int) OrderStats {
 	n := a.N
 	if n == 0 {
 		return OrderStats{}
+	}
+	if procs := runtime.GOMAXPROCS(0); threads < 1 || threads > procs {
+		threads = procs
 	}
 	bounds := []int{0, n}
 	if threads != 1 && n >= minParallelRows {

@@ -21,10 +21,11 @@ func serialOrderStats(a *CSR, perm []int) OrderStats {
 // TestOrderStatsMatchesSerial pins the fused pass to the oracle on the
 // permute property corpus — symmetric and non-symmetric patterns, with and
 // without values, and the structural edge cases — at threads 1 to 4 with
-// the fan-out gate forced down, under the nil (identity) inverse and the
-// inverses of the identity, the reversal and random permutations.
+// the fan-out gate forced down and GOMAXPROCS raised so no block count is
+// capped, under the nil (identity) inverse and the inverses of the
+// identity, the reversal and random permutations.
 func TestOrderStatsMatchesSerial(t *testing.T) {
-	forceParallel(t)
+	withThreads(t, 4)
 	rng := rand.New(rand.NewSource(21))
 	for _, f := range permFixtures() {
 		n := f.a.N
@@ -53,7 +54,7 @@ func TestOrderStatsMatchesSerial(t *testing.T) {
 // TestQuickOrderStatsMatchesSerial extends the comparison to random shapes:
 // sizes, densities, symmetry, values and the thread count drawn per seed.
 func TestQuickOrderStatsMatchesSerial(t *testing.T) {
-	forceParallel(t)
+	withThreads(t, 4)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(60)

@@ -220,28 +220,6 @@ func checkBounds(t *testing.T, b []int, n, threads int, what string) {
 	}
 }
 
-// TestPatternHasherMatchesOneShot pins that the incremental hasher fed
-// block-wise reproduces PatternDigest exactly — the invariant the fused
-// streaming decoder relies on.
-func TestPatternHasherMatchesOneShot(t *testing.T) {
-	a := randSymK(97, 300, false, 4)
-	want := PatternDigest(a)
-	ph := NewPatternHasher(a.N, a.NNZ())
-	ph.WriteInts(a.RowPtr)
-	// Feed columns in uneven chunks.
-	for lo := 0; lo < len(a.Col); {
-		hi := lo + 37
-		if hi > len(a.Col) {
-			hi = len(a.Col)
-		}
-		ph.WriteInts(a.Col[lo:hi])
-		lo = hi
-	}
-	if got := ph.SumHex(); got != want {
-		t.Fatalf("incremental digest %s != one-shot %s", got, want)
-	}
-}
-
 // TestPatternDigestPinned pins the digest bytes: they are the matrix half
 // of every cache key, so a change here silently invalidates deployed
 // caches. The 600-vertex path spans two 512-word chunks of RowPtr.
@@ -263,16 +241,11 @@ func TestPatternDigestPinned(t *testing.T) {
 	}
 }
 
-// TestPatternHasherWriteIntsAllocFree: the conversion chunk lives in the
-// hasher, so streaming ints through a warm hasher allocates nothing.
-func TestPatternHasherWriteIntsAllocFree(t *testing.T) {
-	xs := make([]int, 1500) // three chunks, the last one partial
-	for i := range xs {
-		xs[i] = i * 7
-	}
-	ph := NewPatternHasher(len(xs), len(xs))
-	ph.WriteInts(xs)
-	if allocs := testing.AllocsPerRun(100, func() { ph.WriteInts(xs) }); allocs != 0 {
-		t.Errorf("WriteInts: %v allocs/run, want 0", allocs)
+// TestPatternDigestAllocatesOnce: the hash and its conversion chunk stay on
+// the stack, so a digest allocates only the hex string it returns.
+func TestPatternDigestAllocatesOnce(t *testing.T) {
+	a := randSymK(97, 300, false, 4)
+	if got := testing.AllocsPerRun(20, func() { PatternDigest(a) }); got != 1 {
+		t.Errorf("PatternDigest allocates %v times per call, want 1", got)
 	}
 }

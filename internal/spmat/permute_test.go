@@ -170,9 +170,10 @@ func symmetricUnder(a *CSR, bounds []int) bool {
 	return ok
 }
 
-// withThreads raises GOMAXPROCS to threads for the test, so the blocked
-// check's cap lets that many blocks run, and forces the parallel path on
-// small fixtures.
+// withThreads raises GOMAXPROCS to threads for the test, so the kernels
+// that cap their block count there (the blocked symmetry check, PAPᵀ,
+// OrderStats) run that many blocks, and forces the parallel path on small
+// fixtures.
 func withThreads(t *testing.T, threads int) {
 	t.Helper()
 	forceParallel(t)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/spmat"
-	"repro/internal/tally"
 )
 
 // Components is the connected-component structure of a matrix's graph.
@@ -64,9 +63,6 @@ func (c config) scheduled() bool {
 	return true
 }
 
-// runScheduled executes the component-scheduled ordering for the resolved
-// configuration and fills the Result. copt is the validated engine option
-// set produced by coreOptions.
 // poolWorkers resolves the worker count for the component passes: an
 // explicit WithThreads wins; otherwise 0 lets the pool size to GOMAXPROCS.
 func (c config) poolWorkers() int {
@@ -76,39 +72,17 @@ func (c config) poolWorkers() int {
 	return 0
 }
 
-func (c config) runScheduled(g *spmat.CSR, copt core.Options, res *Result) {
-	so := core.ScheduleOptions{
+// runScheduled runs the component scheduler with big, the configured
+// backend's engine, ordering the components at or above the threshold, and
+// fills the Result. copt is the validated engine option set produced by
+// coreOptions.
+func (c config) runScheduled(g *spmat.CSR, copt core.Options, big func(*spmat.CSR, core.Options) *core.Ordering, res *Result) {
+	ord, st := core.ScheduledOrder(g, core.ScheduleOptions{
 		Threshold: c.compThresh,
 		Workers:   c.poolWorkers(),
 		Options:   copt,
-	}
-	var bds []tally.Breakdown
-	switch c.backend {
-	case Sequential:
-		// ScheduleOptions.Big defaults to the sequential engine.
-	case Algebraic:
-		so.Big = algebraic
-	case Shared:
-		so.Big = func(sub *spmat.CSR, o core.Options) *core.Ordering {
-			return core.SharedOpt(sub, c.threads, o)
-		}
-		res.Threads = c.threads
-	case Distributed:
-		model := tally.Edison().WithThreads(c.threads)
-		so.Big = func(sub *spmat.CSR, o core.Options) *core.Ordering {
-			d := core.Distributed(sub, core.DistOptions{
-				Procs:       c.procs,
-				Model:       model,
-				SortMode:    core.SortMode(c.sortMode),
-				Hypersparse: c.hypersparse,
-				Options:     o,
-			})
-			bds = append(bds, d.Breakdown)
-			return &d.Ordering
-		}
-		res.Procs, res.Threads = c.procs, model.Threads
-	}
-	ord, st := core.ScheduledOrder(g, so)
+		Big:       big,
+	})
 	fill(res, ord)
 	res.ComponentStats = &ComponentStats{
 		Count:        st.Components,
@@ -117,8 +91,5 @@ func (c config) runScheduled(g *spmat.CSR, copt core.Options, res *Result) {
 		Batched:      st.Batched,
 		Direct:       st.Direct,
 		Threshold:    st.Threshold,
-	}
-	if c.backend == Distributed {
-		res.Modeled = newBreakdown(tally.Merge(bds))
 	}
 }

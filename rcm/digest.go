@@ -12,11 +12,10 @@ import (
 // identical — numeric values are excluded on purpose, because nothing an
 // ordering Result reports depends on them. The digest is the matrix half of
 // an ordering cache key (see OptionsFingerprint and package
-// repro/rcm/service); it is memoized, so repeated requests on one Matrix
-// hash the pattern only once. A matrix read by the streaming ReadBinary
-// arrives with the digest pre-seeded, hashed while the stream went by;
-// every other matrix, ReadBinaryBytes and OpenBinary included, hashes its
-// pattern here on first use, so a caller that never keys on it never pays.
+// repro/rcm/service). Every matrix, however it was read or built, hashes
+// its pattern here on first use, so a caller that never keys on it never
+// pays; the result is memoized, so repeated requests on one Matrix hash the
+// pattern only once.
 func (m *Matrix) Digest() string {
 	m.digestOnce.Do(func() { m.digestVal = spmat.PatternDigest(m.csr) })
 	return m.digestVal

@@ -100,12 +100,13 @@ func FuzzOrderDeterminism(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary feeds arbitrary bytes to BOTH RCMB decoders — the
-// streaming reader and the zero-copy parallel bytes decoder: each must
-// reject or accept, never panic, never allocate unboundedly from a hostile
-// header, and they must agree — same verdict on every input and, on
-// accept, the same matrix and the same pre-seeded digest. Accepted
-// matrices must round-trip.
+// FuzzReadBinary feeds arbitrary bytes to the facade's RCMB ingest through
+// ReadBinary (one thread) and ReadBinaryBytes (four): each must reject or
+// accept, never panic, never allocate unboundedly from a hostile header,
+// and they must agree — same verdict on every input and, on accept, the
+// same matrix and the same digest. Accepted matrices must round-trip.
+// internal/mmio's FuzzReadBinaryBytes holds the decoder to its streaming
+// oracle at every block split.
 func FuzzReadBinary(f *testing.F) {
 	var seed bytes.Buffer
 	if err := rcm.WriteBinary(&seed, rcm.Path(6)); err != nil {
@@ -119,16 +120,16 @@ func FuzzReadBinary(f *testing.F) {
 		m, err := rcm.ReadBinary(bytes.NewReader(data))
 		mb, errB := rcm.ReadBinaryBytes(data, 4)
 		if (err == nil) != (errB == nil) {
-			t.Fatalf("decoders disagree: reader=%v bytes=%v", err, errB)
+			t.Fatalf("ingest paths disagree: ReadBinary=%v ReadBinaryBytes=%v", err, errB)
 		}
 		if err != nil {
 			return
 		}
 		if !mb.Equal(m) {
-			t.Fatal("bytes decoder returned a different matrix")
+			t.Fatal("ReadBinaryBytes returned a different matrix")
 		}
 		if mb.Digest() != m.Digest() {
-			t.Fatalf("digest mismatch: reader %s, bytes %s", m.Digest(), mb.Digest())
+			t.Fatalf("digest mismatch: ReadBinary %s, ReadBinaryBytes %s", m.Digest(), mb.Digest())
 		}
 		var out bytes.Buffer
 		if err := rcm.WriteBinary(&out, m); err != nil {

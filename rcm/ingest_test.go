@@ -11,12 +11,13 @@ import (
 	"repro/rcm"
 )
 
-// TestBinaryIngestDigestPreseed pins the fused-digest contract at the
-// facade: a matrix arriving through any RCMB ingest path — streaming
-// reader, zero-copy bytes decoder at several thread counts, mmap-backed
-// file open — carries the same digest a freshly built Matrix computes
-// lazily, and all ingest paths agree with each other on the matrix itself.
-func TestBinaryIngestDigestPreseed(t *testing.T) {
+// TestBinaryIngestDigestLazy pins the digest contract at the facade: a
+// matrix arriving through any RCMB ingest path — ReadBinary, the bytes
+// decoder at several thread counts, mmap-backed file open — computes its
+// digest lazily on the first Digest call, the same digest a freshly built
+// Matrix computes, and all ingest paths agree with each other on the
+// matrix itself.
+func TestBinaryIngestDigestLazy(t *testing.T) {
 	entry, err := rcm.SuiteByName("ldoor")
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +37,7 @@ func TestBinaryIngestDigestPreseed(t *testing.T) {
 		t.Fatal("ReadBinary changed the matrix")
 	}
 	if got := fromReader.Digest(); got != want {
-		t.Errorf("ReadBinary pre-seeded digest %s, lazy digest %s", got, want)
+		t.Errorf("ReadBinary digest %s, want %s", got, want)
 	}
 
 	for _, threads := range []int{1, 4, 0} {

@@ -73,29 +73,27 @@ func WriteMatrixMarket(w io.Writer, a *Matrix, symmetric bool, comments ...strin
 
 // ReadBinary decodes a matrix from the RCMB compact binary format, the
 // upload format of the ordering service (repro/rcm/service) for matrices
-// too large to ship as Matrix Market text. The stream is a serialized CSR
-// (uvarint row lengths, delta-coded column indices, optional float64
-// values), so the decode is streaming and single-buffered: no intermediate
-// coordinate list is ever built. The pattern digest is fused into the
-// decode and pre-seeded into the Matrix, so a later Digest call — the
-// service keys its cache on it — never re-walks the pattern. See
-// WriteBinary for producing the format.
+// too large to ship as Matrix Market text. It reads r to EOF (bytes after
+// a complete image are ignored) and decodes the bytes as ReadBinaryBytes
+// does on one thread, so it holds the encoded stream — about 1–3 bytes per
+// entry on banded patterns, plus 8 per value — until the decode returns;
+// for a file, OpenBinary maps it instead of copying it. See WriteBinary for
+// producing the format.
 func ReadBinary(r io.Reader) (*Matrix, error) {
-	a, digest, err := mmio.ReadBinaryDigest(r)
+	buf, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rcm: reading RCMB stream: %w", err)
 	}
-	return wrapWithDigest(a, digest), nil
+	return ReadBinaryBytes(buf, 1)
 }
 
 // ReadBinaryBytes decodes an RCMB image from a caller-owned byte slice —
 // zero-copy ingest for buffers already in memory (an mmap'd file, a
 // buffered upload body). The varint column section is split into row-block
 // extents and decoded in parallel: threads == 1 is serial, threads < 1
-// selects GOMAXPROCS. Unlike ReadBinary it does not hash the pattern:
-// Digest computes the same digest on first use, so a caller that never
-// keys on the matrix never pays for it. Nothing in the returned Matrix
-// references buf afterwards.
+// selects GOMAXPROCS. It does not hash the pattern: Digest computes the
+// digest on first use, so a caller that never keys on the matrix never
+// pays for it. Nothing in the returned Matrix references buf afterwards.
 func ReadBinaryBytes(buf []byte, threads int) (*Matrix, error) {
 	a, err := mmio.ReadBinaryBytes(buf, threads)
 	if err != nil {

@@ -29,17 +29,6 @@ type Matrix struct {
 // wrap adopts an internal CSR. Internal constructors guarantee csr != nil.
 func wrap(csr *spmat.CSR) *Matrix { return &Matrix{csr: csr} }
 
-// wrapWithDigest adopts a CSR whose pattern digest was already computed —
-// the streaming ReadBinary hashes during decode — pre-seeding the memo so
-// Digest never re-walks the pattern.
-func wrapWithDigest(csr *spmat.CSR, digest string) *Matrix {
-	m := wrap(csr)
-	if digest != "" {
-		m.digestOnce.Do(func() { m.digestVal = digest })
-	}
-	return m
-}
-
 // Edge is one directed entry (i, j) used by FromEdges; the optional Val is
 // the numeric value (ignored when building a pattern).
 type Edge struct {

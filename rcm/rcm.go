@@ -121,8 +121,8 @@ func order(a *Matrix, wantMatrix bool, opts []Option) (*Result, *Matrix, error) 
 	}
 
 	res := &Result{Ordering: c.ordering, Backend: c.backend, Procs: 1, Threads: 1}
-	switch {
-	case c.ordering == AMD:
+	switch c.ordering {
+	case AMD:
 		// The fill-minimizing family: the internal/amd multiple-elimination
 		// engine under the WithThreads worker budget. There is no BFS, so
 		// no pseudo-diameter; the component count comes from the same
@@ -130,34 +130,19 @@ func order(a *Matrix, wantMatrix bool, opts []Option) (*Result, *Matrix, error) 
 		res.Perm = amd.Order(g, c.threads)
 		res.Threads = c.threads
 		_, res.Components = g.ParallelComponents(c.threads)
-	case c.ordering == Sloan:
+	case Sloan:
 		// The profile-minimizing baseline: sequential by design.
 		fill(res, core.Sloan(g))
-	case c.scheduled():
-		c.runScheduled(g, copt, res)
 	default:
-		switch c.backend {
-		case Sequential:
-			fill(res, core.SequentialOpt(g, copt))
-		case Algebraic:
-			fill(res, algebraic(g, copt))
-		case Shared:
-			fill(res, core.SharedOpt(g, c.threads, copt))
-			res.Threads = c.threads
-		case Distributed:
-			d := core.Distributed(g, core.DistOptions{
-				Procs:          c.procs,
-				Model:          tally.Edison().WithThreads(c.threads),
-				SortMode:       core.SortMode(c.sortMode),
-				RandomPermSeed: c.seed,
-				Hypersparse:    c.hypersparse,
-				Options:        copt,
-			})
-			fill(res, &d.Ordering)
-			res.Procs, res.Threads = d.Procs, d.Threads
-			res.Modeled = newBreakdown(d.Breakdown)
-		default:
-			return nil, nil, fmt.Errorf("rcm: unknown backend %v", c.backend)
+		var bds []tally.Breakdown
+		run := c.engine(res, &bds)
+		if c.scheduled() {
+			c.runScheduled(g, copt, run, res)
+		} else {
+			fill(res, run(g, copt))
+		}
+		if c.backend == Distributed {
+			res.Modeled = newBreakdown(tally.Merge(bds))
 		}
 	}
 
@@ -285,12 +270,42 @@ func (c config) coreOptions(g *spmat.CSR) (core.Options, error) {
 	return opt, nil
 }
 
-// algebraic runs the Algebraic backend: Algorithms 3 and 4 on the
-// distributed engine at p = 1. The configured procs, sort mode, seed and
-// hypersparse flag are not forwarded, and the Result keeps the sequential
-// backends' 1/1 configuration and nil Modeled.
-func algebraic(g *spmat.CSR, o core.Options) *core.Ordering {
-	return &core.Distributed(g, core.DistOptions{Procs: 1, Options: o}).Ordering
+// engine returns the RCM engine of the configured backend and records its
+// parallel configuration in res. The Distributed engine appends each run's
+// modelled breakdown to *bds; Result.Modeled is their merge, which for a
+// single run is that run's breakdown bit for bit.
+func (c config) engine(res *Result, bds *[]tally.Breakdown) func(*spmat.CSR, core.Options) *core.Ordering {
+	switch c.backend {
+	case Algebraic:
+		// Algorithms 3 and 4 on the distributed engine at p = 1. The
+		// configured procs, sort mode, seed and hypersparse flag are not
+		// forwarded, and the Result keeps the sequential backends' 1/1
+		// configuration and nil Modeled.
+		return func(g *spmat.CSR, o core.Options) *core.Ordering {
+			return &core.Distributed(g, core.DistOptions{Procs: 1, Options: o}).Ordering
+		}
+	case Shared:
+		res.Threads = c.threads
+		return func(g *spmat.CSR, o core.Options) *core.Ordering {
+			return core.SharedOpt(g, c.threads, o)
+		}
+	case Distributed:
+		res.Procs, res.Threads = c.procs, c.threads
+		model := tally.Edison().WithThreads(c.threads)
+		return func(g *spmat.CSR, o core.Options) *core.Ordering {
+			d := core.Distributed(g, core.DistOptions{
+				Procs:          c.procs,
+				Model:          model,
+				SortMode:       core.SortMode(c.sortMode),
+				RandomPermSeed: c.seed,
+				Hypersparse:    c.hypersparse,
+				Options:        o,
+			})
+			*bds = append(*bds, d.Breakdown)
+			return &d.Ordering
+		}
+	}
+	return core.SequentialOpt
 }
 
 // fill copies the engine ordering into the public Result.
