@@ -22,6 +22,7 @@ func withBadColumn(a *spmat.CSR) *spmat.CSR {
 // scan — re-panics on the caller's goroutine with a *par.Panic carrying the
 // runtime error, instead of killing the process.
 func TestEnginePanicReachesCaller(t *testing.T) {
+	withThreads(t, 4)
 	mesh := withBadColumn(graphgen.Grid2D(30, 30))
 	multi := withBadColumn(graphgen.MultiComponent(64, 40, 9, 5))
 	dist4 := func(a *spmat.CSR, opt Options) *Ordering {

@@ -104,92 +104,112 @@ func permFromLabels(labels []int64, reverse bool) []int {
 	return perm
 }
 
+// unlabeled returns n labels, all -1, and the component cursor of
+// eachComponent: next returns the smallest unlabeled vertex, or -1 once
+// every vertex is labeled. Labels are never unset, so each scan resumes
+// where the last one stopped — O(n) over a run, not O(n·components).
+func unlabeled(n int) (labels []int64, next func() int) {
+	labels = make([]int64, n)
+	for i := range labels {
+		labels[i] = -1
+	}
+	cursor := 0
+	next = func() int {
+		for ; cursor < n; cursor++ {
+			if labels[cursor] < 0 {
+				return cursor
+			}
+		}
+		return -1
+	}
+	return labels, next
+}
+
+// eachComponent is the component loop of every engine (Algorithm 1's outer
+// loop): next seeds each component, or returns -1 when none is left; a
+// pinned opt.Start replaces the first seed; the start policy refines the
+// seed into the root through sw unless SkipPeripheral is set; label orders
+// the component from that root. It returns the component count and the
+// pseudo-diameter, the largest eccentricity the policy reported.
+func eachComponent(opt Options, next func() int, sw Sweeper, label func(root int)) (comps, diam int) {
+	for start := next(); start >= 0; start = next() {
+		if comps == 0 && opt.Start >= 0 {
+			start = opt.Start
+		}
+		root := start
+		if !opt.SkipPeripheral {
+			var ecc int
+			root, ecc = opt.policy().PickRoot(start, sw)
+			diam = max(diam, ecc)
+		}
+		label(root)
+		comps++
+	}
+	return comps, diam
+}
+
 // Sequential computes the RCM ordering with the classic queue-based
 // algorithm (Algorithms 1 and 2 of the paper).
 func Sequential(a *spmat.CSR) *Ordering { return SequentialOpt(a, DefaultOptions()) }
 
 // SequentialOpt is Sequential with explicit options.
 func SequentialOpt(a *spmat.CSR, opt Options) *Ordering {
-	n := a.N
 	deg := a.Degrees()
-	labels := make([]int64, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	res := &Ordering{}
+	labels, next := unlabeled(a.N)
+	s := newSeqScratch(a.N)
 	nv := int64(0)
-	scratch := &seqScratch{
-		levels: make([]int, n),
-		queue:  make([]int, 0, n),
-	}
-	// cursor persists across components: labels are never unset, so the
-	// first-unlabeled scan resumes where the previous one stopped — O(n)
-	// total instead of O(n·components) on component-heavy inputs.
-	cursor := 0
-	for comp := 0; ; comp++ {
-		start := -1
-		for ; cursor < n; cursor++ {
-			if labels[cursor] < 0 {
-				start = cursor
-				break
-			}
-		}
-		if start == -1 {
-			break
-		}
-		if comp == 0 && opt.Start >= 0 {
-			start = opt.Start
-		}
-		r := start
-		if !opt.SkipPeripheral {
-			var ecc int
-			r, ecc = opt.policy().PickRoot(start, &seqSweeper{a: a, deg: deg, s: scratch})
-			if ecc > res.PseudoDiameter {
-				res.PseudoDiameter = ecc
-			}
-		}
-		nv = cmComponent(a, deg, labels, r, nv, &scratch.sortWS)
-		res.Components++
-	}
+	res := &Ordering{}
+	res.Components, res.PseudoDiameter = eachComponent(opt, next, &seqSweeper{a: a, deg: deg, s: s}, func(r int) {
+		nv = cmComponent(a, deg, labels, r, nv, &s.sortWS)
+	})
 	res.Perm = permFromLabels(labels, !opt.NoReverse)
 	return res
 }
 
+// seqScratch is the per-run scratch of the queue-based sweeps: levels is
+// -1 everywhere except on queue, the vertices the last sweep reached.
 type seqScratch struct {
 	levels []int
 	queue  []int
 	sortWS psort.Scratch[int]
 }
 
-// bfsLevels runs a BFS from r, filling scratch.levels (-1 outside the
-// reached set) and returning the eccentricity, the maximum level size and
-// the vertices of the last level.
-func bfsLevels(a *spmat.CSR, r int, s *seqScratch) (ecc int, width int64, last []int) {
+func newSeqScratch(n int) *seqScratch {
+	s := &seqScratch{levels: make([]int, n), queue: make([]int, 0, n)}
 	for i := range s.levels {
 		s.levels[i] = -1
 	}
+	return s
+}
+
+// bfsLevels runs a BFS from r, filling s.levels (-1 outside the reached
+// set) and returning the eccentricity, the maximum level size and the
+// vertices of the last level. The BFS is one queue whose level boundaries
+// are indices, and only the previous sweep's queue is reset, so a sweep
+// costs what it and its predecessor reached, not n.
+func bfsLevels(a *spmat.CSR, r int, s *seqScratch) (ecc int, width int64, last []int) {
+	for _, v := range s.queue {
+		s.levels[v] = -1
+	}
 	s.levels[r] = 0
+	q := append(s.queue[:0], r)
 	width = 1
-	frontier := append(s.queue[:0], r)
-	var next []int
-	for {
-		next = next[:0]
-		for _, v := range frontier {
+	for lo := 0; ; ecc++ {
+		hi := len(q)
+		for _, v := range q[lo:hi] {
 			for _, w := range a.Row(v) {
 				if w != v && s.levels[w] < 0 {
-					s.levels[w] = s.levels[v] + 1
-					next = append(next, w)
+					s.levels[w] = ecc + 1
+					q = append(q, w)
 				}
 			}
 		}
-		if len(next) == 0 {
-			return ecc, width, frontier
+		if len(q) == hi {
+			s.queue = q
+			return ecc, width, q[lo:hi]
 		}
-		if int64(len(next)) > width {
-			width = int64(len(next))
-		}
-		frontier = append(frontier[:0], next...)
-		ecc++
+		width = max(width, int64(len(q)-hi))
+		lo = hi
 	}
 }
 
@@ -212,14 +232,6 @@ func (sw *seqSweeper) Sweep(root, maxCand int) LevelStructure {
 		ls.Candidates = pushCandidate(ls.Candidates, Candidate{ID: v, Deg: int64(sw.deg[v])}, maxCand)
 	}
 	return ls
-}
-
-// pseudoPeripheral implements Algorithm 2/4 semantics: repeat BFS from the
-// minimum-(degree, id) vertex of the last level while the eccentricity
-// improves; return the final candidate and the best eccentricity seen.
-// Kept as the direct sequential entry point of the default policy.
-func pseudoPeripheral(a *spmat.CSR, deg []int, start int, s *seqScratch) (r, ecc int) {
-	return PeripheralPolicy{}.PickRoot(start, &seqSweeper{a: a, deg: deg, s: s})
 }
 
 // cmComponent labels one connected component in Cuthill-McKee order starting

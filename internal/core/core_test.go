@@ -3,8 +3,10 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/graphgen"
 	"repro/internal/spmat"
@@ -21,6 +23,14 @@ func randSym(seed int64, n, m int) *spmat.CSR {
 		es = append(es, spmat.Coord{Row: v, Col: v, Val: 1})
 	}
 	return spmat.FromCoords(n, es, true)
+}
+
+// withThreads raises GOMAXPROCS to threads for the test, so the Shared
+// engine, which caps its block count there, runs that many blocks.
+func withThreads(t *testing.T, threads int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(threads)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 func TestSequentialProducesValidPermutation(t *testing.T) {
@@ -50,6 +60,46 @@ func TestSequentialAllocsBounded(t *testing.T) {
 	opt := DefaultOptions()
 	if allocs := testing.AllocsPerRun(3, func() { SequentialOpt(a, opt) }); allocs > 256 {
 		t.Errorf("SequentialOpt made %.0f allocations per order on n=%d, want ≤ 256", allocs, a.N)
+	}
+}
+
+// TestSharedThreadsCappedAtGOMAXPROCS: a block beyond GOMAXPROCS costs a
+// goroutine and a candidate buffer per level and adds no parallelism, so an
+// order at 10,000 threads allocates no more than one at 1 (AllocsPerRun
+// runs at GOMAXPROCS 1).
+func TestSharedThreadsCappedAtGOMAXPROCS(t *testing.T) {
+	a := graphgen.SuiteByName("ldoor").Build(4)
+	opt := DefaultOptions()
+	one := testing.AllocsPerRun(3, func() { SharedOpt(a, 1, opt) })
+	wide := testing.AllocsPerRun(3, func() { SharedOpt(a, 10000, opt) })
+	if wide > one {
+		t.Errorf("SharedOpt made %.0f allocations at 10,000 threads, %.0f at 1", wide, one)
+	}
+}
+
+// TestComponentCostLinear: each component costs its own size, so 100,000
+// isolated vertices order in milliseconds. An engine that touches all n
+// vertices per component takes seconds here.
+func TestComponentCostLinear(t *testing.T) {
+	const n = 100_000
+	diag := make([]spmat.Coord, n)
+	for i := range diag {
+		diag[i] = spmat.Coord{Row: i, Col: i, Val: 1}
+	}
+	a := spmat.FromCoords(n, diag, true)
+	for _, e := range []struct {
+		name  string
+		order func() *Ordering
+	}{
+		{"sequential", func() *Ordering { return SequentialOpt(a, DefaultOptions()) }},
+		{"shared/t2", func() *Ordering { return SharedOpt(a, 2, DefaultOptions()) }},
+		{"sloan", func() *Ordering { return Sloan(a) }},
+	} {
+		start := time.Now()
+		o := e.order()
+		if took := time.Since(start); o.Components != n || took > time.Second {
+			t.Errorf("%s: %d components in %v, want %d within 1s", e.name, o.Components, took, n)
+		}
 	}
 }
 
@@ -159,6 +209,7 @@ func equivalenceCases() map[string]*spmat.CSR {
 }
 
 func TestSharedMatchesSequential(t *testing.T) {
+	withThreads(t, 4)
 	for name, a := range equivalenceCases() {
 		want := Sequential(a)
 		for _, threads := range []int{1, 2, 4} {
@@ -204,6 +255,7 @@ func TestQuickFourWayEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	withThreads(t, 3)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(60)
@@ -328,6 +380,7 @@ func TestDistributedMoreRanksThanVertices(t *testing.T) {
 }
 
 func TestSharedMoreThreadsThanVertices(t *testing.T) {
+	withThreads(t, 16)
 	a := graphgen.Path(3)
 	want := Sequential(a)
 	got := Shared(a, 16)

@@ -100,10 +100,11 @@ func TestDirectionStrings(t *testing.T) {
 }
 
 // TestDirectionMultiComponent pins the byte-identity on component-heavy
-// inputs, where the peripheral visited masks are seeded from the
-// already-ordered components: every engine, forced bottom-up and aggressive
-// Auto, must match the sequential ordering across all components.
+// inputs, where every sweep starts with the already-ordered components
+// marked visited: every engine, forced bottom-up and aggressive Auto, must
+// match the sequential ordering across all components.
 func TestDirectionMultiComponent(t *testing.T) {
+	withThreads(t, 4)
 	a, _ := graphgen.Scramble(graphgen.Disconnected(
 		graphgen.Grid2D(12, 12), graphgen.Grid3D(5, 5, 5, 1, true),
 		graphgen.Path(17), graphgen.Star(9)), 11)

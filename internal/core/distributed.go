@@ -150,32 +150,22 @@ func distributed(a *spmat.CSR, opt DistOptions) (*DistOrdering, []*tally.Stats) 
 			mu = comm.AllReduceSum(c, localDeg)
 		}
 
+		// The cursor ends the run without a collective once every vertex
+		// is labeled.
 		nv := int64(0)
-		pd := 0
-		nc := 0
 		cursor := 0
-		for nv < int64(n) {
+		next := func() int {
+			if nv == int64(n) {
+				return -1
+			}
 			c.Stats().SetPhase(tally.PeripheralOther)
 			//lint:ignore lockstep nv advances only by collective results (AllReduceSum of labelled counts), so every rank evaluates the loop condition identically
-			start := firstUnlabeled(R, &cursor)
-			if start < 0 {
-				break
-			}
-			if nc == 0 && opt.Start >= 0 {
-				start = opt.Start
-			}
-			root := start
-			if !opt.SkipPeripheral {
-				var ecc int
-				sw := &distSweeper{A: A, D: D, R: R, opt: opt, muAll: mu}
-				root, ecc = opt.policy().PickRoot(start, sw)
-				if ecc > pd {
-					pd = ecc
-				}
-			}
-			nv = distOrder(A, D, R, root, nv, opt, sortWS, &mu)
-			nc++
+			return firstUnlabeled(R, &cursor)
 		}
+		sw := &distSweeper{A: A, D: D, R: R, opt: opt, muAll: &mu}
+		nc, pd := eachComponent(opt.Options, next, sw, func(root int) {
+			nv = distOrder(A, D, R, root, nv, opt, sortWS, &mu)
+		})
 
 		c.Stats().SetPhase(tally.Setup)
 		full := R.Gather(0)
@@ -241,14 +231,14 @@ func firstUnlabeled(r *distmat.Vec, cursor *int) int {
 // minimum-(degree, id) vertices of the last level. The direction switch and
 // the level widths run on exact AllReduced counts, and the candidate
 // shortlist is merged identically on every rank, so every rank returns the
-// identical LevelStructure and the policy decides in lockstep. muAll is the
-// current count of edges incident to unlabeled vertices.
+// identical LevelStructure and the policy decides in lockstep. muAll points
+// at the run's count of edges incident to unlabeled vertices.
 type distSweeper struct {
 	A     *distmat.Mat
 	D     *distmat.Vec
 	R     *distmat.Vec
 	opt   DistOptions
-	muAll int64
+	muAll *int64
 }
 
 // Sweep runs one collective BFS from root and summarizes its level
@@ -284,7 +274,7 @@ func (sw *distSweeper) Sweep(root, maxCand int) LevelStructure {
 	}
 	pol := newDirPolicy(opt.Options, A.D.N)
 	pol.muScale = int64(g.Pr) // √p row-duplication of the masked scan
-	mu := sw.muAll - rootDeg
+	mu := *sw.muAll - rootDeg
 	curCnt, curMf := int64(1), rootDeg
 	cur := distmat.NewSpVSingle(A.D, root, 0)
 	last := cur

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graphgen"
+	"repro/internal/spmat"
 )
 
 // The golden suite pins the permutations of the generator-suite analogs to
@@ -55,6 +56,7 @@ var goldenSuite = []struct {
 }
 
 func TestGoldenPermutationsAllBackends(t *testing.T) {
+	withThreads(t, 4)
 	for _, g := range goldenSuite {
 		g := g
 		t.Run(g.name, func(t *testing.T) {
@@ -108,6 +110,7 @@ var goldenBiCriteria = []struct {
 }
 
 func TestGoldenPermutationsBiCriteria(t *testing.T) {
+	withThreads(t, 4)
 	bc := Options{Start: -1, Policy: BiCriteriaPolicy{}}
 	for _, g := range goldenBiCriteria {
 		g := g
@@ -141,6 +144,7 @@ func TestGoldenPermutationsBiCriteria(t *testing.T) {
 }
 
 func TestGoldenPermutationsDirections(t *testing.T) {
+	withThreads(t, 4)
 	bu := Options{Start: -1, Direction: DirBottomUp}
 	// Aggressive Auto thresholds, so the hybrid actually flips to
 	// bottom-up mid-BFS on these small analogs instead of staying
@@ -177,5 +181,39 @@ func TestGoldenPermutationsDirections(t *testing.T) {
 				t.Errorf("distributed/SortNone/bottomup: hash %#x, golden %#x", h, g.nonesort)
 			}
 		})
+	}
+}
+
+// goldenSloan pins Sloan's permutations on the suite analogs and on three
+// component-heavy or skewed inputs, so refactors of its component loop and
+// per-run scratch are held to the bytes it produced before them.
+var goldenSloan = map[string]uint64{
+	"nd24k":            0xafca6c28dbc379c5,
+	"ldoor":            0xd8b34d56d2ef6b7d,
+	"Serena":           0x7dd52563435f7785,
+	"audikw_1":         0x762ce54c4d465da5,
+	"dielFilterV3real": 0x9eb1afaa5fcefa05,
+	"Flan_1565":        0xbebd90bd677538e5,
+	"Li7Nmax6":         0x85f55b1a510bdcbf,
+	"Nm7":              0x41b7313d7fa9f838,
+	"nlpkkt240":        0x6ece5b5ea164f905,
+	"multi/giant":      0x474e5a2067dd79fc,
+	"multi/smalls":     0x74fab002b25579fc,
+	"rmat":             0x53d3aeec9114a8b9,
+}
+
+func TestGoldenSloan(t *testing.T) {
+	inputs := map[string]*spmat.CSR{
+		"multi/giant":  graphgen.MultiComponent(20, 200, 9, 5),
+		"multi/smalls": graphgen.MultiComponent(0, 500, 64, 11),
+		"rmat":         graphgen.RMAT(10, 4, 7),
+	}
+	for _, g := range goldenSuite {
+		inputs[g.name] = graphgen.SuiteByName(g.name).Build(goldenScale)
+	}
+	for name, want := range goldenSloan {
+		if h := hashPerm(Sloan(inputs[name]).Perm); h != want {
+			t.Errorf("%s: Sloan permutation hash %#x, golden %#x", name, h, want)
+		}
 	}
 }

@@ -23,7 +23,7 @@ func TestCMOrderIsLevelMonotone(t *testing.T) {
 	}
 	for ci, a := range cases {
 		cm := SequentialOpt(a, Options{Start: -1, NoReverse: true})
-		comp, _ := a.Components()
+		comp, _ := a.ParallelComponents(1)
 		// The root of each component is its first vertex in CM order.
 		rootOf := map[int]int{}
 		for _, v := range cm.Perm {
@@ -103,12 +103,12 @@ func TestPeripheralEndpointsHaveHighEccentricity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(40)
 		a := randSym(seed, n, n+rng.Intn(2*n))
-		comp, _ := a.Components()
+		comp, _ := a.ParallelComponents(1)
 		// Only check the component of vertex 0.
 		start := 0
 		deg := a.Degrees()
-		scratch := &seqScratch{levels: make([]int, n), queue: make([]int, 0, n)}
-		r, _ := pseudoPeripheral(a, deg, start, scratch)
+		scratch := newSeqScratch(n)
+		r, _ := PeripheralPolicy{}.PickRoot(start, &seqSweeper{a: a, deg: deg, s: scratch})
 		if comp[r] != comp[start] {
 			return false // must stay in the component
 		}

@@ -58,6 +58,7 @@ func TestScheduledOrderMatchesSequential(t *testing.T) {
 // TestScheduledOrderBigEngines drives the Big hook with every full engine
 // and checks the stitched output still matches the sequential baseline.
 func TestScheduledOrderBigEngines(t *testing.T) {
+	withThreads(t, 4)
 	bigs := map[string]func(*spmat.CSR, Options) *Ordering{
 		"shared": func(sub *spmat.CSR, o Options) *Ordering {
 			return SharedOpt(sub, 4, o)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+
 	"repro/internal/par"
 	"repro/internal/psort"
 	"repro/internal/spmat"
@@ -19,72 +21,44 @@ func Shared(a *spmat.CSR, threads int) *Ordering {
 	return SharedOpt(a, threads, DefaultOptions())
 }
 
-// SharedOpt is Shared with explicit options.
+// SharedOpt is Shared with explicit options. threads is capped at
+// GOMAXPROCS: every further block costs a goroutine and a candidate buffer
+// per level and adds no parallelism.
 func SharedOpt(a *spmat.CSR, threads int, opt Options) *Ordering {
-	if threads < 1 {
-		threads = 1
-	}
-	n := a.N
 	deg := a.Degrees()
-	labels := make([]int64, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	res := &Ordering{}
-	nv := int64(0)
-	w := &sharedWork{a: a, deg: deg, threads: threads, opt: opt, levels: make([]int, n), fpos: make([]int, n)}
+	labels, next := unlabeled(a.N)
+	w := &sharedWork{a: a, deg: deg, threads: max(1, min(threads, runtime.GOMAXPROCS(0))), opt: opt,
+		visited: make([]bool, a.N), fpos: make([]int, a.N)}
 	for i := range w.fpos {
 		w.fpos[i] = -1
 	}
 	for _, d := range deg {
-		w.totalDeg += int64(d)
+		w.mu += int64(d)
 	}
-	// mu counts the edges incident to still-unlabeled vertices (Beamer's
-	// m_u), maintained incrementally across levels and components; cursor
-	// resumes the first-unlabeled scan so component-heavy inputs pay O(n)
-	// total, not O(n·components).
-	w.mu = w.totalDeg
-	cursor := 0
-	for {
-		start := -1
-		for ; cursor < n; cursor++ {
-			if labels[cursor] < 0 {
-				start = cursor
-				break
-			}
-		}
-		if start == -1 {
-			break
-		}
-		if res.Components == 0 && opt.Start >= 0 {
-			start = opt.Start
-		}
-		root := start
-		if !opt.SkipPeripheral {
-			var ecc int
-			root, ecc = opt.policy().PickRoot(start, &sharedSweeper{w: w, labels: labels})
-			if ecc > res.PseudoDiameter {
-				res.PseudoDiameter = ecc
-			}
-		}
+	nv := int64(0)
+	res := &Ordering{}
+	res.Components, res.PseudoDiameter = eachComponent(opt, next, w, func(root int) {
 		nv = w.order(labels, root, nv)
-		res.Components++
-	}
+	})
 	res.Perm = permFromLabels(labels, !opt.NoReverse)
 	return res
 }
 
 type sharedWork struct {
-	a        *spmat.CSR
-	deg      []int
-	threads  int
-	opt      Options
-	levels   []int
-	sortWS   psort.Scratch[candidate]
-	fpos     []int  // position of each vertex in the current frontier, -1 outside
-	periVis  []bool // per-sweep visited scratch of the start-vertex search
-	totalDeg int64
-	mu       int64 // edges incident to unlabeled vertices
+	a       *spmat.CSR
+	deg     []int
+	threads int
+	opt     Options
+	sortWS  psort.Scratch[candidate]
+	// visited marks the labeled vertices between calls: order marks the
+	// vertices it labels, and Sweep clears the marks it adds before it
+	// returns, so no BFS pays for what earlier components labeled.
+	visited []bool
+	fpos    []int // position of each vertex in the current frontier, -1 outside
+	queue   []int // the current BFS's vertices, level after level
+	// mu counts the edges incident to unlabeled vertices (Beamer's m_u),
+	// maintained incrementally across levels and components.
+	mu int64
 }
 
 // candidate is a (child, parent position) pair produced during expansion.
@@ -96,14 +70,14 @@ type candidate struct {
 // expand collects candidate children of the frontier in parallel. visited
 // must be stable during the call (children of the current level are not
 // marked until the merge), so workers race only on reads.
-func (w *sharedWork) expand(frontier []int, visited []bool) []candidate {
+func (w *sharedWork) expand(frontier []int) []candidate {
 	parts := make([][]candidate, w.threads)
 	par.Blocks(spmat.Blocks(len(frontier), w.threads), func(t, lo, hi int) {
 		var out []candidate
 		for pi := lo; pi < hi; pi++ {
 			v := frontier[pi]
 			for _, u := range w.a.Row(v) {
-				if u != v && !visited[u] {
+				if u != v && !w.visited[u] {
 					out = append(out, candidate{child: u, parentPos: pi})
 				}
 			}
@@ -127,12 +101,12 @@ func (w *sharedWork) expand(frontier []int, visited []bool) []candidate {
 // cover ascending vertex ranges, so the concatenation is sorted by child and
 // duplicate-free — exactly the postcondition of dedupe(expand(...)), which
 // keeps the downstream merge byte-identical between the two directions.
-func (w *sharedWork) expandBottomUp(visited []bool, labelFree bool) []candidate {
+func (w *sharedWork) expandBottomUp(labelFree bool) []candidate {
 	parts := make([][]candidate, w.threads)
 	par.Blocks(spmat.Blocks(w.a.N, w.threads), func(t, lo, hi int) {
 		var out []candidate
 		for u := lo; u < hi; u++ {
-			if visited[u] {
+			if w.visited[u] {
 				continue
 			}
 			best := -1
@@ -166,18 +140,18 @@ func (w *sharedWork) expandBottomUp(visited []bool, labelFree bool) []candidate 
 // child-sorted, duplicate-free candidate list. Counts for the *next*
 // decision are returned alongside (cnt = frontier size, mf = its incident
 // edges).
-func (w *sharedWork) level(pol *dirPolicy, frontier []int, visited []bool, curCnt, curMf, mu int64, labelFree bool) []candidate {
+func (w *sharedWork) level(pol *dirPolicy, frontier []int, curCnt, curMf, mu int64, labelFree bool) []candidate {
 	if pol.step(curCnt, curMf, mu) {
 		for k, v := range frontier {
 			w.fpos[v] = k
 		}
-		cands := w.expandBottomUp(visited, labelFree)
+		cands := w.expandBottomUp(labelFree)
 		for _, v := range frontier {
 			w.fpos[v] = -1
 		}
 		return cands
 	}
-	return w.dedupe(w.expand(frontier, visited))
+	return w.dedupe(w.expand(frontier))
 }
 
 // dedupe keeps, for every child, the candidate with the smallest parent
@@ -205,58 +179,43 @@ func (w *sharedWork) candEdges(cands []candidate) int64 {
 	return mf
 }
 
-// sharedSweeper is the Shared engine's rooted-BFS oracle for the
-// start-vertex policies: one Sweep is one parallel label-free BFS. Levels
-// may run bottom-up with early exit, which is legal here because the search
-// is label-free (levels are direction-independent). Each sweep's visited
-// mask is seeded from the already-ordered components so bottom-up levels
-// never rescan them (output-neutral: cross-component adjacency is empty).
-type sharedSweeper struct {
-	w      *sharedWork
-	labels []int64
-}
-
-// Sweep runs one parallel BFS from root and summarizes its level structure.
-func (sw *sharedSweeper) Sweep(root, maxCand int) LevelStructure {
-	w := sw.w
-	if w.periVis == nil {
-		w.periVis = make([]bool, w.a.N)
-	}
-	visited := w.periVis
-	for i := range visited {
-		visited[i] = sw.labels[i] >= 0
-	}
-	visited[root] = true
+// Sweep is the Shared engine's rooted-BFS oracle for the start-vertex
+// policies: one parallel label-free BFS from root, summarized as its level
+// structure. Levels may run bottom-up with early exit, which is legal here
+// because the search is label-free (levels are direction-independent), and
+// bottom-up levels never rescan the labeled components, which are visited
+// already (output-neutral: cross-component adjacency is empty).
+func (w *sharedWork) Sweep(root, maxCand int) LevelStructure {
 	pol := newDirPolicy(w.opt, w.a.N)
 	mu := w.mu - int64(w.deg[root])
 	curCnt, curMf := int64(1), int64(w.deg[root])
-	frontier := []int{root}
-	last := frontier
-	ecc := 0
-	width := int64(1)
+	w.visited[root] = true
+	q := append(w.queue[:0], root)
+	lo, ecc, width := 0, 0, int64(1)
 	for {
-		cands := w.level(&pol, frontier, visited, curCnt, curMf, mu, true)
+		cands := w.level(&pol, q[lo:], curCnt, curMf, mu, true)
 		if len(cands) == 0 {
 			break
 		}
-		next := make([]int, len(cands))
-		for k, c := range cands {
-			next[k] = c.child
-			visited[c.child] = true
+		lo = len(q)
+		for _, c := range cands {
+			q = append(q, c.child)
+			w.visited[c.child] = true
 		}
-		if int64(len(cands)) > width {
-			width = int64(len(cands))
-		}
+		width = max(width, int64(len(cands)))
 		curCnt, curMf = int64(len(cands)), w.candEdges(cands)
 		mu -= curMf
-		frontier, last = next, next
 		ecc++
 	}
+	for _, v := range q {
+		w.visited[v] = false
+	}
+	w.queue = q
 	ls := LevelStructure{Root: root, Height: ecc, Width: width}
 	if maxCand > 1 {
 		ls.RootDeg = int64(w.deg[root])
 	}
-	for _, v := range last {
+	for _, v := range q[lo:] {
 		ls.Candidates = pushCandidate(ls.Candidates, Candidate{ID: v, Deg: int64(w.deg[v])}, maxCand)
 	}
 	return ls
@@ -266,22 +225,18 @@ func (sw *sharedSweeper) Sweep(root, maxCand int) LevelStructure {
 // direction, deterministic merge sorted by (parent position, degree, id),
 // then label assignment.
 func (w *sharedWork) order(labels []int64, root int, nv int64) int64 {
-	visited := make([]bool, w.a.N)
-	// Vertices of previous components are visited too.
-	for v := range labels {
-		visited[v] = labels[v] >= 0
-	}
 	pol := newDirPolicy(w.opt, w.a.N)
 	labels[root] = nv
 	nv++
-	visited[root] = true
+	w.visited[root] = true
 	w.mu -= int64(w.deg[root])
 	curCnt, curMf := int64(1), int64(w.deg[root])
-	frontier := []int{root}
+	q := append(w.queue[:0], root)
+	lo := 0
 	for {
-		cands := w.level(&pol, frontier, visited, curCnt, curMf, w.mu, false)
+		cands := w.level(&pol, q[lo:], curCnt, curMf, w.mu, false)
 		if len(cands) == 0 {
-			return nv
+			break
 		}
 		// The (parentPos, degree, child) order of the deterministic merge,
 		// as stable linear-time passes (both expansion directions leave
@@ -290,15 +245,16 @@ func (w *sharedWork) order(labels []int64, root int, nv int64) int64 {
 		psort.LexWS(&w.sortWS, cands, w.threads,
 			func(c candidate) uint64 { return uint64(c.parentPos) },
 			func(c candidate) uint64 { return uint64(w.deg[c.child]) })
-		next := make([]int, len(cands))
+		lo = len(q)
 		for k, c := range cands {
-			next[k] = c.child
-			visited[c.child] = true
+			q = append(q, c.child)
+			w.visited[c.child] = true
 			labels[c.child] = nv + int64(k)
 		}
 		nv += int64(len(cands))
 		curCnt, curMf = int64(len(cands)), w.candEdges(cands)
 		w.mu -= curMf
-		frontier = next
 	}
+	w.queue = q
+	return nv
 }

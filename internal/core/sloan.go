@@ -33,51 +33,34 @@ const (
 
 // SloanWeights is Sloan with explicit weights.
 func SloanWeights(a *spmat.CSR, w1, w2 int64) *Ordering {
-	n := a.N
 	deg := a.Degrees()
-	labels := make([]int64, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	res := &Ordering{}
-	scratch := &seqScratch{levels: make([]int, n), queue: make([]int, 0, n)}
+	labels, next := unlabeled(a.N)
+	s := newSeqScratch(a.N)
+	// Allocated once per run: a numbered component's vertices stay
+	// postactive and no edge leaves a component, so the next component
+	// starts on untouched, inactive entries.
+	status := make([]int, a.N)
+	q := &sloanPQ{prio: make([]int64, a.N)}
 	nv := int64(0)
-	for {
-		start := -1
-		for v := 0; v < n; v++ {
-			if labels[v] < 0 {
-				start = v
-				break
-			}
-		}
-		if start == -1 {
-			break
-		}
-		// Start/end pair: the pseudo-peripheral search gives the start;
-		// the end is the far endpoint of its final level structure.
-		s, ecc := pseudoPeripheral(a, deg, start, scratch)
-		if ecc > res.PseudoDiameter {
-			res.PseudoDiameter = ecc
-		}
-		_, _, last := bfsLevels(a, s, scratch)
+	res := &Ordering{}
+	res.Components, res.PseudoDiameter = eachComponent(DefaultOptions(), next, &seqSweeper{a: a, deg: deg, s: s}, func(start int) {
+		// The pseudo-peripheral search gives the start; the end is the
+		// minimum-(degree, id) vertex of its final level structure.
+		_, _, last := bfsLevels(a, start, s)
 		e := last[0]
 		for _, v := range last[1:] {
 			if deg[v] < deg[e] || (deg[v] == deg[e] && v < e) {
 				e = v
 			}
 		}
-		// Distances to the end vertex (within this component).
-		distE := make([]int64, n)
-		eEcc, _, _ := bfsLevels(a, e, scratch)
-		_ = eEcc
-		for v := 0; v < n; v++ {
-			if scratch.levels[v] >= 0 {
-				distE[v] = int64(scratch.levels[v])
-			}
+		// The BFS from the end reaches exactly the component, and its
+		// levels are the distances to the end.
+		bfsLevels(a, e, s)
+		for _, v := range s.queue {
+			q.prio[v] = -w1*int64(deg[v]+1) + w2*int64(s.levels[v])
 		}
-		nv = sloanComponent(a, deg, labels, s, nv, w1, w2, distE)
-		res.Components++
-	}
+		nv = sloanComponent(a, labels, start, nv, w1, status, q)
+	})
 	res.Perm = permFromLabels(labels, false) // Sloan is not reversed
 	return res
 }
@@ -115,14 +98,9 @@ func (q *sloanPQ) bump(v int, delta int64) {
 	heap.Push(q, sloanItem{p: q.prio[v], v: v})
 }
 
-// sloanComponent numbers one component starting at s.
-func sloanComponent(a *spmat.CSR, deg []int, labels []int64, s int, nv int64, w1, w2 int64, distE []int64) int64 {
-	n := a.N
-	status := make([]int, n)
-	q := &sloanPQ{prio: make([]int64, n)}
-	for v := 0; v < n; v++ {
-		q.prio[v] = -w1*int64(deg[v]+1) + w2*distE[v]
-	}
+// sloanComponent numbers one component starting at s, with q.prio
+// initialized over the component and q's heap empty.
+func sloanComponent(a *spmat.CSR, labels []int64, s int, nv int64, w1 int64, status []int, q *sloanPQ) int64 {
 	status[s] = sloanPreactive
 	heap.Push(q, sloanItem{p: q.prio[s], v: s})
 	for q.Len() > 0 {

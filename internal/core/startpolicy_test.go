@@ -71,7 +71,7 @@ func TestPeripheralPolicyMatchesLegacySearch(t *testing.T) {
 	}
 	for ci, a := range cases {
 		deg := a.Degrees()
-		s := &seqScratch{levels: make([]int, a.N), queue: make([]int, 0, a.N)}
+		s := newSeqScratch(a.N)
 		legacy := func(start int) (int, int) { // the pre-subsystem loop
 			r, prevEcc := start, 0
 			for {
@@ -203,6 +203,7 @@ func randDisconnected(rng *rand.Rand) *spmat.CSR {
 // every engine under every heuristic and every process count must produce
 // the byte-identical, valid permutation.
 func TestDeterministicContractAcrossHeuristics(t *testing.T) {
+	withThreads(t, 3)
 	rng := rand.New(rand.NewSource(20260728))
 	rounds := 12
 	if testing.Short() {

@@ -27,7 +27,7 @@ func TestGrid2DStructure(t *testing.T) {
 	if bw := a.Bandwidth(); bw != 4 {
 		t.Errorf("bandwidth %d", bw)
 	}
-	_, ncomp := a.Components()
+	_, ncomp := a.ParallelComponents(1)
 	if ncomp != 1 {
 		t.Errorf("components %d", ncomp)
 	}
@@ -125,7 +125,7 @@ func TestKKTStructure(t *testing.T) {
 	if !k.Has(16, 0) || !k.Has(16, 1) || !k.Has(0, 16) {
 		t.Error("coupling pattern wrong")
 	}
-	_, ncomp := k.Components()
+	_, ncomp := k.ParallelComponents(1)
 	if ncomp != 1 {
 		t.Errorf("components %d", ncomp)
 	}
@@ -175,7 +175,7 @@ func TestDisconnected(t *testing.T) {
 	if d.N != 9 {
 		t.Fatalf("n = %d", d.N)
 	}
-	_, ncomp := d.Components()
+	_, ncomp := d.ParallelComponents(1)
 	if ncomp != 3 {
 		t.Errorf("components %d", ncomp)
 	}

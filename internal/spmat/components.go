@@ -1,6 +1,7 @@
 package spmat
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/par"
@@ -11,9 +12,8 @@ import (
 // component detection and RCM are naturally one workload). The edge scan is
 // partitioned across worker goroutines over a shared parent array updated
 // with lock-free compare-and-swap; the final numbering is a sequential scan,
-// so the output is deterministic regardless of interleaving and identical to
-// the sequential Components: components are numbered in order of their
-// smallest vertex id.
+// so the output is deterministic regardless of interleaving: components are
+// numbered in order of their smallest vertex id.
 //
 // The union invariant — the larger root is always linked under the smaller —
 // means parent pointers only ever point to strictly smaller vertex ids: no
@@ -57,12 +57,16 @@ func ufUnion(parent []int32, x, y int32) {
 }
 
 // ParallelComponents labels the connected components of G(A) using threads
-// concurrent workers (threads < 1 selects GOMAXPROCS). Like Components, the
-// pattern is treated as an undirected graph (each stored entry (i, j)
-// connects i and j regardless of whether the mirror entry is stored) and
-// components are numbered in order of their smallest vertex id, so the
-// result is deterministic and matches Components on symmetric patterns.
+// concurrent workers. threads < 1 selects GOMAXPROCS, and larger values are
+// capped there: a block beyond the worker count adds a goroutine and no
+// parallelism. The pattern is treated as an undirected graph (each stored
+// entry (i, j) connects i and j regardless of whether the mirror entry is
+// stored) and components are numbered in order of their smallest vertex id,
+// so the result is deterministic.
 func (a *CSR) ParallelComponents(threads int) (comp []int, ncomp int) {
+	if procs := runtime.GOMAXPROCS(0); threads < 1 || threads > procs {
+		threads = procs
+	}
 	n := a.N
 	comp = make([]int, n)
 	if n == 0 {

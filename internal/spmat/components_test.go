@@ -18,11 +18,43 @@ func randomSymmetric(n, m int, seed int64) *CSR {
 	return FromCoords(n, entries, true)
 }
 
+// dfsComponents is the serial oracle ParallelComponents is held to: a
+// depth-first search that numbers components in order of their smallest
+// vertex id. It follows each stored entry in its stored direction only, so
+// it is an oracle on symmetric patterns alone.
+func dfsComponents(a *CSR) (comp []int, ncomp int) {
+	comp = make([]int, a.N)
+	for i := range comp {
+		comp[i] = -1
+	}
+	var stack []int
+	for s := 0; s < a.N; s++ {
+		if comp[s] >= 0 {
+			continue
+		}
+		comp[s] = ncomp
+		stack = append(stack[:0], s)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, w := range a.Row(v) {
+				if w != v && comp[w] < 0 {
+					comp[w] = ncomp
+					stack = append(stack, w)
+				}
+			}
+		}
+		ncomp++
+	}
+	return comp, ncomp
+}
+
 func TestParallelComponentsMatchesSequential(t *testing.T) {
+	withThreads(t, 8)
 	for seed := int64(0); seed < 20; seed++ {
 		n := 1 + int(seed)*7
 		a := randomSymmetric(n, n/2+1, seed)
-		wantComp, wantN := a.Components()
+		wantComp, wantN := dfsComponents(a)
 		for _, threads := range []int{1, 2, 4, 8, 0} {
 			gotComp, gotN := a.ParallelComponents(threads)
 			if gotN != wantN {
@@ -36,6 +68,7 @@ func TestParallelComponentsMatchesSequential(t *testing.T) {
 }
 
 func TestParallelComponentsEmptyAndIsolated(t *testing.T) {
+	withThreads(t, 4)
 	empty := FromCoords(0, nil, true)
 	if comp, n := empty.ParallelComponents(4); n != 0 || len(comp) != 0 {
 		t.Fatalf("empty graph: got %d components, labels %v", n, comp)
@@ -49,6 +82,18 @@ func TestParallelComponentsEmptyAndIsolated(t *testing.T) {
 		if c != v {
 			t.Fatalf("isolated vertex %d labeled %d", v, c)
 		}
+	}
+}
+
+// TestParallelComponentsCappedAtGOMAXPROCS: a block beyond GOMAXPROCS
+// costs a goroutine and adds no parallelism, so a pass at 10,000 threads
+// allocates no more than one at 1 (AllocsPerRun runs at GOMAXPROCS 1).
+func TestParallelComponentsCappedAtGOMAXPROCS(t *testing.T) {
+	a := randomSymmetric(5000, 2500, 1)
+	one := testing.AllocsPerRun(5, func() { a.ParallelComponents(1) })
+	wide := testing.AllocsPerRun(5, func() { a.ParallelComponents(10000) })
+	if wide > one {
+		t.Errorf("ParallelComponents made %.0f allocations at 10,000 threads, %.0f at 1", wide, one)
 	}
 }
 
@@ -81,6 +126,7 @@ func TestComponentSizesAndVertices(t *testing.T) {
 }
 
 func TestSubgraphPreservesStructure(t *testing.T) {
+	withThreads(t, 4)
 	a := randomSymmetric(40, 60, 7)
 	comp, n := a.ParallelComponents(4)
 	verts, local := ComponentVertices(comp, n)

@@ -559,36 +559,6 @@ func (a *CSR) BFS(start int) (levels []int, nlevels int) {
 	return levels, lvl
 }
 
-// Components labels the connected components of G(A) and returns the label
-// of each vertex plus the number of components. Components are numbered in
-// order of their smallest vertex id.
-func (a *CSR) Components() (comp []int, ncomp int) {
-	comp = make([]int, a.N)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var stack []int
-	for s := 0; s < a.N; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = ncomp
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range a.Row(v) {
-				if w != v && comp[w] < 0 {
-					comp[w] = ncomp
-					stack = append(stack, w)
-				}
-			}
-		}
-		ncomp++
-	}
-	return comp, ncomp
-}
-
 // IsPerm reports whether p is a permutation of 0..n-1.
 func IsPerm(p []int) bool {
 	return ValidatePerm(p, len(p)) == nil

@@ -72,7 +72,7 @@ func TestEmptyMatrix(t *testing.T) {
 	if a.NNZ() != 0 || a.Bandwidth() != 0 || a.Profile() != 0 {
 		t.Error("empty matrix metrics nonzero")
 	}
-	_, ncomp := a.Components()
+	_, ncomp := a.ParallelComponents(1)
 	if ncomp != 0 {
 		t.Errorf("empty matrix has %d components", ncomp)
 	}
@@ -288,7 +288,7 @@ func TestBFSDisconnected(t *testing.T) {
 
 func TestComponents(t *testing.T) {
 	a := tri(5, [2]int{0, 1}, [2]int{1, 0}, [2]int{3, 4}, [2]int{4, 3})
-	comp, n := a.Components()
+	comp, n := a.ParallelComponents(1)
 	if n != 3 {
 		t.Fatalf("ncomp = %d, want 3", n)
 	}
@@ -386,7 +386,7 @@ func TestCSCFromCoords(t *testing.T) {
 }
 
 // SerialSummary is Summarize's oracle: every Info field from the serial
-// Degrees, Bandwidth, Profile and Components. It is exported for the
+// Degrees, Bandwidth, Profile and the DFS component count. It is exported for the
 // external test package, whose suite analogs pass the parallel gate.
 func SerialSummary(name string, a *CSR) Info {
 	maxd, sum := 0, 0
@@ -398,7 +398,7 @@ func SerialSummary(name string, a *CSR) Info {
 	if a.N > 0 {
 		avg = float64(sum) / float64(a.N)
 	}
-	_, ncomp := a.Components()
+	_, ncomp := dfsComponents(a)
 	return Info{Name: name, N: a.N, NNZ: a.NNZ(), Bandwidth: a.Bandwidth(), Profile: a.Profile(),
 		Components: ncomp, MaxDegree: maxd, AvgDegree: avg}
 }

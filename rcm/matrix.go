@@ -82,9 +82,11 @@ func (m *Matrix) IsSymmetricPattern() bool { return m.csr.IsSymmetricPattern() }
 // if present, are a_ij + a_ji off the diagonal.
 func (m *Matrix) Symmetrize() *Matrix { return wrap(m.csr.Symmetrize()) }
 
-// Components returns the number of connected components of the graph.
+// Components returns the number of connected components of the graph. Each
+// stored entry (i, j) connects i and j whether or not its mirror is stored,
+// so the count is the one ConnectedComponents and Result.Components report.
 func (m *Matrix) Components() int {
-	_, ncomp := m.csr.Components()
+	_, ncomp := m.csr.ParallelComponents(1)
 	return ncomp
 }
 

@@ -342,6 +342,27 @@ func TestMultiComponent(t *testing.T) {
 	}
 }
 
+// TestComponentsOfOneWayPath: the path 0-1-2 stored one way, as (1,0) and
+// (2,1), is one component to every counter the facade exposes.
+func TestComponentsOfOneWayPath(t *testing.T) {
+	a, err := FromEdges(3, []Edge{{I: 1, J: 0, Val: 1}, {I: 2, J: 1, Val: 1}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Order(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := ConnectedComponents(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Components() != 1 || res.Components != 1 || cc.Count != 1 || !strings.HasSuffix(a.String(), "comps=1") {
+		t.Errorf("Matrix.Components %d, Result.Components %d, ConnectedComponents %d, String %q; want 1 each",
+			a.Components(), res.Components, cc.Count, a.String())
+	}
+}
+
 func TestNonSymmetricInput(t *testing.T) {
 	// A lower-triangular pattern: ordering must go through A ∪ Aᵀ.
 	edges := []Edge{}
